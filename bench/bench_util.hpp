@@ -6,10 +6,12 @@
 // in common/breakdown_table.hpp (kept here so harnesses keep writing
 // bench::breakdown_row).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -96,6 +98,42 @@ struct BenchArgs {
                              : std::strtod(it->second.c_str(), nullptr);
   }
 };
+
+// Wall-time summary of one measured row: median, fastest and the
+// interquartile spread over its repeats, in seconds.
+struct Timing {
+  double median = 0.0;
+  double min = 0.0;
+  double iqr = 0.0;
+};
+
+// Time every row `reps` times, interleaved (round r runs row 0, 1, ...
+// before round r + 1), so a drift in the shared host's speed spreads
+// over all rows instead of landing on whichever ran last. Returns one
+// Timing per row.
+inline std::vector<Timing> measure_interleaved(
+    int reps, const std::vector<std::function<void()>>& rows) {
+  std::vector<std::vector<double>> samples(rows.size());
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      rows[i]();
+      samples[i].push_back(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count());
+    }
+  }
+  std::vector<Timing> out;
+  for (auto& s : samples) {
+    std::sort(s.begin(), s.end());
+    const auto at = [&](double q) {
+      return s[static_cast<std::size_t>(q * static_cast<double>(s.size() - 1) +
+                                        0.5)];
+    };
+    out.push_back({at(0.5), s.front(), at(0.75) - at(0.25)});
+  }
+  return out;
+}
 
 // A Reporter pre-stamped with the run metadata, plus the finish() step
 // that prints the ASCII tables and writes the structured form.

@@ -24,6 +24,14 @@
 //                     recording CrashSimulator (docs/EQUIVALENCE.md):
 //                     what the crash-point gates cost the data path
 //
+//   host_stall        the host's checkpoint critical path at 8 x 1 MiB on
+//                     one thread: the capture hash, XOR parity encode and
+//                     rebuild, and a local + XOR commit with and without
+//                     write verify. Each row is the median of interleaved
+//                     repeats with its min and IQR; the `_ref` rows re-run
+//                     the byte-serial kernels these paths replaced (FNV-1a,
+//                     padded-copy XOR) on the same bytes
+//
 //   --smoke 1     tiny sizes (CI); also the `perf` ctest label
 //   --csv PATH    structured output (default BENCH_datapath.json)
 //   --trace PATH  write the traced commit loop's Chrome trace JSON
@@ -42,6 +50,7 @@
 #include "compress/chunked.hpp"
 #include "compress/lz4_style.hpp"
 #include "compress/scratch.hpp"
+#include "delta/delta.hpp"
 #include "exec/task_pool.hpp"
 #include "faults/crash.hpp"
 #include "ndp/agent.hpp"
@@ -75,6 +84,16 @@ Bytes mixed_payload(std::size_t size, std::uint64_t seed) {
                                                  : rng.next_below(256));
   }
   return data;
+}
+
+// Byte-serial FNV-1a: the capture hash delta::block_hash replaced.
+std::uint64_t fnv1a(ByteSpan block) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::byte b : block) {
+    h ^= static_cast<std::uint8_t>(b);
+    h *= 0x100000001b3ull;
+  }
+  return h;
 }
 
 // Reference CRC-32: the classic one-table, one-byte-per-iteration loop
@@ -613,6 +632,107 @@ int main(int argc, char** argv) {
     out.add_row({"plain", fmt(plain_s, 4), "1.00", "0"});
     out.add_row({"recording", fmt(gated_s, 4), fmt(gated_s / plain_s),
                  std::to_string(points)});
+  }
+
+  // --- host stall: capture hash, XOR parity, local + XOR commit -------
+  {
+    const std::uint32_t ranks = 8;
+    const std::uint32_t group = 4;
+    const std::size_t per_rank = smoke ? (64ull << 10) : (1ull << 20);
+    const int reps = smoke ? 3 : 15;
+    std::vector<Bytes> payloads;
+    for (std::uint32_t r = 0; r < ranks; ++r) {
+      payloads.push_back(mixed_payload(per_rank, seed + 40 + r));
+    }
+    const std::vector<ByteSpan> views(payloads.begin(), payloads.end());
+    std::uint64_t sink = 0;
+
+    // Parity of each group of 4, then rank 1 of each group rebuilt.
+    std::vector<Bytes> parity(ranks / group);
+    const auto encode = [&] {
+      for (std::uint32_t g = 0; g < ranks / group; ++g) {
+        parity[g] = payloads[g * group];
+        for (std::uint32_t r = g * group + 1; r < (g + 1) * group; ++r) {
+          ckpt::xor_into(MutableByteSpan(parity[g]), ByteSpan(payloads[r]));
+        }
+      }
+    };
+    const auto encode_ref = [&] {
+      // The replaced path: zero-padded copies, then a byte loop.
+      for (std::uint32_t g = 0; g < ranks / group; ++g) {
+        std::vector<Bytes> padded(payloads.begin() + g * group,
+                                  payloads.begin() + (g + 1) * group);
+        Bytes p(per_rank, std::byte{0});
+        for (const Bytes& m : padded) {
+          for (std::size_t i = 0; i < p.size(); ++i) p[i] ^= m[i];
+        }
+        sink += static_cast<std::uint64_t>(p[0]);
+      }
+    };
+    std::vector<Bytes> rebuilt(ranks / group);
+    const auto rebuild = [&] {
+      for (std::uint32_t g = 0; g < ranks / group; ++g) {
+        rebuilt[g] = parity[g];  // recover() owns a fetched parity copy
+        for (std::uint32_t r = g * group; r < (g + 1) * group; ++r) {
+          if (r != g * group + 1) {
+            ckpt::xor_into(MutableByteSpan(rebuilt[g]),
+                           ByteSpan(payloads[r]));
+          }
+        }
+      }
+    };
+    encode();  // the rebuild row reads the parity
+    rebuild();
+    for (std::uint32_t g = 0; g < ranks / group; ++g) {
+      if (rebuilt[g] != payloads[g * group + 1]) {
+        std::fprintf(stderr, "FAIL: xor rebuild mismatch\n");
+        return 1;
+      }
+    }
+
+    exec::TaskPool one(1);
+    const auto make_manager = [&](bool verify) {
+      ckpt::MultilevelConfig mc;
+      mc.node_count = ranks;
+      mc.nvm_capacity_bytes = (per_rank + 4096) * 4;
+      mc.partner_every = 1;
+      mc.partner_scheme = ckpt::PartnerScheme::kXorGroup;
+      mc.xor_group_size = group;
+      mc.verify_writes = verify;
+      mc.pool = &one;
+      return std::make_unique<ckpt::MultilevelManager>(mc);
+    };
+    const auto verified = make_manager(true);
+    const auto unverified = make_manager(false);
+
+    const std::vector<std::pair<std::string, std::function<void()>>> rows = {
+        {"capture_hash",
+         [&] {
+           for (const Bytes& p : payloads) sink += delta::block_hash(p);
+         }},
+        {"capture_hash_ref",
+         [&] {
+           for (const Bytes& p : payloads) sink += fnv1a(p);
+         }},
+        {"xor_encode", encode},
+        {"xor_encode_ref", encode_ref},
+        {"xor_rebuild", rebuild},
+        {"commit_local_xor_verify", [&] { (void)verified->commit(views); }},
+        {"commit_local_xor", [&] { (void)unverified->commit(views); }},
+    };
+    std::vector<std::function<void()>> fns;
+    for (const auto& row : rows) fns.push_back(row.second);
+    const std::vector<bench::Timing> t = bench::measure_interleaved(reps, fns);
+    const double gib =
+        static_cast<double>(per_rank) * ranks / (1024.0 * 1024.0 * 1024.0);
+    out.add_section("host_stall", {"row", "median_ms", "min_ms", "iqr_ms",
+                                   "gib_per_s", "reps"});
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      out.add_row({rows[i].first, fmt(t[i].median * 1e3, 3),
+                   fmt(t[i].min * 1e3, 3), fmt(t[i].iqr * 1e3, 3),
+                   fmt(gib / t[i].median, 2), std::to_string(reps)});
+    }
+    if (sink == 42) std::fprintf(stderr, "\n");  // keep the hashes live
   }
 
   out.finish();

@@ -141,6 +141,20 @@ void record_data_path(obs::MetricsRegistry& metrics,
   metrics.counter(base + "chain_replays").add(stats.chain_replays);
   metrics.gauge(base + "delta_factor").set(stats.delta_factor());
   metrics.gauge(base + "dedup_hit_rate").set(stats.dedup_hit_rate());
+  const auto ledger = [&](const char* stage, const ByteLedger& l) {
+    const std::string at = base + "ledger." + stage + ".";
+    metrics.counter(at + "copied").add(l.copied);
+    metrics.counter(at + "crc").add(l.crc);
+    metrics.counter(at + "hashed").add(l.hashed);
+    metrics.counter(at + "xored").add(l.xored);
+    metrics.counter(at + "compared").add(l.compared);
+  };
+  ledger("image", stats.image);
+  ledger("local", stats.local);
+  ledger("partner", stats.partner);
+  ledger("io", stats.io);
+  metrics.gauge(base + "ledger.touches_per_payload_byte")
+      .set(stats.touches_per_payload_byte());
 }
 
 void record_pipeline(obs::MetricsRegistry& metrics,
@@ -310,6 +324,94 @@ std::size_t grain_for(std::size_t n, std::size_t work_bytes) {
   return std::min(n, (kMinTaskBytes + per_index - 1) / per_index);
 }
 
+// The local NVM level behind the KvStore seam, so local writes run the
+// same put/verify/quarantine primitive (checked_put) as the partner and
+// IO levels. Built per rank per commit over the rank's device: put runs
+// the configured fault hook on the staged bytes, then hands them to the
+// NvmStore; digest reads the entry in place. Node memory cannot fail a
+// read, so an entry the device dropped digests as empty - the verify
+// then quarantines it, as a missed readback always did. Only the three
+// operations verified_put_once issues are forwarded; recovery reads the
+// NvmStore directly.
+class LocalNvmLevel final : public KvStore {
+ public:
+  using Hook = std::function<void(std::uint32_t, std::uint64_t, Bytes&)>;
+
+  LocalNvmLevel(NvmStore& nvm, const Hook& hook, std::uint64_t& write_ops)
+      : nvm_(nvm), hook_(hook), write_ops_(write_ops) {}
+
+  StoreStatus put(std::uint32_t rank, std::uint64_t id, Bytes data) override {
+    if (hook_) hook_(rank, write_ops_++, data);
+    if (!nvm_.put(id, std::move(data))) {
+      // Capacity exhaustion is a configuration error, not a device fault.
+      throw std::logic_error("local NVM cannot accept checkpoint " +
+                             std::to_string(id));
+    }
+    return StoreStatus::success();
+  }
+  [[nodiscard]] StoreResult<EntryDigest> digest(
+      std::uint32_t /*rank*/, std::uint64_t id) const override {
+    const auto span = nvm_.get(id);
+    return span ? digest_of(*span) : EntryDigest{};
+  }
+  void erase(std::uint32_t /*rank*/, std::uint64_t id) override {
+    nvm_.erase(id);
+  }
+
+ private:
+  NvmStore& nvm_;
+  const Hook& hook_;
+  std::uint64_t& write_ops_;
+};
+
+// Put source for bytes other levels still read (a rank's image): every
+// attempt hands the store its own copy.
+auto copy_of(const Bytes& source, ByteLedger& ledger) {
+  return [&source, &ledger](std::uint32_t /*attempt*/) {
+    ledger.copied += source.size();
+    return source;
+  };
+}
+
+// XOR parity of images [first, last), as wide as the longest member: the
+// first member is copied, the rest fold in word-wide, each acting as if
+// zero-padded past its end - bit-identical to XORing padded copies.
+Bytes group_parity(const std::vector<Bytes>& images, std::uint32_t first,
+                   std::uint32_t last, ByteLedger& ledger) {
+  std::size_t width = 0;
+  for (std::uint32_t r = first; r < last; ++r) {
+    width = std::max(width, images[r].size());
+  }
+  Bytes parity;
+  parity.reserve(width);
+  parity.assign(images[first].begin(), images[first].end());
+  parity.resize(width, std::byte{0});
+  ledger.copied += images[first].size();
+  for (std::uint32_t r = first + 1; r < last; ++r) {
+    xor_into(MutableByteSpan(parity), ByteSpan(images[r]));
+    ledger.xored += images[r].size();
+  }
+  return parity;
+}
+
+// Put source for a group's parity: attempt 0 hands over the buffer
+// already built, a retry folds the group again.
+auto parity_source(Bytes& parity, const std::vector<Bytes>& images,
+                   std::uint32_t first, std::uint32_t last,
+                   ByteLedger& ledger) {
+  return [&parity, &images, first, last, &ledger](std::uint32_t attempt) {
+    return attempt == 0 ? std::move(parity)
+                        : group_parity(images, first, last, ledger);
+  };
+}
+
+// Digest of a buffer the manager built itself (parity, a compressed
+// stream), charged to the ledger.
+EntryDigest digest_counted(const Bytes& data, ByteLedger& ledger) {
+  ledger.crc += data.size();
+  return digest_of(ByteSpan(data));
+}
+
 }  // namespace
 
 void MultilevelManager::for_tasks(
@@ -328,8 +430,9 @@ void MultilevelManager::for_tasks(
 }
 
 bool MultilevelManager::checked_put(KvStore& store, LevelHealth& health,
-                                    std::uint32_t rank, std::uint64_t id,
-                                    const Bytes& data, bool probe,
+                                    ByteLedger& ledger, std::uint32_t rank,
+                                    std::uint64_t id, const PutBytes& bytes,
+                                    const EntryDigest& expected, bool probe,
                                     TraceCtx tc) {
   const RetryPolicy& policy = config_.retry;
   const std::uint32_t attempts = probe ? 1 : policy.max_attempts;
@@ -346,8 +449,9 @@ bool MultilevelManager::checked_put(KvStore& store, LevelHealth& health,
     }
     // One attempt of the shared write-verify-quarantine primitive (the
     // same stage the NDP agent's drain runs; docs/PERF.md).
-    const PutOutcome out =
-        verified_put_once(store, rank, id, data, config_.verify_writes);
+    const PutOutcome out = verified_put_once(store, rank, id, bytes(attempt),
+                                             expected, config_.verify_writes);
+    if (out.accepted && config_.verify_writes) ledger.crc += expected.size;
     if (out.ok) return true;
     if (!out.accepted) {
       if (out.put_permanent) break;  // outage: retries are futile
@@ -399,68 +503,18 @@ std::optional<Bytes> MultilevelManager::checked_get(const KvStore& store,
   return std::nullopt;
 }
 
-bool MultilevelManager::commit_local_rank(std::uint32_t rank,
-                                          std::uint64_t id,
-                                          const Bytes& image,
-                                          LevelHealth& health,
-                                          TraceCtx tc) {
-  const RetryPolicy& policy = config_.retry;
-  for (std::uint32_t attempt = 0; attempt < policy.max_attempts; ++attempt) {
-    ++health.puts;
-    if (attempt > 0) {
-      ++health.put_retries;
-      health.backoff_seconds += backoff_for(policy, attempt);
-      if (tc.buf) {
-        tc.buf->instant("put_retry", tc.level, tc.track,
-                        {obs::u64("rank", rank), obs::u64("id", id),
-                         obs::u64("attempt", attempt)});
-      }
-    }
-    Bytes staged = image;
-    if (config_.local_write_hook) {
-      config_.local_write_hook(rank, local_write_ops_[rank]++, staged);
-    }
-    if (!local_[rank]->put(id, std::move(staged))) {
-      // Capacity exhaustion is a configuration error, not a device fault.
-      throw std::logic_error("local NVM cannot accept checkpoint " +
-                             std::to_string(id));
-    }
-    if (!config_.verify_writes) return true;
-    const auto readback = local_[rank]->get(id);
-    if (readback && readback->size() == image.size() &&
-        std::equal(readback->begin(), readback->end(), image.begin())) {
-      return true;
-    }
-    ++health.verify_failures;
-    local_[rank]->erase(id);
-    ++health.quarantined;
-    if (tc.buf) {
-      tc.buf->instant("verify_fail", tc.level, tc.track,
-                      {obs::u64("rank", rank), obs::u64("id", id)});
-      tc.buf->instant("quarantine", tc.level, tc.track,
-                      {obs::u64("rank", rank), obs::u64("id", id)});
-    }
-  }
-  // Local write never verified: the rank simply has no local copy of this
-  // id; partner/io still cover it.
-  ++health.put_failures;
-  if (tc.buf) {
-    tc.buf->instant("put_failed", tc.level, tc.track,
-                    {obs::u64("rank", rank), obs::u64("id", id)});
-  }
-  return false;
-}
-
 void MultilevelManager::commit_local(std::uint64_t id,
-                                     const std::vector<Bytes>& images) {
+                                     const std::vector<Bytes>& images,
+                                     const std::vector<EntryDigest>& digests) {
   obs::TraceBuffer* rb = trace_->root();
   obs::TraceBuffer::Span phase;
   if (rb) phase = rb->span("local", "ckpt.local", 0, {obs::u64("id", id)});
   const bool was_degraded = health_.local.degraded();
-  // Each rank owns its NVM device, its write-op counter and a private
-  // health delta, so the write + verify fan-out is embarrassingly
+  // Each rank owns its NVM device, its write-op counter and private
+  // health/ledger deltas, so the write + verify fan-out is embarrassingly
   // parallel; deltas merge in rank order after the barrier.
   std::vector<LevelHealth> deltas(config_.node_count);
+  std::vector<ByteLedger> ledgers(config_.node_count);
   std::vector<char> ok(config_.node_count, 1);
   std::vector<obs::TraceBuffer> tbs = trace_->task_buffers(config_.node_count);
   std::size_t image_bytes = 0;
@@ -476,14 +530,21 @@ void MultilevelManager::commit_local(std::uint64_t id,
                            {obs::u64("rank", rank),
                             obs::u64("bytes", images[rank].size())});
     }
-    ok[rank] = commit_local_rank(static_cast<std::uint32_t>(rank), id,
-                                 images[rank], deltas[rank], tc)
+    LocalNvmLevel level(*local_[rank], config_.local_write_hook,
+                        local_write_ops_[rank]);
+    // A local write that never verifies leaves the rank without a local
+    // copy of this id; partner/io still cover it.
+    ok[rank] = checked_put(level, deltas[rank], ledgers[rank],
+                           static_cast<std::uint32_t>(rank), id,
+                           copy_of(images[rank], ledgers[rank]),
+                           digests[rank], false, tc)
                    ? 1
                    : 0;
   }, image_bytes);
   trace_->splice(tbs);
   for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
     merge_level(health_.local, deltas[rank]);
+    data_stats_.local += ledgers[rank];
     if (ok[rank]) {
       data_stats_.local_bytes_written += images[rank].size();
     } else {
@@ -495,8 +556,9 @@ void MultilevelManager::commit_local(std::uint64_t id,
   }
 }
 
-void MultilevelManager::commit_partner(std::uint64_t id,
-                                       const std::vector<Bytes>& images) {
+void MultilevelManager::commit_partner(
+    std::uint64_t id, const std::vector<Bytes>& images,
+    const std::vector<EntryDigest>& digests) {
   LevelHealth& health = health_.partner;
   obs::TraceBuffer* rb = trace_->root();
   obs::TraceBuffer::Span phase;
@@ -515,11 +577,12 @@ void MultilevelManager::commit_partner(std::uint64_t id,
     // Probe mode: single-attempt writes that stop at the first failure.
     // Stays serial - the early break has no parallel equivalent, and a
     // down level is not worth fanning out for.
+    ByteLedger& ledger = data_stats_.partner;
     if (config_.partner_scheme == PartnerScheme::kCopy) {
       for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
-        if (!checked_put(*partner_space_[partner_of(rank)], health, rank,
-                         id, images[rank], true,
-                         {rb, 0, "ckpt.partner"})) {
+        if (!checked_put(*partner_space_[partner_of(rank)], health, ledger,
+                         rank, id, copy_of(images[rank], ledger),
+                         digests[rank], true, {rb, 0, "ckpt.partner"})) {
           level_ok = false;
           break;  // still down: one failed probe is proof enough
         }
@@ -530,21 +593,13 @@ void MultilevelManager::commit_partner(std::uint64_t id,
            first += config_.xor_group_size) {
         const std::uint32_t last = std::min(
             first + config_.xor_group_size, config_.node_count);
-        std::size_t width = 0;
-        for (std::uint32_t r = first; r < last; ++r) {
-          width = std::max(width, images[r].size());
-        }
-        std::vector<Bytes> padded;
-        padded.reserve(last - first);
-        for (std::uint32_t r = first; r < last; ++r) {
-          Bytes p = images[r];
-          p.resize(width, std::byte{0});
-          padded.push_back(std::move(p));
-        }
-        const Bytes parity = xor_parity(padded);
+        Bytes parity = group_parity(images, first, last, ledger);
         const std::size_t parity_size = parity.size();
-        if (!checked_put(*partner_space_[parity_host(first)], health, first,
-                         id, parity, true, {rb, 0, "ckpt.partner"})) {
+        const EntryDigest expected = digest_counted(parity, ledger);
+        if (!checked_put(*partner_space_[parity_host(first)], health, ledger,
+                         first, id,
+                         parity_source(parity, images, first, last, ledger),
+                         expected, true, {rb, 0, "ckpt.partner"})) {
           level_ok = false;
           break;
         }
@@ -555,6 +610,7 @@ void MultilevelManager::commit_partner(std::uint64_t id,
     // partner_of is a bijection, so every task writes a distinct store:
     // the whole exchange fans out, health deltas merged after the barrier.
     std::vector<LevelHealth> deltas(config_.node_count);
+    std::vector<ByteLedger> ledgers(config_.node_count);
     std::vector<char> ok(config_.node_count, 1);
     std::vector<obs::TraceBuffer> tbs =
         trace_->task_buffers(config_.node_count);
@@ -572,16 +628,18 @@ void MultilevelManager::commit_partner(std::uint64_t id,
                            {obs::u64("rank", rank),
                             obs::u64("bytes", images[rank].size())});
       }
-      ok[rank] = checked_put(*partner_space_[partner_of(
-                                 static_cast<std::uint32_t>(rank))],
-                             deltas[rank], static_cast<std::uint32_t>(rank),
-                             id, images[rank], false, tc)
+      const auto r = static_cast<std::uint32_t>(rank);
+      ok[rank] = checked_put(*partner_space_[partner_of(r)], deltas[rank],
+                             ledgers[rank], r, id,
+                             copy_of(images[rank], ledgers[rank]),
+                             digests[rank], false, tc)
                      ? 1
                      : 0;
     }, image_bytes);
     trace_->splice(tbs);
     for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
       merge_level(health, deltas[rank]);
+      data_stats_.partner += ledgers[rank];
       if (ok[rank]) {
         data_stats_.partner_bytes_written += images[rank].size();
       } else {
@@ -589,13 +647,14 @@ void MultilevelManager::commit_partner(std::uint64_t id,
       }
     }
   } else {
-    // XOR groups: one parity buffer per group, padded to the group's
+    // XOR groups: one parity buffer per group, as wide as the group's
     // longest image, hosted off-group. Parity hosts are distinct across
     // groups, so groups encode and write concurrently.
     const std::size_t groups =
         (config_.node_count + config_.xor_group_size - 1) /
         config_.xor_group_size;
     std::vector<LevelHealth> deltas(groups);
+    std::vector<ByteLedger> ledgers(groups);
     std::vector<char> ok(groups, 1);
     std::vector<std::size_t> parity_bytes(groups, 0);
     std::vector<obs::TraceBuffer> tbs = trace_->task_buffers(groups);
@@ -608,40 +667,38 @@ void MultilevelManager::commit_partner(std::uint64_t id,
           first + config_.xor_group_size, config_.node_count);
       TraceCtx tc;
       if (!tbs.empty()) tc = {&tbs[g], 1 + first, "ckpt.partner"};
-      std::size_t width = 0;
-      for (std::uint32_t r = first; r < last; ++r) {
-        width = std::max(width, images[r].size());
-      }
       obs::TraceBuffer::Span encode;
       if (tc.buf) {
+        std::size_t width = 0;
+        for (std::uint32_t r = first; r < last; ++r) {
+          width = std::max(width, images[r].size());
+        }
         encode = tc.buf->span("xor_encode", "ckpt.partner", tc.track,
                               {obs::u64("group", g),
                                obs::u64("width", width)});
       }
-      std::vector<Bytes> padded;
-      padded.reserve(last - first);
-      for (std::uint32_t r = first; r < last; ++r) {
-        Bytes p = images[r];
-        p.resize(width, std::byte{0});
-        padded.push_back(std::move(p));
-      }
-      Bytes parity = xor_parity(padded);
+      Bytes parity = group_parity(images, first, last, ledgers[g]);
       parity_bytes[g] = parity.size();
+      const EntryDigest expected = digest_counted(parity, ledgers[g]);
       encode.close();
       obs::TraceBuffer::Span put;
       if (tc.buf) {
         put = tc.buf->span("parity_put", "ckpt.partner", tc.track,
                            {obs::u64("group", g),
-                            obs::u64("bytes", parity.size())});
+                            obs::u64("bytes", parity_bytes[g])});
       }
       ok[g] = checked_put(*partner_space_[parity_host(first)], deltas[g],
-                          first, id, parity, false, tc)
+                          ledgers[g], first, id,
+                          parity_source(parity, images, first, last,
+                                        ledgers[g]),
+                          expected, false, tc)
                   ? 1
                   : 0;
     }, image_bytes);
     trace_->splice(tbs);
     for (std::size_t g = 0; g < groups; ++g) {
       merge_level(health, deltas[g]);
+      data_stats_.partner += ledgers[g];
       if (ok[g]) {
         data_stats_.partner_bytes_written += parity_bytes[g];
       } else {
@@ -663,7 +720,8 @@ const compress::ChunkedCodec* MultilevelManager::codec_for(
     const compress::CodecChoice& choice) const {
   if (io_codec_) return &*io_codec_;  // static codec overrides adaptive
   for (const auto& codec : adaptive_codecs_) {
-    if (codec->id() == choice.id && codec->level() == choice.level) {
+    if (codec->id() == choice.id && codec->level() == choice.level &&
+        codec->accelerate() == choice.accelerate) {
       return codec.get();
     }
   }
@@ -698,6 +756,7 @@ std::optional<Bytes> MultilevelManager::decode_io_stream(Bytes stored) const {
 
 void MultilevelManager::commit_io(std::uint64_t id,
                                   const std::vector<Bytes>& images,
+                                  const std::vector<EntryDigest>& digests,
                                   AsyncStageWriter* writer,
                                   IoPending& pending) {
   LevelHealth& health = health_.io;
@@ -717,24 +776,36 @@ void MultilevelManager::commit_io(std::uint64_t id,
     // leaves the index describing exactly what the store holds.
     const bool probe = health.degraded();
     if (probe && rb) rb->instant("probe", "ckpt.io", 0, {obs::u64("id", id)});
+    ByteLedger& ledger = data_stats_.io;
     for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
       const DedupIndex::Plan plan = io_dedup_->plan(images[rank]);
       bool rank_ok = true;
       std::size_t rank_bytes = 0;
       for (const auto& [key, block] : plan.new_blocks) {
-        const Bytes stored =
-            io_codec_ ? io_codec_->compress(block) : block;
-        if (!checked_put(*io_, health, kDedupBlockRank, key, stored, probe,
-                         {rb, 0, "ckpt.io"})) {
+        const auto encode = [&, &block = block]() {
+          if (io_codec_) return io_codec_->compress(block);
+          ledger.copied += block.size();
+          return block;
+        };
+        Bytes stored = encode();
+        const std::size_t stored_size = stored.size();
+        const EntryDigest expected = digest_counted(stored, ledger);
+        const auto bytes = [&](std::uint32_t attempt) {
+          return attempt == 0 ? std::move(stored) : encode();
+        };
+        if (!checked_put(*io_, health, ledger, kDedupBlockRank, key, bytes,
+                         expected, probe, {rb, 0, "ckpt.io"})) {
           rank_ok = false;
           break;
         }
-        rank_bytes += stored.size();
+        rank_bytes += stored_size;
       }
       if (rank_ok) {
         // Recipes stay uncompressed: they are tiny and must be readable
         // before any codec state is known.
-        rank_ok = checked_put(*io_, health, rank, id, plan.recipe, probe,
+        rank_ok = checked_put(*io_, health, ledger, rank, id,
+                              copy_of(plan.recipe, ledger),
+                              digest_counted(plan.recipe, ledger), probe,
                               {rb, 0, "ckpt.io"});
       }
       if (rank_ok) {
@@ -766,6 +837,7 @@ void MultilevelManager::commit_io(std::uint64_t id,
   if (health.degraded()) {
     // Probe mode: serial, compress-as-you-go, stop at the first failure.
     if (rb) rb->instant("probe", "ckpt.io", 0, {obs::u64("id", id)});
+    ByteLedger& ledger = data_stats_.io;
     for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
       const compress::ChunkedCodec* codec =
           io_codec_ ? &*io_codec_
@@ -773,14 +845,28 @@ void MultilevelManager::commit_io(std::uint64_t id,
                            ? codec_for(compress::choose_codec(
                                  ByteSpan(images[rank])))
                            : nullptr);
-      const Bytes packed =
-          codec ? codec->compress(images[rank]) : images[rank];
-      if (!checked_put(*io_, health, rank, id, packed, true,
-                       {rb, 0, "ckpt.io"})) {
+      bool put_ok = false;
+      std::size_t stored_size = images[rank].size();
+      if (codec) {
+        Bytes packed = codec->compress(images[rank]);
+        stored_size = packed.size();
+        const EntryDigest expected = digest_counted(packed, ledger);
+        const auto bytes = [&](std::uint32_t attempt) {
+          return attempt == 0 ? std::move(packed)
+                              : codec->compress(images[rank]);
+        };
+        put_ok = checked_put(*io_, health, ledger, rank, id, bytes, expected,
+                             true, {rb, 0, "ckpt.io"});
+      } else {
+        put_ok = checked_put(*io_, health, ledger, rank, id,
+                             copy_of(images[rank], ledger), digests[rank],
+                             true, {rb, 0, "ckpt.io"});
+      }
+      if (!put_ok) {
         level_ok = false;
         break;
       }
-      data_stats_.io_bytes_written += packed.size();
+      data_stats_.io_bytes_written += stored_size;
     }
     settle_level(health, level_ok);
     if (rb) {
@@ -805,6 +891,7 @@ void MultilevelManager::commit_io(std::uint64_t id,
   pending.active = true;
   pending.was_degraded = was_degraded;
   pending.deltas.assign(config_.node_count, LevelHealth{});
+  pending.ledgers.assign(config_.node_count, ByteLedger{});
   pending.ok.assign(config_.node_count, 0);
   pending.bytes.assign(config_.node_count, 0);
   pending.tbs = trace_->task_buffers(config_.node_count);
@@ -832,7 +919,6 @@ void MultilevelManager::commit_io(std::uint64_t id,
       }
     }
     Bytes packed;
-    const Bytes* borrowed = nullptr;
     if (codec) {
       const std::size_t n = codec->chunk_count(images[rank].size());
       std::vector<Bytes> chunks(n);
@@ -856,25 +942,33 @@ void MultilevelManager::commit_io(std::uint64_t id,
           images[rank].size());
       trace_->splice(ctbs);
       packed = codec->assemble(images[rank].size(), chunks, 0, n);
-    } else {
-      // Null codec: the job borrows the caller's image - `images` outlives
-      // the flush barrier in commit() - instead of copying half a rank.
-      borrowed = &images[rank];
     }
-    auto job = [this, &pending, rank, id, owned = std::move(packed),
-                borrowed]() {
-      const Bytes& data = borrowed ? *borrowed : owned;
+    // The job reads the caller's image - `images` outlives the flush
+    // barrier in commit() - for the null codec's copy and for a retry's
+    // recompression; a compressed stream is handed to the store as is.
+    auto job = [this, &pending, rank, id, codec, image = &images[rank],
+                digest = digests[rank], owned = std::move(packed)]() mutable {
+      ByteLedger& ledger = pending.ledgers[rank];
+      const std::size_t size = codec ? owned.size() : image->size();
+      const EntryDigest expected =
+          codec ? digest_counted(owned, ledger) : digest;
       TraceCtx tc;
       if (!pending.tbs.empty()) tc = {&pending.tbs[rank], 1 + rank, "ckpt.io"};
       if (tc.buf) {
         tc.buf->instant("io_put", "ckpt.io", tc.track,
-                        {obs::u64("rank", rank),
-                         obs::u64("bytes", data.size())});
+                        {obs::u64("rank", rank), obs::u64("bytes", size)});
       }
-      if (checked_put(*io_, pending.deltas[rank], rank, id, data, false,
-                      tc)) {
+      const auto bytes = [&](std::uint32_t attempt) -> Bytes {
+        if (!codec) {
+          ledger.copied += image->size();
+          return *image;
+        }
+        return attempt == 0 ? std::move(owned) : codec->compress(*image);
+      };
+      if (checked_put(*io_, pending.deltas[rank], ledger, rank, id, bytes,
+                      expected, false, tc)) {
         pending.ok[rank] = 1;
-        pending.bytes[rank] = data.size();
+        pending.bytes[rank] = size;
       }
     };
     if (writer) {
@@ -898,6 +992,7 @@ void MultilevelManager::finish_commit_io(std::uint64_t id, IoPending& pending) {
   bool level_ok = true;
   for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
     merge_level(health, pending.deltas[rank]);
+    data_stats_.io += pending.ledgers[rank];
     if (pending.ok[rank]) {
       data_stats_.io_bytes_written += pending.bytes[rank];
     } else {
@@ -945,6 +1040,10 @@ std::uint64_t MultilevelManager::commit(
   // encoder scratch, so the fan-out is allocation-light and the stats
   // fold below runs serially in rank order).
   std::vector<Bytes> images(config_.node_count);
+  // The digest every level's write verify compares against: computed
+  // once here, never re-derived from a readback copy.
+  std::vector<EntryDigest> digests(config_.node_count);
+  std::vector<ByteLedger> build_ledgers(config_.node_count);
   std::vector<delta::DeltaStats> dstats(
       as_delta ? config_.node_count : 0);
   std::size_t payload_bytes = 0;
@@ -963,6 +1062,8 @@ std::uint64_t MultilevelManager::commit(
       meta.app_id = config_.app_id;
       meta.rank = static_cast<std::uint32_t>(rank);
       meta.checkpoint_id = id;
+      ByteLedger& ledger = build_ledgers[rank];
+      std::size_t body = payloads[rank].size();
       if (as_delta) {
         meta.kind = PayloadKind::kDelta;
         meta.base_id = id - 1;
@@ -970,10 +1071,18 @@ std::uint64_t MultilevelManager::commit(
         const Bytes stream = delta_codec_->encode(
             ByteSpan(prev_payload_[rank]), payloads[rank], *scratch,
             &dstats[rank]);
+        ledger.hashed += dstats[rank].hashed_bytes;
+        ledger.compared += dstats[rank].compared_bytes;
+        ledger.copied += stream.size();  // literals into the stream
+        body = stream.size();
         images[rank] = CheckpointImage::build(meta, stream);
       } else {
         images[rank] = CheckpointImage::build(meta, payloads[rank]);
       }
+      // build(): the body is copied once and CRC'd once for the header.
+      ledger.copied += body;
+      ledger.crc += body;
+      digests[rank] = digest_counted(images[rank], ledger);
       if (!tbs.empty()) {
         tbs[rank].instant("image", "ckpt",
                           1 + static_cast<std::uint32_t>(rank),
@@ -992,6 +1101,7 @@ std::uint64_t MultilevelManager::commit(
   }
   for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
     data_stats_.payload_bytes_in += payloads[rank].size();
+    data_stats_.image += build_ledgers[rank];
     if (as_delta) {
       data_stats_.delta_input_bytes += dstats[rank].input_bytes;
       data_stats_.delta_encoded_bytes += dstats[rank].encoded_bytes;
@@ -999,7 +1109,9 @@ std::uint64_t MultilevelManager::commit(
   }
 
   ++health_.commits;
-  if (to_partner && config_.node_count > 1) commit_partner(id, images);
+  if (to_partner && config_.node_count > 1) {
+    commit_partner(id, images, digests);
+  }
   // Pipelined IO (docs/PERF.md): the healthy compressed path submits its
   // per-rank puts to a double-buffered writer thread, so level writes
   // overlap both the next rank's compression (inside commit_io) and the
@@ -1015,9 +1127,10 @@ std::uint64_t MultilevelManager::commit(
                            config_.io_writer_depth > 0 &&
                            !exec::TaskPool::in_worker();
     if (pipelined) io_writer.emplace(config_.io_writer_depth);
-    commit_io(id, images, io_writer ? &*io_writer : nullptr, io_pending);
+    commit_io(id, images, digests, io_writer ? &*io_writer : nullptr,
+              io_pending);
   }
-  commit_local(id, images);
+  commit_local(id, images, digests);
   if (io_pending.active) {
     // Commit point: no health settle, no trace splice, and no return to
     // the caller until every submitted IO write has landed.
@@ -1059,17 +1172,15 @@ std::optional<Bytes> MultilevelManager::try_xor_rebuild(
                                   {trace_->root(), 0, "ckpt.partner"});
   if (!parity) return std::nullopt;
 
-  // Survivors' local images, padded to the parity width.
-  std::vector<Bytes> survivors;
+  // Fold the survivors' local images straight out of NVM into the
+  // parity, each acting as if zero-padded to the parity width.
+  Bytes rebuilt = std::move(*parity);
   for (std::uint32_t r = first; r < last; ++r) {
     if (r == rank) continue;
     const auto span = local_[r]->get(id);
-    if (!span || span->size() > parity->size()) return std::nullopt;
-    Bytes padded(span->begin(), span->end());
-    padded.resize(parity->size(), std::byte{0});
-    survivors.push_back(std::move(padded));
+    if (!span || span->size() > rebuilt.size()) return std::nullopt;
+    xor_into(MutableByteSpan(rebuilt), *span);
   }
-  Bytes rebuilt = xor_rebuild(*parity, survivors);
   // Trim the padding back to the image's true framed size.
   try {
     const std::size_t size = CheckpointImage::framed_size(rebuilt);

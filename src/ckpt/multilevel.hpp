@@ -144,6 +144,31 @@ struct DeltaPolicy {
   std::size_t nvm_dedup_block_bytes = 0;
 };
 
+// Byte ledger of one commit-path stage: the bytes the manager's own
+// passes touched, by kind. Pure functions of the payload sizes and the
+// fault schedule - no clocks - so tests can pin touches per payload byte
+// as a regression gate that cannot flake. Work inside a device (NvmStore
+// dedup accounting) and inside a codec (compression) is not counted.
+struct ByteLedger {
+  std::uint64_t copied = 0;    // staging copies, buffers handed to stores
+  std::uint64_t crc = 0;       // NDCI headers, write digests, verify reads
+  std::uint64_t hashed = 0;    // through delta::block_hash
+  std::uint64_t xored = 0;     // folded into XOR parity
+  std::uint64_t compared = 0;  // compared byte for byte
+
+  [[nodiscard]] std::uint64_t touches() const {
+    return copied + crc + hashed + xored + compared;
+  }
+  ByteLedger& operator+=(const ByteLedger& o) {
+    copied += o.copied;
+    crc += o.crc;
+    hashed += o.hashed;
+    xored += o.xored;
+    compared += o.compared;
+    return *this;
+  }
+};
+
 // Byte-movement accounting for the commit/recover data path: what the
 // delta and dedup layers save is visible here (and through
 // record_data_path) rather than inferred from device sizes. All counters
@@ -163,6 +188,21 @@ struct DataPathStats {
   std::uint64_t dedup_dup_bytes = 0;       // block bytes resolved as dups
   std::uint64_t chain_links = 0;           // delta links walked in recover
   std::uint64_t chain_replays = 0;         // chains replayed to a payload
+  // Commit-path byte ledger, per stage: image build (serialize, delta
+  // encode, NDCI CRC, the write digest), then each level's writes.
+  ByteLedger image;
+  ByteLedger local;
+  ByteLedger partner;
+  ByteLedger io;
+
+  // Every byte pass of the commit path, over payload_bytes_in.
+  [[nodiscard]] double touches_per_payload_byte() const {
+    if (payload_bytes_in == 0) return 0.0;
+    const std::uint64_t total = image.touches() + local.touches() +
+                                partner.touches() + io.touches();
+    return static_cast<double>(total) /
+           static_cast<double>(payload_bytes_in);
+  }
 
   // 1 - encoded/input over the payloads that were delta-encoded.
   [[nodiscard]] double delta_factor() const {
@@ -267,7 +307,9 @@ struct MultilevelConfig {
   DeltaPolicy delta;
 
   RetryPolicy retry;
-  bool verify_writes = true;  // readback + compare after every put
+  // Read back every put's digest (KvStore::digest) and compare it with
+  // the source's, computed once before the put.
+  bool verify_writes = true;
 
   // Optional tracer (docs/OBSERVABILITY.md). Null disables tracing; the
   // manager then binds obs::Tracer::null() and every emission site costs
@@ -406,19 +448,26 @@ class MultilevelManager {
                                                  std::uint32_t rank,
                                                  std::uint64_t id,
                                                  TraceCtx tc = TraceCtx()) const;
-  // Write + verify readback + retry/backoff. Returns true once the entry
-  // is durably in place and matches `data`. `probe` limits the operation
-  // to a single attempt (used while the level is already degraded).
-  // Accounting goes to `health`, which in the parallel batches is the
-  // task's private delta, not the shared report.
-  bool checked_put(KvStore& store, LevelHealth& health, std::uint32_t rank,
-                   std::uint64_t id, const Bytes& data, bool probe,
-                   TraceCtx tc = TraceCtx());
-  bool commit_local_rank(std::uint32_t rank, std::uint64_t id,
-                         const Bytes& image, LevelHealth& health,
-                         TraceCtx tc = TraceCtx());
-  void commit_local(std::uint64_t id, const std::vector<Bytes>& images);
-  void commit_partner(std::uint64_t id, const std::vector<Bytes>& images);
+  // The bytes for put attempt `attempt` (0-based). The store takes
+  // ownership of each buffer, so attempt 0 may hand over a prebuilt one
+  // (parity, a compressed stream) and later attempts rebuild from the
+  // source, which lives through commit().
+  using PutBytes = std::function<Bytes(std::uint32_t attempt)>;
+  // Write + verify-by-digest + retry/backoff, for every level (local NVM
+  // goes through an adapter). Returns true once the entry is durably in
+  // place and its digest equals `expected`, computed once from the
+  // source. `probe` limits the operation to a single attempt (used while
+  // the level is already degraded). Accounting goes to `health` and
+  // `ledger`, which in the parallel batches are the task's private
+  // deltas, not the shared report.
+  bool checked_put(KvStore& store, LevelHealth& health, ByteLedger& ledger,
+                   std::uint32_t rank, std::uint64_t id,
+                   const PutBytes& bytes, const EntryDigest& expected,
+                   bool probe, TraceCtx tc = TraceCtx());
+  void commit_local(std::uint64_t id, const std::vector<Bytes>& images,
+                    const std::vector<EntryDigest>& digests);
+  void commit_partner(std::uint64_t id, const std::vector<Bytes>& images,
+                      const std::vector<EntryDigest>& digests);
   // In-flight state of the pipelined IO level: per-rank health deltas,
   // outcomes and trace buffers the writer jobs fill in, merged - in rank
   // order - by finish_commit_io after the writer flushes.
@@ -426,6 +475,7 @@ class MultilevelManager {
     bool active = false;  // writer jobs submitted; finish_commit_io owed
     bool was_degraded = false;
     std::vector<LevelHealth> deltas;
+    std::vector<ByteLedger> ledgers;
     std::vector<char> ok;
     std::vector<std::size_t> bytes;  // stored bytes per rank (if ok)
     std::vector<obs::TraceBuffer> tbs;
@@ -436,6 +486,7 @@ class MultilevelManager {
   // compression. Dedup and degraded-probe paths stay serial and settle
   // the level themselves (pending.active stays false).
   void commit_io(std::uint64_t id, const std::vector<Bytes>& images,
+                 const std::vector<EntryDigest>& digests,
                  AsyncStageWriter* writer, IoPending& pending);
   // Barrier half: merge writer-job results in rank order and settle the
   // level. Runs after commit_local, so IO writes overlap the local

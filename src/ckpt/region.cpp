@@ -123,8 +123,9 @@ Bytes RegionRegistry::capture() {
     for (char c : r.name) out.push_back(static_cast<std::byte>(c));
     append_le<std::uint64_t>(out, r.size);
     const std::size_t offset = out.size();
-    out.resize(offset + r.size);
-    std::memcpy(out.data() + offset, data, r.size);
+    // insert, not resize + memcpy: one pass over the region, no zero fill.
+    const auto* bytes = static_cast<const std::byte*>(data);
+    out.insert(out.end(), bytes, bytes + r.size);
     r.content_hash = delta::block_hash(ByteSpan(out).subspan(offset, r.size));
     r.dirty = false;
   }
@@ -165,8 +166,8 @@ Bytes RegionRegistry::capture_delta(DeltaCaptureStats* stats) {
     out.push_back(static_cast<std::byte>(r.dirty ? 1 : 0));
     if (r.dirty) {
       const std::size_t offset = out.size();
-      out.resize(offset + r.size);
-      std::memcpy(out.data() + offset, data[i], r.size);
+      const auto* bytes = static_cast<const std::byte*>(data[i]);
+      out.insert(out.end(), bytes, bytes + r.size);
       r.content_hash =
           delta::block_hash(ByteSpan(out).subspan(offset, r.size));
       r.dirty = false;

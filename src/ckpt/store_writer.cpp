@@ -6,10 +6,10 @@
 namespace ndpcr::ckpt {
 
 PutOutcome verified_put_once(KvStore& store, std::uint32_t rank,
-                             std::uint64_t id, const Bytes& data,
-                             bool verify) {
+                             std::uint64_t id, Bytes data,
+                             const EntryDigest& expected, bool verify) {
   PutOutcome out;
-  const StoreStatus status = store.put(rank, id, Bytes(data));
+  const StoreStatus status = store.put(rank, id, std::move(data));
   if (!status.ok()) {
     out.put_permanent = status.error().permanent();
     return out;
@@ -19,8 +19,8 @@ PutOutcome verified_put_once(KvStore& store, std::uint32_t rank,
     out.ok = true;
     return out;
   }
-  const StoreResult<Bytes> readback = store.get(rank, id);
-  if (readback.ok() && *readback == data) {
+  const StoreResult<EntryDigest> readback = store.digest(rank, id);
+  if (readback.ok() && *readback == expected) {
     out.ok = true;
     return out;
   }

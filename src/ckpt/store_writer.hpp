@@ -5,8 +5,10 @@
 // Two pieces:
 //
 //   verified_put_once - ONE attempt of the write-verify-quarantine
-//     protocol every durable write in the repo follows: put, read back,
-//     compare, erase a torn entry that landed under a valid key. Both
+//     protocol every durable write in the repo follows: put, read back
+//     the stored entry's digest, compare it with the digest the caller
+//     computed once from the source, erase a torn entry that landed
+//     under a valid key. Both
 //     retry harnesses - MultilevelManager::checked_put's bounded
 //     retry/backoff loop and NdpAgent's virtual-time drain retry - wrap
 //     this one primitive, so the store-facing op sequence of an attempt
@@ -44,7 +46,7 @@ namespace ndpcr::ckpt {
 
 // Outcome of one write-verify attempt (see verified_put_once).
 struct PutOutcome {
-  bool ok = false;        // durably in place and read back equal
+  bool ok = false;        // durably in place and its digest read back equal
   bool accepted = false;  // the store's put itself succeeded
   bool put_permanent = false;   // put failed with a permanent error
   bool verify_failed = false;   // readback missing/mismatched/erred
@@ -52,13 +54,17 @@ struct PutOutcome {
   bool quarantined = false;     // a mismatched entry was erased
 };
 
-// One attempt: put `data` under (rank, id), then - when `verify` - read
-// it back and compare, erasing (quarantining) an entry that reads back
-// different. Never throws; the caller's retry policy interprets the
-// outcome flags.
+// One attempt: put `data` under (rank, id) - the store takes ownership,
+// so a retry hands over a fresh buffer rebuilt from the caller's source -
+// then, when `verify`, read back the entry's digest (KvStore::digest: one
+// read op, no copy) and compare it with `expected`, erasing
+// (quarantining) an entry whose digest differs. Reports store errors
+// through the outcome flags, never by throwing (a store's own exception -
+// local NVM out of capacity - passes through); the caller's retry policy
+// interprets the flags.
 PutOutcome verified_put_once(KvStore& store, std::uint32_t rank,
-                             std::uint64_t id, const Bytes& data,
-                             bool verify);
+                             std::uint64_t id, Bytes data,
+                             const EntryDigest& expected, bool verify);
 
 // Counters for the async stage. Purely observational: queue depth and
 // stall counts depend on wall-clock scheduling, so - like wall-time

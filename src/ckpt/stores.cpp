@@ -1,6 +1,10 @@
 #include "ckpt/stores.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <stdexcept>
+
+#include "common/crc32.hpp"
 
 namespace ndpcr::ckpt {
 
@@ -42,6 +46,17 @@ StoreResult<Bytes> KvStore::get(std::uint32_t rank,
   auto it = entries_.find(std::make_pair(rank, checkpoint_id));
   if (it == entries_.end()) return StoreResult<Bytes>::not_found();
   return Bytes(it->second);
+}
+
+StoreResult<EntryDigest> KvStore::digest(std::uint32_t rank,
+                                         std::uint64_t checkpoint_id) const {
+  auto it = entries_.find(std::make_pair(rank, checkpoint_id));
+  if (it == entries_.end()) return StoreResult<EntryDigest>::not_found();
+  return digest_of(ByteSpan(it->second));
+}
+
+EntryDigest digest_of(ByteSpan data) {
+  return EntryDigest{Crc32::compute(data), data.size()};
 }
 
 bool KvStore::contains(std::uint32_t rank,
@@ -108,28 +123,51 @@ void corrupt_in_place(MutableByteSpan data, std::uint64_t salt) {
   data[index] ^= mask;
 }
 
+void xor_into(MutableByteSpan dst, ByteSpan src) {
+  const std::size_t n = std::min(dst.size(), src.size());
+  std::byte* d = dst.data();
+  const std::byte* s = src.data();
+  // Words through memcpy: std::byte may alias anything, so a byte loop
+  // defeats the vectorizer; fixed-size word copies compile to vector
+  // loads and stores.
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    std::uint64_t a[4];
+    std::uint64_t b[4];
+    std::memcpy(a, d + i, sizeof a);
+    std::memcpy(b, s + i, sizeof b);
+    for (int k = 0; k < 4; ++k) a[k] ^= b[k];
+    std::memcpy(d + i, a, sizeof a);
+  }
+  for (; i < n; ++i) d[i] ^= s[i];
+}
+
 Bytes xor_parity(const std::vector<Bytes>& buffers) {
   if (buffers.empty()) {
     throw std::invalid_argument("xor_parity needs at least one buffer");
   }
   const std::size_t size = buffers.front().size();
-  Bytes parity(size, std::byte{0});
   for (const auto& buf : buffers) {
     if (buf.size() != size) {
       throw std::invalid_argument("xor_parity buffers must be equal length");
     }
-    for (std::size_t i = 0; i < size; ++i) parity[i] ^= buf[i];
+  }
+  Bytes parity = buffers.front();
+  for (std::size_t b = 1; b < buffers.size(); ++b) {
+    xor_into(MutableByteSpan(parity), ByteSpan(buffers[b]));
   }
   return parity;
 }
 
 Bytes xor_rebuild(const Bytes& parity, const std::vector<Bytes>& survivors) {
-  Bytes rebuilt = parity;
   for (const auto& buf : survivors) {
-    if (buf.size() != rebuilt.size()) {
+    if (buf.size() != parity.size()) {
       throw std::invalid_argument("xor_rebuild buffers must be equal length");
     }
-    for (std::size_t i = 0; i < rebuilt.size(); ++i) rebuilt[i] ^= buf[i];
+  }
+  Bytes rebuilt = parity;
+  for (const auto& buf : survivors) {
+    xor_into(MutableByteSpan(rebuilt), ByteSpan(buf));
   }
   return rebuilt;
 }

@@ -15,6 +15,18 @@
 
 namespace ndpcr::ckpt {
 
+// CRC-32 and length of a stored entry: what a write verify compares
+// against the digest of the bytes it meant to store. A torn write changes
+// the size, a bit flip the CRC (CRC-32 detects every single-bit error).
+struct EntryDigest {
+  std::uint32_t crc = 0;
+  std::size_t size = 0;
+
+  friend bool operator==(const EntryDigest&, const EntryDigest&) = default;
+};
+
+[[nodiscard]] EntryDigest digest_of(ByteSpan data);
+
 // Simple keyed checkpoint store. Models a rank's slice of the parallel
 // file system (IO-level) or the partner space a node donates to its
 // neighbor (partner-level). Keys are (rank, checkpoint id).
@@ -35,6 +47,14 @@ class KvStore {
   virtual StoreStatus put(std::uint32_t rank, std::uint64_t checkpoint_id,
                           Bytes data);
   [[nodiscard]] virtual StoreResult<Bytes> get(
+      std::uint32_t rank, std::uint64_t checkpoint_id) const;
+  // Digest of the stored entry, computed over a borrowed view of its
+  // bytes - no copy. The verify read of the write path. Decorators
+  // forward it with get()'s exact fault semantics: it is one read
+  // operation (one op index, one metered read), fails with the same
+  // typed errors, and under an injected read bit flip returns the digest
+  // of the flipped bytes get() would have returned.
+  [[nodiscard]] virtual StoreResult<EntryDigest> digest(
       std::uint32_t rank, std::uint64_t checkpoint_id) const;
   [[nodiscard]] virtual bool contains(std::uint32_t rank,
                                       std::uint64_t checkpoint_id) const;
@@ -78,6 +98,12 @@ void corrupt_in_place(MutableByteSpan data, std::uint64_t salt);
 // SplitMix64 mixing step - the deterministic hash behind corrupt_in_place
 // and the fault plan's per-operation decisions.
 std::uint64_t splitmix64(std::uint64_t x);
+
+// dst[i] ^= src[i] for every i below both sizes, a word at a time. A
+// shorter `src` acts as if zero-padded to dst's length - the fold the XOR
+// partner level uses to build parity from unequal images without padded
+// copies.
+void xor_into(MutableByteSpan dst, ByteSpan src);
 
 // XOR parity across equal-length buffers (SCR's XOR partner scheme). All
 // buffers must have the same size; with k data buffers, any single missing

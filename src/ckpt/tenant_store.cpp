@@ -19,6 +19,12 @@ StoreResult<Bytes> TenantStoreView::get(std::uint32_t rank,
   return base_.get(offset_ + rank, checkpoint_id);
 }
 
+StoreResult<EntryDigest> TenantStoreView::digest(
+    std::uint32_t rank, std::uint64_t checkpoint_id) const {
+  if (quota_ != nullptr) quota_->charge_read();
+  return base_.digest(offset_ + rank, checkpoint_id);
+}
+
 bool TenantStoreView::contains(std::uint32_t rank,
                                std::uint64_t checkpoint_id) const {
   return base_.contains(offset_ + rank, checkpoint_id);

@@ -99,6 +99,9 @@ class TenantStoreView final : public KvStore {
                   Bytes data) override;
   [[nodiscard]] StoreResult<Bytes> get(
       std::uint32_t rank, std::uint64_t checkpoint_id) const override;
+  // Metered exactly like get(): one read op.
+  [[nodiscard]] StoreResult<EntryDigest> digest(
+      std::uint32_t rank, std::uint64_t checkpoint_id) const override;
   [[nodiscard]] bool contains(std::uint32_t rank,
                               std::uint64_t checkpoint_id) const override;
   [[nodiscard]] std::optional<std::uint64_t> newest_id(

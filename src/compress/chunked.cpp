@@ -58,6 +58,7 @@ ChunkedCodec::ChunkedCodec(CodecId id, int level, std::size_t chunk_size,
                            unsigned threads, bool accelerate)
     : id_(id),
       level_(level),
+      accelerate_(accelerate),
       chunk_size_(chunk_size),
       threads_(threads),
       codec_(make_codec(id, level)),  // validates id/level eagerly

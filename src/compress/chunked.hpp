@@ -93,10 +93,15 @@ class ChunkedCodec {
   [[nodiscard]] int level() const { return level_; }
   [[nodiscard]] std::size_t chunk_size() const { return chunk_size_; }
   [[nodiscard]] unsigned threads() const { return threads_; }
+  // Whether the nlz4 skip-stride compressor is on. Not recorded in the
+  // container header (the decoder is the same), so callers that pick a
+  // codec by choice must match it alongside id and level.
+  [[nodiscard]] bool accelerate() const { return accelerate_; }
 
  private:
   CodecId id_;
   int level_;
+  bool accelerate_;
   std::size_t chunk_size_;
   unsigned threads_;
   // One long-lived codec instance (codecs are stateless and const-callable

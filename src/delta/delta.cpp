@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 
 namespace ndpcr::delta {
@@ -106,12 +107,99 @@ std::vector<std::size_t> cdc_boundaries(ByteSpan data,
   return out;
 }
 
-std::uint64_t block_hash(ByteSpan block) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::byte b : block) {
-    h ^= static_cast<std::uint8_t>(b);
-    h *= 0x100000001b3ull;
+namespace {
+
+// block_hash is XXH64 with seed 0: four independent 64-bit
+// multiply-rotate lanes over 32-byte stripes, then a length-mixed tail
+// and a final avalanche. Independent lanes keep the multiplier
+// pipelined, so the hash runs near memory speed; a byte-serial hash is
+// bound by one multiply latency per byte, and capture hashes every
+// region on the checkpoint critical path.
+constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kP3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ull;
+constexpr std::uint64_t kP5 = 0x27D4EB2F165667C5ull;
+
+std::uint64_t rotl(std::uint64_t x, int r) {
+  return (x << r) | (x >> (64 - r));
+}
+
+// Little-endian loads at any alignment: the hash is a function of the
+// bytes alone, identical on every host.
+std::uint64_t load64(const std::byte* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
   }
+  return v;
+}
+
+std::uint64_t load32(const std::byte* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  return v;
+}
+
+std::uint64_t lane_round(std::uint64_t acc, std::uint64_t input) {
+  acc += input * kP2;
+  return rotl(acc, 31) * kP1;
+}
+
+std::uint64_t merge_lane(std::uint64_t h, std::uint64_t lane) {
+  h ^= lane_round(0, lane);
+  return h * kP1 + kP4;
+}
+
+}  // namespace
+
+std::uint64_t block_hash(ByteSpan block) {
+  const std::byte* p = block.data();
+  const std::size_t n = block.size();
+  const std::byte* const end = p + n;
+  std::uint64_t h = 0;
+  if (n >= 32) {
+    std::uint64_t v1 = kP1 + kP2;
+    std::uint64_t v2 = kP2;
+    std::uint64_t v3 = 0;
+    std::uint64_t v4 = 0 - kP1;
+    for (; end - p >= 32; p += 32) {
+      v1 = lane_round(v1, load64(p));
+      v2 = lane_round(v2, load64(p + 8));
+      v3 = lane_round(v3, load64(p + 16));
+      v4 = lane_round(v4, load64(p + 24));
+    }
+    h = rotl(v1, 1) + rotl(v2, 7) + rotl(v3, 12) + rotl(v4, 18);
+    h = merge_lane(h, v1);
+    h = merge_lane(h, v2);
+    h = merge_lane(h, v3);
+    h = merge_lane(h, v4);
+  } else {
+    h = kP5;
+  }
+  h += n;
+  for (; end - p >= 8; p += 8) {
+    h ^= lane_round(0, load64(p));
+    h = rotl(h, 27) * kP1 + kP4;
+  }
+  if (end - p >= 4) {
+    h ^= load32(p) * kP1;
+    h = rotl(h, 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    h ^= static_cast<std::uint8_t>(*p) * kP5;
+    h = rotl(h, 11) * kP1;
+  }
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
   return h;
 }
 
@@ -155,12 +243,14 @@ Bytes DeltaCodec::encode(ByteSpan reference, ByteSpan current,
   append_le<std::uint32_t>(out, static_cast<std::uint32_t>(block_size_));
   append_le<std::uint64_t>(out, current.size());
   append_le<std::uint64_t>(out, block_hash(reference));
+  local_stats.hashed_bytes = ref_full_blocks * block_size_ + reference.size();
 
   for (std::size_t pos = 0; pos < current.size(); pos += block_size_) {
     const std::size_t len = std::min(block_size_, current.size() - pos);
     const ByteSpan block = current.subspan(pos, len);
 
     // Same-position match (covers the tail block too).
+    if (pos + len <= reference.size()) local_stats.compared_bytes += len;
     if (pos + len <= reference.size() &&
         spans_equal(block, reference.subspan(pos, len))) {
       out.push_back(static_cast<std::byte>(kOpSame));
@@ -170,6 +260,7 @@ Bytes DeltaCodec::encode(ByteSpan reference, ByteSpan current,
     // Moved match: full blocks only.
     if (len == block_size_ && ref_full_blocks > 0) {
       const std::uint64_t h = block_hash(block);
+      local_stats.hashed_bytes += len;
       bool matched = false;
       for (std::size_t slot = h & scratch.mask; scratch.slots[slot] != 0;
            slot = (slot + 1) & scratch.mask) {
@@ -177,6 +268,7 @@ Bytes DeltaCodec::encode(ByteSpan reference, ByteSpan current,
         const std::uint32_t b = scratch.slots[slot] - 1;
         const ByteSpan cand =
             reference.subspan(std::size_t{b} * block_size_, block_size_);
+        local_stats.compared_bytes += len;
         if (spans_equal(block, cand)) {
           out.push_back(static_cast<std::byte>(kOpMoved));
           append_le<std::uint32_t>(out, b);

@@ -28,8 +28,11 @@ class DeltaError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-// 64-bit content hash used for block identity (FNV-1a; collisions are
-// guarded by a full byte comparison before any block is reused).
+// 64-bit content hash used for block identity: XXH64 (seed 0), a pure
+// function of the bytes with little-endian loads, so it is identical on
+// every host and at any input alignment. Collisions are guarded by a
+// full byte comparison before any block is reused. The value is part of
+// the NDDL/NDRD/NDRC formats (docs/DELTA.md, "Format notes").
 std::uint64_t block_hash(ByteSpan block);
 
 // Reusable encoder workspace. Encoding indexes every reference block in a
@@ -115,6 +118,11 @@ struct DeltaStats {
   std::size_t moved_blocks = 0;      // content found elsewhere in reference
   std::size_t literal_blocks = 0;    // new content, stored raw
   std::size_t encoded_bytes = 0;
+  // Byte-ledger passes the encode made: bytes run through block_hash
+  // (reference index, reference digest, moved-match probes) and bytes
+  // offered to block comparisons (counted at full block length).
+  std::size_t hashed_bytes = 0;
+  std::size_t compared_bytes = 0;
 
   // 1 - encoded/input, the same convention as compression factor.
   [[nodiscard]] double delta_factor() const {

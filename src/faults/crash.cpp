@@ -36,6 +36,10 @@ class ForwardingKvStore final : public ckpt::KvStore {
       std::uint32_t rank, std::uint64_t checkpoint_id) const override {
     return backing_->get(rank, checkpoint_id);
   }
+  [[nodiscard]] ckpt::StoreResult<ckpt::EntryDigest> digest(
+      std::uint32_t rank, std::uint64_t checkpoint_id) const override {
+    return backing_->digest(rank, checkpoint_id);
+  }
   [[nodiscard]] bool contains(std::uint32_t rank,
                               std::uint64_t checkpoint_id) const override {
     return backing_->contains(rank, checkpoint_id);
@@ -72,6 +76,14 @@ class FileKvAdapter final : public ckpt::KvStore {
   [[nodiscard]] ckpt::StoreResult<Bytes> get(
       std::uint32_t rank, std::uint64_t checkpoint_id) const override {
     return backing_->get(rank, checkpoint_id);
+  }
+  // A file has no in-memory view to borrow: read it (one op through the
+  // backing store's own fault schedule) and digest the copy.
+  [[nodiscard]] ckpt::StoreResult<ckpt::EntryDigest> digest(
+      std::uint32_t rank, std::uint64_t checkpoint_id) const override {
+    auto got = backing_->get(rank, checkpoint_id);
+    if (!got.ok()) return got.error();
+    return ckpt::digest_of(ByteSpan(*got));
   }
   [[nodiscard]] bool contains(std::uint32_t rank,
                               std::uint64_t checkpoint_id) const override {

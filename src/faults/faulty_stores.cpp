@@ -1,6 +1,7 @@
 #include "faults/faulty_stores.hpp"
 
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -49,6 +50,58 @@ void note_fault(obs::TraceBuffer* buf, std::uint32_t track, FaultKind kind,
   buf->instant(fault_name(kind), "fault", track,
                {obs::u64("target", target.id), obs::u64("op", op),
                 obs::str("dir", op_kind == StoreOp::kPut ? "put" : "get")});
+}
+
+// Front half shared by every fault-decorated read (get and digest): ask
+// the plan about read `op`, count the injection, and either return the
+// typed error to report or nullopt - with `flip` set when the read must
+// corrupt what it returns.
+std::optional<ckpt::StoreError> begin_read(const FaultPlan& plan,
+                                           Target target, std::uint64_t op,
+                                           FaultStats& stats,
+                                           obs::TraceBuffer* buf,
+                                           std::uint32_t track, bool& flip) {
+  ++stats.ops;
+  const FaultKind kind = plan.decide(target, StoreOp::kGet, op);
+  note_fault(buf, track, kind, target, StoreOp::kGet, op);
+  flip = false;
+  switch (kind) {
+    case FaultKind::kTransient:
+      ++stats.transient_errors;
+      return transient_error(target, op);
+    case FaultKind::kOutage:
+      ++stats.outage_errors;
+      return outage_error(target, op);
+    case FaultKind::kBitFlip:
+      ++stats.bit_flips;
+      flip = true;
+      break;
+    case FaultKind::kStall:
+      ++stats.stalls;
+      stats.stall_seconds += kStallSeconds;
+      break;
+    case FaultKind::kTorn:  // puts only; decide() never returns it for gets
+    case FaultKind::kNone:
+      break;
+  }
+  return std::nullopt;
+}
+
+// Back half of a flipped read: corrupt the returned copy (the stored
+// entry stays intact).
+ckpt::StoreResult<Bytes> flipped(ckpt::StoreResult<Bytes> got,
+                                 std::uint64_t salt) {
+  if (got.ok()) ckpt::corrupt_in_place(MutableByteSpan(*got), salt);
+  return got;
+}
+
+// A flipped digest read reports the digest of the flipped copy get()
+// would have returned. The copy is made on the fault path only.
+ckpt::StoreResult<ckpt::EntryDigest> flipped_digest(
+    ckpt::StoreResult<Bytes> got, std::uint64_t salt) {
+  got = flipped(std::move(got), salt);
+  if (!got.ok()) return got.error();
+  return ckpt::digest_of(ByteSpan(*got));
 }
 
 }  // namespace
@@ -105,35 +158,26 @@ ckpt::StoreStatus FaultyKvStore::put(std::uint32_t rank,
 ckpt::StoreResult<Bytes> FaultyKvStore::get(
     std::uint32_t rank, std::uint64_t checkpoint_id) const {
   const std::uint64_t op = op_counter_++;
-  ++stats_.ops;
-  const FaultKind kind = plan_->decide(target_, StoreOp::kGet, op);
-  note_fault(trace_buf_, trace_track_, kind, target_, StoreOp::kGet, op);
-  switch (kind) {
-    case FaultKind::kTransient:
-      ++stats_.transient_errors;
-      return transient_error(target_, op);
-    case FaultKind::kOutage:
-      ++stats_.outage_errors;
-      return outage_error(target_, op);
-    case FaultKind::kBitFlip: {
-      ++stats_.bit_flips;
-      auto got = KvStore::get(rank, checkpoint_id);
-      if (got.ok()) {
-        // Corrupt the returned copy; the stored entry stays intact.
-        ckpt::corrupt_in_place(MutableByteSpan(*got),
-                               plan_->salt(target_, op));
-      }
-      return got;
-    }
-    case FaultKind::kStall:
-      ++stats_.stalls;
-      stats_.stall_seconds += kStallSeconds;
-      break;
-    case FaultKind::kTorn:  // puts only; decide() never returns it for gets
-    case FaultKind::kNone:
-      break;
+  bool flip = false;
+  if (auto error = begin_read(*plan_, target_, op, stats_, trace_buf_,
+                              trace_track_, flip)) {
+    return *std::move(error);
   }
-  return KvStore::get(rank, checkpoint_id);
+  auto got = KvStore::get(rank, checkpoint_id);
+  return flip ? flipped(std::move(got), plan_->salt(target_, op)) : got;
+}
+
+ckpt::StoreResult<ckpt::EntryDigest> FaultyKvStore::digest(
+    std::uint32_t rank, std::uint64_t checkpoint_id) const {
+  const std::uint64_t op = op_counter_++;
+  bool flip = false;
+  if (auto error = begin_read(*plan_, target_, op, stats_, trace_buf_,
+                              trace_track_, flip)) {
+    return *std::move(error);
+  }
+  if (!flip) return KvStore::digest(rank, checkpoint_id);
+  return flipped_digest(KvStore::get(rank, checkpoint_id),
+                        plan_->salt(target_, op));
 }
 
 FaultyFileStore::FaultyFileStore(std::filesystem::path root,
@@ -183,34 +227,13 @@ ckpt::StoreStatus FaultyFileStore::put(std::uint32_t rank,
 ckpt::StoreResult<Bytes> FaultyFileStore::get(
     std::uint32_t rank, std::uint64_t checkpoint_id) const {
   const std::uint64_t op = op_counter_++;
-  ++stats_.ops;
-  const FaultKind kind = plan_->decide(target_, StoreOp::kGet, op);
-  note_fault(trace_buf_, trace_track_, kind, target_, StoreOp::kGet, op);
-  switch (kind) {
-    case FaultKind::kTransient:
-      ++stats_.transient_errors;
-      return transient_error(target_, op);
-    case FaultKind::kOutage:
-      ++stats_.outage_errors;
-      return outage_error(target_, op);
-    case FaultKind::kBitFlip: {
-      ++stats_.bit_flips;
-      auto got = FileStore::get(rank, checkpoint_id);
-      if (got.ok()) {
-        ckpt::corrupt_in_place(MutableByteSpan(*got),
-                               plan_->salt(target_, op));
-      }
-      return got;
-    }
-    case FaultKind::kStall:
-      ++stats_.stalls;
-      stats_.stall_seconds += kStallSeconds;
-      break;
-    case FaultKind::kTorn:
-    case FaultKind::kNone:
-      break;
+  bool flip = false;
+  if (auto error = begin_read(*plan_, target_, op, stats_, trace_buf_,
+                              trace_track_, flip)) {
+    return *std::move(error);
   }
-  return FileStore::get(rank, checkpoint_id);
+  auto got = FileStore::get(rank, checkpoint_id);
+  return flip ? flipped(std::move(got), plan_->salt(target_, op)) : got;
 }
 
 FaultyStoreProxy::FaultyStoreProxy(std::shared_ptr<const FaultPlan> plan,
@@ -256,32 +279,27 @@ ckpt::StoreResult<Bytes> FaultyStoreProxy::get(
     std::uint32_t rank, std::uint64_t checkpoint_id) const {
   if (plan_ == nullptr) return inner_->get(rank, checkpoint_id);
   const std::uint64_t op = op_counter_++;
-  ++stats_.ops;
-  switch (plan_->decide(target_, StoreOp::kGet, op)) {
-    case FaultKind::kTransient:
-      ++stats_.transient_errors;
-      return transient_error(target_, op);
-    case FaultKind::kOutage:
-      ++stats_.outage_errors;
-      return outage_error(target_, op);
-    case FaultKind::kBitFlip: {
-      ++stats_.bit_flips;
-      auto got = inner_->get(rank, checkpoint_id);
-      if (got.ok()) {
-        ckpt::corrupt_in_place(MutableByteSpan(*got),
-                               plan_->salt(target_, op));
-      }
-      return got;
-    }
-    case FaultKind::kStall:
-      ++stats_.stalls;
-      stats_.stall_seconds += kStallSeconds;
-      break;
-    case FaultKind::kTorn:  // puts only; decide() never returns it for gets
-    case FaultKind::kNone:
-      break;
+  bool flip = false;
+  if (auto error =
+          begin_read(*plan_, target_, op, stats_, nullptr, 0, flip)) {
+    return *std::move(error);
   }
-  return inner_->get(rank, checkpoint_id);
+  auto got = inner_->get(rank, checkpoint_id);
+  return flip ? flipped(std::move(got), plan_->salt(target_, op)) : got;
+}
+
+ckpt::StoreResult<ckpt::EntryDigest> FaultyStoreProxy::digest(
+    std::uint32_t rank, std::uint64_t checkpoint_id) const {
+  if (plan_ == nullptr) return inner_->digest(rank, checkpoint_id);
+  const std::uint64_t op = op_counter_++;
+  bool flip = false;
+  if (auto error =
+          begin_read(*plan_, target_, op, stats_, nullptr, 0, flip)) {
+    return *std::move(error);
+  }
+  if (!flip) return inner_->digest(rank, checkpoint_id);
+  return flipped_digest(inner_->get(rank, checkpoint_id),
+                        plan_->salt(target_, op));
 }
 
 bool FaultyStoreProxy::contains(std::uint32_t rank,

@@ -11,7 +11,8 @@
 //                          validation can catch it.
 //   kBitFlip             - put: one byte of the stored copy is flipped;
 //                          get: one byte of the returned copy is flipped
-//                          (the stored entry stays intact).
+//                          (the stored entry stays intact); digest: the
+//                          digest of that flipped copy.
 //   kStall               - the operation succeeds, but virtual latency is
 //                          charged to the stats.
 //
@@ -61,6 +62,8 @@ class FaultyKvStore final : public ckpt::KvStore {
   ckpt::StoreStatus put(std::uint32_t rank, std::uint64_t checkpoint_id,
                         Bytes data) override;
   [[nodiscard]] ckpt::StoreResult<Bytes> get(
+      std::uint32_t rank, std::uint64_t checkpoint_id) const override;
+  [[nodiscard]] ckpt::StoreResult<ckpt::EntryDigest> digest(
       std::uint32_t rank, std::uint64_t checkpoint_id) const override;
 
   [[nodiscard]] const FaultStats& stats() const { return stats_; }
@@ -135,6 +138,8 @@ class FaultyStoreProxy final : public ckpt::KvStore {
   ckpt::StoreStatus put(std::uint32_t rank, std::uint64_t checkpoint_id,
                         Bytes data) override;
   [[nodiscard]] ckpt::StoreResult<Bytes> get(
+      std::uint32_t rank, std::uint64_t checkpoint_id) const override;
+  [[nodiscard]] ckpt::StoreResult<ckpt::EntryDigest> digest(
       std::uint32_t rank, std::uint64_t checkpoint_id) const override;
   [[nodiscard]] bool contains(std::uint32_t rank,
                               std::uint64_t checkpoint_id) const override;

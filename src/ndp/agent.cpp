@@ -306,8 +306,11 @@ void NdpAgent::finish_drain() {
   // same stage the host commit path's writer jobs run (docs/PERF.md), so
   // a drained checkpoint hits the IO device with the identical op
   // sequence a host-side commit would.
+  // The drain keeps its container for retries, so each attempt hands the
+  // store a copy.
   const ckpt::PutOutcome out = ckpt::verified_put_once(
-      io_, cfg_.rank, id, d.compressed, /*verify=*/true);
+      io_, cfg_.rank, id, Bytes(d.compressed),
+      ckpt::digest_of(ByteSpan(d.compressed)), /*verify=*/true);
   const bool ok = out.ok;
   const bool permanent = out.put_permanent || out.read_error_permanent;
   if (out.verify_failed) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ckpt/multilevel.hpp"
+#include "ckpt/tenant_store.hpp"
 #include "common/rng.hpp"
 #include "compress/chunked.hpp"
 #include "exec/task_pool.hpp"
@@ -620,6 +623,209 @@ TEST(Chaos, RerunReproducesBitIdentically) {
   EXPECT_EQ(a.violations, 0u);
   EXPECT_EQ(b.recoveries, a.recoveries);
   EXPECT_EQ(b.faults.injected(), a.faults.injected());
+}
+
+// ---------------------------------------------------------------------------
+// Verify by digest (KvStore::digest): the write verify reads a CRC + size
+// instead of a copy, through every decorator. It must be the same read
+// the readback-compare path made - one op index, one metered read, the
+// same typed errors, the flipped bytes' digest under a read bit flip - so
+// these scenarios pin PutOutcome flags, HealthReport counters, fault-store
+// op counts and TenantStoreView metering at the values the
+// readback-compare implementation produced.
+
+const FaultKind kDigestKinds[] = {FaultKind::kTransient, FaultKind::kTorn,
+                                  FaultKind::kBitFlip, FaultKind::kStall,
+                                  FaultKind::kOutage};
+
+std::string outcome_bits(const ckpt::PutOutcome& o) {
+  std::string s;
+  for (const bool b : {o.ok, o.accepted, o.put_permanent, o.verify_failed,
+                       o.read_error_permanent, o.quarantined}) {
+    s += b ? '1' : '0';
+  }
+  return s;
+}
+
+// One write-verify attempt against a FaultyKvStore with `kind` forced at
+// op `at` (0 = the put, 1 = the verify read).
+std::string one_attempt(FaultKind kind, std::uint64_t at) {
+  auto plan = std::make_shared<FaultPlan>(17);
+  plan->force(io_target(), at, kind);
+  FaultyKvStore store(plan, io_target());
+  Bytes data(3000);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::byte>(i * 7 + 1);
+  }
+  const ckpt::PutOutcome out = ckpt::verified_put_once(
+      store, 2, 5, Bytes(data), ckpt::digest_of(ByteSpan(data)), true);
+  return outcome_bits(out) + " ops=" + std::to_string(store.stats().ops) +
+         " kept=" + std::to_string(store.contains(2, 5) ? 1 : 0);
+}
+
+// Three commits of four ranks (copy partners, IO every commit) with
+// `kind` forced at ops 0, 1, 3 and 6 of one device: partner host 1 or the
+// IO store. The device is a FaultyKvStore, or - `proxy` - a
+// FaultyStoreProxy over a quota-metered TenantStoreView of a shared store.
+std::string digest_scenario(FaultKind kind, bool io, bool proxy) {
+  auto plan = std::make_shared<FaultPlan>(23);
+  const Target target = io ? io_target() : partner_target(1);
+  for (const std::uint64_t op : {0u, 1u, 3u, 6u}) plan->force(target, op, kind);
+  ckpt::KvStore shared;
+  ckpt::StoreQuota quota;
+  std::vector<const FaultStats*> stats;
+  ckpt::MultilevelConfig cfg;
+  cfg.node_count = 4;
+  cfg.partner_every = 1;
+  cfg.io_every = 1;
+  cfg.io_writer_depth = 0;
+  cfg.store_factory = [&](ckpt::StoreLevel level, std::uint32_t host)
+      -> std::unique_ptr<ckpt::KvStore> {
+    const Target t = level == ckpt::StoreLevel::kIo ? io_target()
+                                                    : partner_target(host);
+    if (proxy && t == target) {
+      auto view = std::make_unique<ckpt::TenantStoreView>(shared, 3, 4,
+                                                          &quota);
+      auto store = std::make_unique<FaultyStoreProxy>(plan, t,
+                                                      std::move(view));
+      stats.push_back(&store->stats());
+      return store;
+    }
+    auto store = std::make_unique<FaultyKvStore>(plan, t);
+    if (t == target) stats.push_back(&store->stats());
+    return store;
+  };
+  ckpt::MultilevelManager mgr(cfg);
+  for (int c = 0; c < 3; ++c) {
+    std::vector<Bytes> payloads;
+    for (std::uint32_t r = 0; r < 4; ++r) {
+      payloads.emplace_back(1500 + 300 * r,
+                            static_cast<std::byte>(0x21 + 16 * c + r));
+    }
+    mgr.commit(views(payloads));
+  }
+  const ckpt::LevelHealth& h = io ? mgr.health().io : mgr.health().partner;
+  std::uint64_t ops = 0;
+  std::uint64_t injected = 0;
+  for (const FaultStats* s : stats) {
+    ops += s->ops;
+    injected += s->injected();
+  }
+  std::string out = "puts=" + std::to_string(h.puts) +
+                    " retries=" + std::to_string(h.put_retries) +
+                    " failures=" + std::to_string(h.put_failures) +
+                    " verify=" + std::to_string(h.verify_failures) +
+                    " quarantined=" + std::to_string(h.quarantined) +
+                    " degraded_commits=" +
+                    std::to_string(h.degraded_commits) +
+                    " repairs=" + std::to_string(h.repairs) +
+                    " ops=" + std::to_string(ops) +
+                    " injected=" + std::to_string(injected);
+  if (proxy) {
+    out += " quota_ops=" + std::to_string(quota.ops_charged) +
+           " quota_bytes=" + std::to_string(quota.bytes_charged);
+  }
+  return out;
+}
+
+// Values recorded from the readback-compare implementation (put, then
+// get() a copy and compare it with the source) on the same scenarios.
+struct DigestCase {
+  const char* attempt_put;     // kind forced on the put (op 0)
+  const char* attempt_verify;  // kind forced on the verify read (op 1)
+  const char* partner;
+  const char* partner_proxy;
+  const char* io;
+  const char* io_proxy;
+};
+
+const DigestCase kReadbackCompareValues[] = {
+    {"000000 ops=1 kept=0",
+     "010100 ops=2 kept=1",
+     "puts=16 retries=4 failures=0 verify=1 quarantined=0 degraded_commits=0 repairs=0 ops=11 injected=4",
+     "puts=16 retries=4 failures=0 verify=1 quarantined=0 degraded_commits=0 repairs=0 ops=11 injected=4 quota_ops=7 quota_bytes=6224",
+     "puts=16 retries=4 failures=0 verify=1 quarantined=0 degraded_commits=0 repairs=0 ops=29 injected=4",
+     "puts=16 retries=4 failures=0 verify=1 quarantined=0 degraded_commits=0 repairs=0 ops=29 injected=4 quota_ops=25 quota_bytes=25628"},
+    {"010101 ops=2 kept=0",
+     "110000 ops=2 kept=1",
+     "puts=14 retries=2 failures=0 verify=2 quarantined=2 degraded_commits=0 repairs=0 ops=10 injected=2",
+     "puts=14 retries=2 failures=0 verify=2 quarantined=2 degraded_commits=0 repairs=0 ops=10 injected=2 quota_ops=10 quota_bytes=6421",
+     "puts=14 retries=2 failures=0 verify=2 quarantined=2 degraded_commits=0 repairs=0 ops=28 injected=2",
+     "puts=14 retries=2 failures=0 verify=2 quarantined=2 degraded_commits=0 repairs=0 ops=28 injected=2 quota_ops=28 quota_bytes=25638"},
+    {"010101 ops=2 kept=0",
+     "010101 ops=2 kept=0",
+     "puts=15 retries=3 failures=0 verify=3 quarantined=3 degraded_commits=0 repairs=0 ops=12 injected=4",
+     "puts=15 retries=3 failures=0 verify=3 quarantined=3 degraded_commits=0 repairs=0 ops=12 injected=4 quota_ops=12 quota_bytes=9336",
+     "puts=15 retries=3 failures=0 verify=3 quarantined=3 degraded_commits=0 repairs=0 ops=30 injected=4",
+     "puts=15 retries=3 failures=0 verify=3 quarantined=3 degraded_commits=0 repairs=0 ops=30 injected=4 quota_ops=30 quota_bytes=29040"},
+    {"110000 ops=2 kept=1",
+     "110000 ops=2 kept=1",
+     "puts=12 retries=0 failures=0 verify=0 quarantined=0 degraded_commits=0 repairs=0 ops=6 injected=3",
+     "puts=12 retries=0 failures=0 verify=0 quarantined=0 degraded_commits=0 repairs=0 ops=6 injected=3 quota_ops=6 quota_bytes=4668",
+     "puts=12 retries=0 failures=0 verify=0 quarantined=0 degraded_commits=0 repairs=0 ops=24 injected=4",
+     "puts=12 retries=0 failures=0 verify=0 quarantined=0 degraded_commits=0 repairs=0 ops=24 injected=4 quota_ops=24 quota_bytes=24072"},
+    {"001000 ops=1 kept=0",
+     "010110 ops=2 kept=1",
+     "puts=6 retries=0 failures=3 verify=1 quarantined=0 degraded_commits=3 repairs=0 ops=4 injected=3",
+     "puts=6 retries=0 failures=3 verify=1 quarantined=0 degraded_commits=3 repairs=0 ops=4 injected=3 quota_ops=1 quota_bytes=1556",
+     "puts=13 retries=1 failures=3 verify=1 quarantined=0 degraded_commits=1 repairs=1 ops=23 injected=4",
+     "puts=13 retries=1 failures=3 verify=1 quarantined=0 degraded_commits=1 repairs=1 ops=23 injected=4 quota_ops=19 quota_bytes=20360"},
+};
+
+TEST(VerifyByDigest, AttemptOutcomesMatchReadbackCompare) {
+  for (std::size_t i = 0; i < std::size(kDigestKinds); ++i) {
+    const FaultKind kind = kDigestKinds[i];
+    EXPECT_EQ(one_attempt(kind, 0), kReadbackCompareValues[i].attempt_put)
+        << to_string(kind);
+    EXPECT_EQ(one_attempt(kind, 1), kReadbackCompareValues[i].attempt_verify)
+        << to_string(kind);
+  }
+}
+
+TEST(VerifyByDigest, HealthOpsAndMeteringMatchReadbackCompare) {
+  for (std::size_t i = 0; i < std::size(kDigestKinds); ++i) {
+    const FaultKind kind = kDigestKinds[i];
+    const DigestCase& want = kReadbackCompareValues[i];
+    EXPECT_EQ(digest_scenario(kind, false, false), want.partner)
+        << to_string(kind);
+    EXPECT_EQ(digest_scenario(kind, false, true), want.partner_proxy)
+        << to_string(kind);
+    EXPECT_EQ(digest_scenario(kind, true, false), want.io) << to_string(kind);
+    EXPECT_EQ(digest_scenario(kind, true, true), want.io_proxy)
+        << to_string(kind);
+  }
+}
+
+TEST(VerifyByDigest, FlippedReadDigestsTheFlippedCopy) {
+  // A read bit flip must reach the digest exactly as it reaches get():
+  // the digest is the digest of the bytes get() would have returned.
+  for (const bool proxy : {false, true}) {
+    auto plan = std::make_shared<FaultPlan>(31);
+    plan->force(io_target(), 1, FaultKind::kBitFlip);
+    ckpt::KvStore shared;
+    std::unique_ptr<ckpt::KvStore> store;
+    if (proxy) {
+      store = std::make_unique<FaultyStoreProxy>(
+          plan, io_target(),
+          std::make_unique<ckpt::TenantStoreView>(shared, 1, 4));
+    } else {
+      store = std::make_unique<FaultyKvStore>(plan, io_target());
+    }
+    const Bytes data(777, std::byte{0x6C});
+    ASSERT_TRUE(store->put(0, 9, data).ok());
+    const auto digest = store->digest(0, 9);  // op 1: flipped
+    ASSERT_TRUE(digest.ok());
+    EXPECT_NE(*digest, ckpt::digest_of(ByteSpan(data)));
+    EXPECT_EQ(digest->size, data.size());
+    // Replay op 1 as a get() on a fresh device: the same flip.
+    auto replay_plan = std::make_shared<FaultPlan>(31);
+    replay_plan->force(io_target(), 1, FaultKind::kBitFlip);
+    FaultyKvStore replay(replay_plan, io_target());
+    ASSERT_TRUE(replay.put(0, 9, data).ok());
+    const auto flipped = replay.get(0, 9);
+    ASSERT_TRUE(flipped.ok());
+    EXPECT_EQ(*digest, ckpt::digest_of(ByteSpan(*flipped)));
+  }
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include "ckpt/stores.hpp"
 #include "ckpt/tenant_store.hpp"
 #include "common/rng.hpp"
+#include "compress/chunked.hpp"
+#include "obs/metrics.hpp"
 
 namespace ndpcr::ckpt {
 namespace {
@@ -453,6 +455,28 @@ TEST(XorParity, RebuildsMissingBuffer) {
   EXPECT_EQ(xor_rebuild(parity, survivors), buffers[2]);
 }
 
+TEST(XorParity, XorIntoZeroPadsAShortSourceAtAnyAlignment) {
+  Rng rng(6);
+  Bytes dst(203);
+  Bytes src(150);
+  for (auto& b : dst) b = static_cast<std::byte>(rng.next_below(256));
+  for (auto& b : src) b = static_cast<std::byte>(rng.next_below(256));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const ByteSpan s = ByteSpan(src).subspan(offset);
+    Bytes expected = dst;
+    for (std::size_t i = 0; i < s.size(); ++i) expected[i] ^= s[i];
+    Bytes got = dst;
+    xor_into(MutableByteSpan(got), s);
+    EXPECT_EQ(got, expected) << "offset " << offset;
+  }
+  // A longer source only folds into dst's length.
+  Bytes got = Bytes(src.begin(), src.begin() + 40);
+  xor_into(MutableByteSpan(got), ByteSpan(dst));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], src[i] ^ dst[i]);
+  }
+}
+
 TEST(XorParity, RejectsMismatchedLengths) {
   EXPECT_THROW(xor_parity({Bytes(4), Bytes(5)}), std::invalid_argument);
   EXPECT_THROW(xor_parity({}), std::invalid_argument);
@@ -776,6 +800,132 @@ TEST(Multilevel, XorGroupUnevenPayloadSizes) {
     EXPECT_EQ(rec->payloads[victim], payloads[victim]) << "victim "
                                                        << victim;
   }
+}
+
+TEST(Multilevel, XorParityBytesMatchPaddedXorOfImages) {
+  // The parity fold never pads copies, yet the stored parity must be the
+  // XOR of the group's images each zero-padded to the longest one.
+  auto cfg = small_config(8);
+  cfg.partner_scheme = PartnerScheme::kXorGroup;
+  cfg.xor_group_size = 4;
+  std::vector<KvStore*> partner(8, nullptr);
+  cfg.store_factory = [&](StoreLevel level, std::uint32_t host) {
+    auto store = std::make_unique<KvStore>();
+    if (level == StoreLevel::kPartner) partner[host] = store.get();
+    return store;
+  };
+  std::vector<Bytes> payloads;
+  for (std::uint32_t r = 0; r < 8; ++r) {
+    payloads.push_back(Bytes(5 + 1777 * r % 3001,
+                             static_cast<std::byte>(0x31 + r)));
+  }
+  MultilevelManager mgr(cfg);
+  const auto id = mgr.commit(views(payloads));
+  for (std::uint32_t first = 0; first < 8; first += 4) {
+    std::vector<Bytes> padded;
+    std::size_t width = 0;
+    for (std::uint32_t r = first; r < first + 4; ++r) {
+      const ByteSpan image = *mgr.local_store(r).get(id);
+      padded.emplace_back(image.begin(), image.end());
+      width = std::max(width, image.size());
+    }
+    for (auto& p : padded) p.resize(width, std::byte{0});
+    const auto stored = partner[mgr.parity_host(first)]->get(first, id);
+    ASSERT_TRUE(stored.ok());
+    EXPECT_EQ(*stored, xor_parity(padded)) << "group " << first / 4;
+  }
+  mgr.fail_node(1);  // rebuilt by folding survivors into the parity
+  const auto rec = mgr.recover();
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->levels[1], RecoveryLevel::kPartner);
+  EXPECT_EQ(rec->payloads[1], payloads[1]);
+}
+
+TEST(Multilevel, AdaptiveIncompressibleRankStoresAcceleratedNlz4) {
+  // The probe picks accelerated nlz4 for random bytes; the stored IO
+  // stream must be that codec's output, not plain nlz4's.
+  auto cfg = small_config(2);
+  cfg.partner_every = 0;
+  cfg.io_every = 1;
+  cfg.io_codec_adaptive = true;
+  cfg.nvm_capacity_bytes = 8 << 20;
+  // Random bytes with a sparse sprinkle of repeats: the probe still calls
+  // them incompressible, but plain nlz4 finds matches the accelerated
+  // skip-stride passes over, so the two streams differ.
+  Rng rng(12);
+  std::vector<Bytes> payloads(2, Bytes(300000));
+  for (auto& p : payloads) {
+    for (auto& b : p) b = static_cast<std::byte>(rng.next_below(256));
+    for (std::size_t at = 8192; at + 64 < p.size(); at += 4096) {
+      std::copy_n(p.begin() + static_cast<std::ptrdiff_t>(at - 3000), 64,
+                  p.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+  }
+  MultilevelManager mgr(cfg);
+  const auto id = mgr.commit(views(payloads));
+  ASSERT_EQ(compress::choose_codec(*mgr.local_store(0).get(id)),
+            (compress::CodecChoice{compress::CodecId::kLz4Style, 1, true}));
+  const compress::ChunkedCodec accel(compress::CodecId::kLz4Style, 1,
+                                     cfg.io_chunk_bytes, 1,
+                                     /*accelerate=*/true);
+  const compress::ChunkedCodec plain(compress::CodecId::kLz4Style, 1,
+                                     cfg.io_chunk_bytes, 1);
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    const ByteSpan image = *mgr.local_store(r).get(id);
+    const auto stored = mgr.io_store().get(r, id);
+    ASSERT_TRUE(stored.ok());
+    EXPECT_EQ(*stored, accel.compress(image)) << "rank " << r;
+    EXPECT_NE(*stored, plain.compress(image)) << "rank " << r;
+  }
+  mgr.fail_node(0);
+  mgr.fail_node(1);
+  const auto rec = mgr.recover();
+  ASSERT_TRUE(rec.has_value());
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(rec->levels[r], RecoveryLevel::kIo);
+    EXPECT_EQ(rec->payloads[r], payloads[r]);
+  }
+}
+
+TEST(Multilevel, ByteLedgerPinsTouchesPerPayloadByte) {
+  // Host-independent regression gate for the commit path's byte passes:
+  // 8 ranks x 1 MiB through local NVM + XOR partners (groups of 4), with
+  // write verify. Per payload byte: image build copies once and CRCs
+  // twice (NDCI header, write digest); local copies once and CRCs the
+  // stored entry once; the partner level copies each group's first image,
+  // folds the other three (0.25 + 0.75) and CRCs each parity twice
+  // (digest, verify read: 2 x 0.25). The readback-compare path this
+  // replaced touched 6.75 bytes per payload byte.
+  auto cfg = small_config(8);
+  cfg.nvm_capacity_bytes = 4 << 20;
+  cfg.io_every = 0;
+  cfg.partner_scheme = PartnerScheme::kXorGroup;
+  cfg.xor_group_size = 4;
+  std::vector<Bytes> payloads(8, Bytes(1 << 20));
+  for (std::uint32_t r = 0; r < 8; ++r) {
+    payloads[r][r] = static_cast<std::byte>(r);
+  }
+  MultilevelManager mgr(cfg);
+  mgr.commit(views(payloads));
+  const DataPathStats& d = mgr.data_path();
+  const std::uint64_t payload = 8ull << 20;
+  EXPECT_EQ(d.image.copied, payload);
+  EXPECT_EQ(d.image.compared + d.image.hashed + d.image.xored, 0u);
+  EXPECT_EQ(d.local.crc, d.local.copied);
+  EXPECT_EQ(d.partner.xored, 3 * d.partner.copied);
+  EXPECT_EQ(d.partner.compared + d.local.compared, 0u);
+  EXPECT_NEAR(d.touches_per_payload_byte(), 6.5, 1e-3);
+  EXPECT_LT(d.touches_per_payload_byte(), 6.75);
+
+  obs::MetricsRegistry metrics;
+  record_data_path(metrics, d, "ckpt.data");
+  EXPECT_EQ(metrics.counter("ckpt.data.ledger.partner.xored").value(),
+            d.partner.xored);
+  EXPECT_EQ(metrics.counter("ckpt.data.ledger.local.crc").value(),
+            d.local.crc);
+  EXPECT_DOUBLE_EQ(
+      metrics.gauge("ckpt.data.ledger.touches_per_payload_byte").value(),
+      d.touches_per_payload_byte());
 }
 
 TEST(Multilevel, XorGroupValidatesGeometry) {

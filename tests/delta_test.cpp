@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <set>
+#include <string_view>
 
 #include "common/rng.hpp"
 #include "delta/delta.hpp"
@@ -23,6 +26,94 @@ TEST(BlockHash, DeterministicAndSensitive) {
   b[100] ^= std::byte{0x01};
   EXPECT_NE(block_hash(a), block_hash(b));
   EXPECT_EQ(block_hash({}), block_hash({}));
+}
+
+ByteSpan span_of(std::string_view s) {
+  return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
+}
+
+TEST(BlockHash, IsXxh64SeedZero) {
+  // Published XXH64 (seed 0) reference values: the hash is the portable
+  // algorithm, not a host-dependent variant.
+  EXPECT_EQ(block_hash(span_of("")), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(block_hash(span_of("a")), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(block_hash(span_of("abc")), 0x44BC2CF5AD770999ull);
+  EXPECT_EQ(block_hash(span_of("Nobody inspects the spammish repetition")),
+            0xFBCEA83C8A378BF1ull);
+}
+
+TEST(BlockHash, EverySingleBitFlipOfAMegabyteBlockChangesIt) {
+  Bytes block = random_bytes(1 << 20, 3);
+  const std::uint64_t base = block_hash(block);
+  std::set<std::uint64_t> seen = {base};
+  std::size_t flips = 0;
+  const auto flip = [&](std::size_t pos, int bit) {
+    const auto mask = static_cast<std::byte>(1u << bit);
+    block[pos] ^= mask;
+    EXPECT_TRUE(seen.insert(block_hash(block)).second)
+        << "flip at byte " << pos << " bit " << bit;
+    block[pos] ^= mask;
+    ++flips;
+  };
+  // Every bit of the first and last stripes (lane setup and the tail),
+  // then a stride coprime with the 32-byte stripe, so the samples cover
+  // every lane and every byte offset inside a lane across the block.
+  for (std::size_t pos = 0; pos < 32; ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      flip(pos, bit);
+      flip(block.size() - 1 - pos, bit);
+    }
+  }
+  for (std::size_t pos = 32; pos + 32 < block.size(); pos += 331) {
+    flip(pos, static_cast<int>(pos % 8));
+  }
+  EXPECT_GT(flips, 3000u);
+  EXPECT_EQ(block_hash(block), base);
+}
+
+TEST(BlockHash, TailLengthsHashDistinctly) {
+  // Equal bytes, different lengths: 0-63 B spans no stripe, one stripe,
+  // and every 8/4/1-byte tail path; the length alone must separate them.
+  const Bytes zeros(64, std::byte{0});
+  std::set<std::uint64_t> seen;
+  for (std::size_t len = 0; len < 64; ++len) {
+    EXPECT_TRUE(seen.insert(block_hash(ByteSpan(zeros).first(len))).second)
+        << "length " << len;
+  }
+}
+
+TEST(BlockHash, PreXxh64DeltaStreamFailsBaseVerification) {
+  // A stream written when block_hash was FNV-1a carries an FNV-1a base
+  // digest at bytes 16..23; decode must reject it with a typed error so
+  // recovery falls back instead of replaying onto a guessed base.
+  const Bytes base = random_bytes(8192, 9);
+  Bytes target = base;
+  target[100] ^= std::byte{0x40};
+  const DeltaCodec codec(512);
+  Bytes stream = codec.encode(base, target);
+  std::uint64_t fnv = 0xcbf29ce484222325ull;
+  for (const std::byte b : base) {
+    fnv ^= static_cast<std::uint8_t>(b);
+    fnv *= 0x100000001b3ull;
+  }
+  for (int i = 0; i < 8; ++i) {
+    stream[16 + i] = static_cast<std::byte>(fnv >> (8 * i));
+  }
+  EXPECT_THROW((void)codec.decode(ByteSpan(base), ByteSpan(stream)),
+               DeltaError);
+}
+
+TEST(BlockHash, AlignmentDoesNotMatter) {
+  const Bytes data = random_bytes(4096 + 77, 5);
+  Bytes buffer(data.size() + 8);
+  for (const std::size_t len : {0ul, 7ul, 31ul, 32ul, 63ul, 4096ul + 77}) {
+    const std::uint64_t aligned = block_hash(ByteSpan(data).first(len));
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      std::memcpy(buffer.data() + offset, data.data(), len);
+      EXPECT_EQ(block_hash(ByteSpan(buffer).subspan(offset, len)), aligned)
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 TEST(DeltaCodec, IdenticalImagesCollapse) {
