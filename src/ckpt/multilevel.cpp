@@ -21,7 +21,10 @@ double backoff_for(const RetryPolicy& policy, std::uint32_t attempt) {
 
 // Close out one level's share of a commit: a fully verified level heals a
 // degraded state (counted as a repair); any abandoned write degrades it.
-void settle_level(LevelHealth& health, bool level_ok) {
+// A state change becomes a level_degraded / level_healed instant under
+// `category` on the root buffer `rb` (null when tracing is off).
+void settle_level(LevelHealth& health, bool level_ok, obs::TraceBuffer* rb,
+                  const char* category, std::uint64_t id) {
   const bool was_degraded = health.degraded();
   if (level_ok) {
     if (was_degraded) {
@@ -32,6 +35,10 @@ void settle_level(LevelHealth& health, bool level_ok) {
     health.state = LevelState::kDegraded;
   }
   if (health.degraded()) ++health.degraded_commits;
+  if (rb && was_degraded != health.degraded()) {
+    rb->instant(was_degraded ? "level_healed" : "level_degraded", category, 0,
+                {obs::u64("id", id)});
+  }
 }
 
 // Fold one task's private health delta into the level's counters. Always
@@ -173,6 +180,11 @@ void record_pipeline(obs::MetricsRegistry& metrics,
 
 MultilevelManager::MultilevelManager(const MultilevelConfig& config)
     : config_(config),
+      // A copy partner is an XOR group of one: every partner operation
+      // runs the group path with this width.
+      group_(config.partner_scheme == PartnerScheme::kCopy
+                 ? 1
+                 : config.xor_group_size),
       trace_(config.trace ? config.trace : &obs::Tracer::null()) {
   if (config.node_count == 0) {
     throw std::invalid_argument("node_count must be positive");
@@ -180,15 +192,10 @@ MultilevelManager::MultilevelManager(const MultilevelConfig& config)
   if (config.retry.max_attempts == 0) {
     throw std::invalid_argument("retry.max_attempts must be positive");
   }
-  if (config.partner_scheme == PartnerScheme::kXorGroup) {
-    if (config.xor_group_size == 0 ||
-        (config.node_count > 1 &&
-         config.xor_group_size >= config.node_count)) {
-      // The parity host is the node after the group; a group spanning the
-      // whole machine would host its own parity and tolerate nothing.
-      throw std::invalid_argument(
-          "xor_group_size must be in [1, node_count)");
-    }
+  if (group_ == 0 || (config.node_count > 1 && group_ >= config.node_count)) {
+    // The parity host is the node after the group; a group spanning the
+    // whole machine would host its own parity and tolerate nothing.
+    throw std::invalid_argument("xor_group_size must be in [1, node_count)");
   }
   unsigned codec_threads = config.io_threads;
   if (codec_threads == 0) {
@@ -260,9 +267,8 @@ void MultilevelManager::adopt_existing_state() {
   // checkpoint id any level still holds for any rank, so new commits
   // continue the id sequence instead of colliding with a previous life's
   // entries. Every key space the commit path writes under is scanned:
-  // local NVM per rank, partner spaces (keyed by rank for copies, by the
-  // group's first rank for parity - both in [0, node_count)), and the IO
-  // store.
+  // local NVM per rank, partner spaces (keyed by each group's first rank,
+  // in [0, node_count)), and the IO store.
   std::uint64_t newest = 0;
   for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
     if (const auto id = local_[rank]->newest_id()) {
@@ -296,13 +302,12 @@ void MultilevelManager::adopt_existing_state() {
 }
 
 std::uint32_t MultilevelManager::group_first(std::uint32_t rank) const {
-  return rank - rank % config_.xor_group_size;
+  return rank - rank % group_;
 }
 
 std::uint32_t MultilevelManager::parity_host(std::uint32_t rank) const {
-  const std::uint32_t last = std::min(
-      group_first(rank) + config_.xor_group_size - 1,
-      config_.node_count - 1);
+  const std::uint32_t last =
+      std::min(group_first(rank) + group_ - 1, config_.node_count - 1);
   return (last + 1) % config_.node_count;
 }
 
@@ -564,156 +569,90 @@ void MultilevelManager::commit_partner(
   obs::TraceBuffer::Span phase;
   if (rb) {
     phase = rb->span("partner", "ckpt.partner", 0,
-                     {obs::u64("id", id),
-                      obs::str("scheme",
-                               config_.partner_scheme == PartnerScheme::kCopy
-                                   ? "copy"
-                                   : "xor")});
+                     {obs::u64("id", id), obs::u64("group_size", group_)});
   }
-  const bool was_degraded = health.degraded();
+  // One body per group: fold the members' images into a parity as wide as
+  // the longest, digest it, write + verify it on the parity host. A copy
+  // partner is a group of one, whose parity is the image itself - so its
+  // digest is the image's, already computed at build.
+  const bool probe = health.degraded();
+  const auto put_group = [&](std::size_t g, LevelHealth& delta,
+                             ByteLedger& ledger, std::size_t& bytes,
+                             TraceCtx tc) {
+    const auto first = static_cast<std::uint32_t>(g * group_);
+    const std::uint32_t last = std::min(first + group_, config_.node_count);
+    obs::TraceBuffer::Span encode;
+    if (tc.buf) {
+      std::size_t width = 0;
+      for (std::uint32_t r = first; r < last; ++r) {
+        width = std::max(width, images[r].size());
+      }
+      encode = tc.buf->span("partner_encode", "ckpt.partner", tc.track,
+                            {obs::u64("group", g), obs::u64("width", width)});
+    }
+    Bytes parity = group_parity(images, first, last, ledger);
+    bytes = parity.size();
+    const EntryDigest expected = last - first == 1
+                                     ? digests[first]
+                                     : digest_counted(parity, ledger);
+    encode.close();
+    obs::TraceBuffer::Span put;
+    if (tc.buf) {
+      put = tc.buf->span("partner_put", "ckpt.partner", tc.track,
+                         {obs::u64("group", g), obs::u64("bytes", bytes)});
+    }
+    return checked_put(*partner_space_[parity_host(first)], delta, ledger,
+                       first, id,
+                       parity_source(parity, images, first, last, ledger),
+                       expected, probe, tc);
+  };
+  const std::size_t groups = (config_.node_count + group_ - 1) / group_;
   bool level_ok = true;
-  if (health.degraded()) {
+  if (probe) {
     if (rb) rb->instant("probe", "ckpt.partner", 0, {obs::u64("id", id)});
     // Probe mode: single-attempt writes that stop at the first failure.
     // Stays serial - the early break has no parallel equivalent, and a
     // down level is not worth fanning out for.
-    ByteLedger& ledger = data_stats_.partner;
-    if (config_.partner_scheme == PartnerScheme::kCopy) {
-      for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
-        if (!checked_put(*partner_space_[partner_of(rank)], health, ledger,
-                         rank, id, copy_of(images[rank], ledger),
-                         digests[rank], true, {rb, 0, "ckpt.partner"})) {
-          level_ok = false;
-          break;  // still down: one failed probe is proof enough
-        }
-        data_stats_.partner_bytes_written += images[rank].size();
-      }
-    } else {
-      for (std::uint32_t first = 0; first < config_.node_count;
-           first += config_.xor_group_size) {
-        const std::uint32_t last = std::min(
-            first + config_.xor_group_size, config_.node_count);
-        Bytes parity = group_parity(images, first, last, ledger);
-        const std::size_t parity_size = parity.size();
-        const EntryDigest expected = digest_counted(parity, ledger);
-        if (!checked_put(*partner_space_[parity_host(first)], health, ledger,
-                         first, id,
-                         parity_source(parity, images, first, last, ledger),
-                         expected, true, {rb, 0, "ckpt.partner"})) {
-          level_ok = false;
-          break;
-        }
-        data_stats_.partner_bytes_written += parity_size;
-      }
-    }
-  } else if (config_.partner_scheme == PartnerScheme::kCopy) {
-    // partner_of is a bijection, so every task writes a distinct store:
-    // the whole exchange fans out, health deltas merged after the barrier.
-    std::vector<LevelHealth> deltas(config_.node_count);
-    std::vector<ByteLedger> ledgers(config_.node_count);
-    std::vector<char> ok(config_.node_count, 1);
-    std::vector<obs::TraceBuffer> tbs =
-        trace_->task_buffers(config_.node_count);
-    std::size_t image_bytes = 0;
-    for (const Bytes& image : images) image_bytes += image.size();
-    for_tasks(config_.node_count, [&](std::size_t rank) {
-      TraceCtx tc;
-      if (!tbs.empty()) {
-        tc = {&tbs[rank], 1 + static_cast<std::uint32_t>(rank),
-              "ckpt.partner"};
-      }
-      obs::TraceBuffer::Span put;
-      if (tc.buf) {
-        put = tc.buf->span("partner_put", "ckpt.partner", tc.track,
-                           {obs::u64("rank", rank),
-                            obs::u64("bytes", images[rank].size())});
-      }
-      const auto r = static_cast<std::uint32_t>(rank);
-      ok[rank] = checked_put(*partner_space_[partner_of(r)], deltas[rank],
-                             ledgers[rank], r, id,
-                             copy_of(images[rank], ledgers[rank]),
-                             digests[rank], false, tc)
-                     ? 1
-                     : 0;
-    }, image_bytes);
-    trace_->splice(tbs);
-    for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
-      merge_level(health, deltas[rank]);
-      data_stats_.partner += ledgers[rank];
-      if (ok[rank]) {
-        data_stats_.partner_bytes_written += images[rank].size();
-      } else {
+    for (std::size_t g = 0; g < groups; ++g) {
+      std::size_t bytes = 0;
+      if (!put_group(g, health, data_stats_.partner, bytes,
+                     {rb, 0, "ckpt.partner"})) {
         level_ok = false;
+        break;  // still down: one failed probe is proof enough
       }
+      data_stats_.partner_bytes_written += bytes;
     }
   } else {
-    // XOR groups: one parity buffer per group, as wide as the group's
-    // longest image, hosted off-group. Parity hosts are distinct across
-    // groups, so groups encode and write concurrently.
-    const std::size_t groups =
-        (config_.node_count + config_.xor_group_size - 1) /
-        config_.xor_group_size;
+    // Parity hosts are distinct across groups, so every task writes a
+    // distinct store: groups encode and write concurrently, health deltas
+    // merged in group order after the barrier.
     std::vector<LevelHealth> deltas(groups);
     std::vector<ByteLedger> ledgers(groups);
+    std::vector<std::size_t> bytes(groups, 0);
     std::vector<char> ok(groups, 1);
-    std::vector<std::size_t> parity_bytes(groups, 0);
     std::vector<obs::TraceBuffer> tbs = trace_->task_buffers(groups);
     std::size_t image_bytes = 0;
     for (const Bytes& image : images) image_bytes += image.size();
     for_tasks(groups, [&](std::size_t g) {
-      const auto first =
-          static_cast<std::uint32_t>(g * config_.xor_group_size);
-      const std::uint32_t last = std::min(
-          first + config_.xor_group_size, config_.node_count);
       TraceCtx tc;
-      if (!tbs.empty()) tc = {&tbs[g], 1 + first, "ckpt.partner"};
-      obs::TraceBuffer::Span encode;
-      if (tc.buf) {
-        std::size_t width = 0;
-        for (std::uint32_t r = first; r < last; ++r) {
-          width = std::max(width, images[r].size());
-        }
-        encode = tc.buf->span("xor_encode", "ckpt.partner", tc.track,
-                              {obs::u64("group", g),
-                               obs::u64("width", width)});
+      if (!tbs.empty()) {
+        tc = {&tbs[g], 1 + static_cast<std::uint32_t>(g * group_),
+              "ckpt.partner"};
       }
-      Bytes parity = group_parity(images, first, last, ledgers[g]);
-      parity_bytes[g] = parity.size();
-      const EntryDigest expected = digest_counted(parity, ledgers[g]);
-      encode.close();
-      obs::TraceBuffer::Span put;
-      if (tc.buf) {
-        put = tc.buf->span("parity_put", "ckpt.partner", tc.track,
-                           {obs::u64("group", g),
-                            obs::u64("bytes", parity_bytes[g])});
-      }
-      ok[g] = checked_put(*partner_space_[parity_host(first)], deltas[g],
-                          ledgers[g], first, id,
-                          parity_source(parity, images, first, last,
-                                        ledgers[g]),
-                          expected, false, tc)
-                  ? 1
-                  : 0;
+      ok[g] = put_group(g, deltas[g], ledgers[g], bytes[g], tc) ? 1 : 0;
     }, image_bytes);
     trace_->splice(tbs);
     for (std::size_t g = 0; g < groups; ++g) {
       merge_level(health, deltas[g]);
       data_stats_.partner += ledgers[g];
       if (ok[g]) {
-        data_stats_.partner_bytes_written += parity_bytes[g];
+        data_stats_.partner_bytes_written += bytes[g];
       } else {
         level_ok = false;
       }
     }
   }
-  settle_level(health, level_ok);
-  if (rb) {
-    if (!was_degraded && health.degraded()) {
-      rb->instant("level_degraded", "ckpt.partner", 0, {obs::u64("id", id)});
-    } else if (was_degraded && !health.degraded()) {
-      rb->instant("level_healed", "ckpt.partner", 0, {obs::u64("id", id)});
-    }
-  }
+  settle_level(health, level_ok, rb, "ckpt.partner", id);
 }
 
 const compress::ChunkedCodec* MultilevelManager::codec_for(
@@ -766,7 +705,6 @@ void MultilevelManager::commit_io(std::uint64_t id,
   for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
     data_stats_.io_logical_bytes += images[rank].size();
   }
-  const bool was_degraded = health.degraded();
   bool level_ok = true;
   if (io_dedup_) {
     // Dedup path: each image becomes a recipe plus the content-addressed
@@ -824,14 +762,7 @@ void MultilevelManager::commit_io(std::uint64_t id,
         if (probe) break;
       }
     }
-    settle_level(health, level_ok);
-    if (rb) {
-      if (!was_degraded && health.degraded()) {
-        rb->instant("level_degraded", "ckpt.io", 0, {obs::u64("id", id)});
-      } else if (was_degraded && !health.degraded()) {
-        rb->instant("level_healed", "ckpt.io", 0, {obs::u64("id", id)});
-      }
-    }
+    settle_level(health, level_ok, rb, "ckpt.io", id);
     return;
   }
   if (health.degraded()) {
@@ -868,14 +799,7 @@ void MultilevelManager::commit_io(std::uint64_t id,
       }
       data_stats_.io_bytes_written += stored_size;
     }
-    settle_level(health, level_ok);
-    if (rb) {
-      if (!was_degraded && health.degraded()) {
-        rb->instant("level_degraded", "ckpt.io", 0, {obs::u64("id", id)});
-      } else if (was_degraded && !health.degraded()) {
-        rb->instant("level_healed", "ckpt.io", 0, {obs::u64("id", id)});
-      }
-    }
+    settle_level(health, level_ok, rb, "ckpt.io", id);
     return;
   }
   // Healthy path: rank-granular pipeline. Rank r's chunks compress on the
@@ -889,7 +813,6 @@ void MultilevelManager::commit_io(std::uint64_t id,
   // path issued. Each job fills only its rank's IoPending slots; health
   // deltas and trace buffers merge in rank order in finish_commit_io.
   pending.active = true;
-  pending.was_degraded = was_degraded;
   pending.deltas.assign(config_.node_count, LevelHealth{});
   pending.ledgers.assign(config_.node_count, ByteLedger{});
   pending.ok.assign(config_.node_count, 0);
@@ -999,14 +922,7 @@ void MultilevelManager::finish_commit_io(std::uint64_t id, IoPending& pending) {
       level_ok = false;
     }
   }
-  settle_level(health, level_ok);
-  if (rb) {
-    if (!pending.was_degraded && health.degraded()) {
-      rb->instant("level_degraded", "ckpt.io", 0, {obs::u64("id", id)});
-    } else if (pending.was_degraded && !health.degraded()) {
-      rb->instant("level_healed", "ckpt.io", 0, {obs::u64("id", id)});
-    }
-  }
+  settle_level(health, level_ok, rb, "ckpt.io", id);
 }
 
 std::uint64_t MultilevelManager::commit(
@@ -1162,18 +1078,19 @@ std::uint64_t MultilevelManager::commit(
   return id;
 }
 
-std::optional<Bytes> MultilevelManager::try_xor_rebuild(
+std::optional<CheckpointImage> MultilevelManager::fetch_partner(
     std::uint32_t rank, std::uint64_t id) const {
+  if (config_.node_count < 2) return std::nullopt;
   const std::uint32_t first = group_first(rank);
-  const std::uint32_t last =
-      std::min(first + config_.xor_group_size, config_.node_count);
+  const std::uint32_t last = std::min(first + group_, config_.node_count);
   const auto parity = checked_get(*partner_space_[parity_host(rank)],
                                   health_.partner, first, id,
                                   {trace_->root(), 0, "ckpt.partner"});
   if (!parity) return std::nullopt;
 
   // Fold the survivors' local images straight out of NVM into the
-  // parity, each acting as if zero-padded to the parity width.
+  // parity, each acting as if zero-padded to the parity width (none for a
+  // group of one: its parity is the image).
   Bytes rebuilt = std::move(*parity);
   for (std::uint32_t r = first; r < last; ++r) {
     if (r == rank) continue;
@@ -1189,7 +1106,7 @@ std::optional<Bytes> MultilevelManager::try_xor_rebuild(
   } catch (const ImageError&) {
     return std::nullopt;
   }
-  return rebuilt;
+  return parse_image(rank, id, rebuilt);
 }
 
 void MultilevelManager::fail_node(std::uint32_t rank) {
@@ -1206,17 +1123,10 @@ bool MultilevelManager::corrupt_local(std::uint32_t rank) {
 
 bool MultilevelManager::corrupt_partner(std::uint32_t rank) {
   if (config_.node_count < 2) return false;
-  // Copy scheme: the rank's full copy on its partner node. XOR scheme:
-  // the group parity on the parity host (keyed by the group's first
-  // rank).
-  KvStore* store = nullptr;
-  std::uint32_t key = rank;
-  if (config_.partner_scheme == PartnerScheme::kCopy) {
-    store = partner_space_.at(partner_of(rank)).get();
-  } else {
-    store = partner_space_.at(parity_host(rank)).get();
-    key = group_first(rank);
-  }
+  // The group's parity on its parity host, keyed by the group's first
+  // rank (for a copy partner: the rank's own image on the next node).
+  KvStore* store = partner_space_.at(parity_host(rank)).get();
+  const std::uint32_t key = group_first(rank);
   const auto id = store->newest_id(key);
   if (!id) return false;
   return store->corrupt_entry(key, *id, *id * 137 + rank);
@@ -1264,23 +1174,9 @@ std::optional<Bytes> MultilevelManager::fetch_io_raw(
 
 std::optional<CheckpointImage> MultilevelManager::try_remote_rank(
     std::uint32_t rank, std::uint64_t id, RecoveryLevel& level_out) const {
-  obs::TraceBuffer* rb = trace_->root();
-  if (config_.node_count > 1) {
-    if (config_.partner_scheme == PartnerScheme::kCopy) {
-      if (const auto copy = checked_get(*partner_space_[partner_of(rank)],
-                                        health_.partner, rank, id,
-                                        {rb, 0, "ckpt.partner"})) {
-        if (auto image = parse_image(rank, id, *copy)) {
-          level_out = RecoveryLevel::kPartner;
-          return image;
-        }
-      }
-    } else if (const auto rebuilt = try_xor_rebuild(rank, id)) {
-      if (auto image = parse_image(rank, id, *rebuilt)) {
-        level_out = RecoveryLevel::kPartner;
-        return image;
-      }
-    }
+  if (auto image = fetch_partner(rank, id)) {
+    level_out = RecoveryLevel::kPartner;
+    return image;
   }
   if (const auto raw = fetch_io_raw(rank, id)) {
     if (auto image = parse_image(rank, id, *raw)) {
@@ -1409,20 +1305,8 @@ std::optional<MultilevelManager::Recovery> MultilevelManager::recover()
               : config_.io_writer_depth);
       for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
         if (payload[rank]) continue;
-        // Serial remote head fetch: partner copy / XOR rebuild first.
-        std::optional<CheckpointImage> head;
-        if (config_.node_count > 1) {
-          if (config_.partner_scheme == PartnerScheme::kCopy) {
-            if (const auto copy =
-                    checked_get(*partner_space_[partner_of(rank)],
-                                health_.partner, rank, id,
-                                {rb, 0, "ckpt.partner"})) {
-              head = parse_image(rank, id, *copy);
-            }
-          } else if (const auto rebuilt = try_xor_rebuild(rank, id)) {
-            head = parse_image(rank, id, *rebuilt);
-          }
-        }
+        // Serial remote head fetch: partner group rebuild first.
+        const std::optional<CheckpointImage> head = fetch_partner(rank, id);
         if (head) {
           if (head->meta().kind == PayloadKind::kFull) {
             payload[rank] = Bytes(head->payload().begin(),

@@ -6,8 +6,9 @@
 // slowest.
 //
 //   local   - the node's own NVM circular buffer (every checkpoint)
-//   partner - a full copy in the next node's partner space (every
-//             `partner_every`-th checkpoint)
+//   partner - XOR-group parity on the node after each group (every
+//             `partner_every`-th checkpoint); a full copy on the next
+//             node is the group of one
 //   io      - the parallel file system (every `io_every`-th checkpoint),
 //             optionally compressed (section 3.5 compresses only the
 //             IO-level stream)
@@ -25,7 +26,7 @@
 // All of it is observable through the HealthReport.
 //
 // The data path is parallel (docs/PERF.md): commit fans per-rank work
-// (serialize + CRC, partner exchange, XOR encode, chunked IO compression,
+// (serialize + CRC, partner group encode + exchange, chunked IO compression,
 // local NVM write + verify) across an exec::TaskPool, and recover
 // validates every rank's local copy in parallel before falling back.
 // Results are bit-identical at any thread count: each task owns its index
@@ -67,10 +68,11 @@ enum class RecoveryLevel { kLocal, kPartner, kIo };
 
 const char* to_string(RecoveryLevel level);
 
-// Partner-level redundancy scheme (SCR's levels): full copies tolerate
-// the loss of a node at 100% space overhead; XOR groups tolerate one loss
-// per group at 1/group_size overhead (rebuild needs the surviving group
-// members' local copies plus the parity).
+// Partner-level redundancy scheme (SCR's levels). XOR groups tolerate one
+// loss per group at 1/xor_group_size space overhead (rebuild needs the
+// surviving members' local copies plus the parity); a full copy is the
+// group of one - it tolerates the loss of a node at 100% overhead. Both
+// run the same group encode/rebuild path: kCopy is xor_group_size = 1.
 enum class PartnerScheme { kCopy, kXorGroup };
 
 // Which remote store a MultilevelConfig::store_factory call is building.
@@ -227,7 +229,7 @@ struct MultilevelConfig {
   std::uint32_t partner_every = 1;  // 0 disables the partner level
   std::uint32_t io_every = 0;       // 0 disables the IO level
   PartnerScheme partner_scheme = PartnerScheme::kCopy;
-  std::uint32_t xor_group_size = 4; // ranks per parity group
+  std::uint32_t xor_group_size = 4; // ranks per parity group (kXorGroup)
   // Codec for IO-level checkpoints; null means store uncompressed. The
   // stream is a ChunkedCodec container so chunk compression parallelizes;
   // `io_chunk_bytes` fixes the format (and therefore the stored bytes),
@@ -394,12 +396,10 @@ class MultilevelManager {
     return pipeline_stats_;
   }
   [[nodiscard]] std::uint64_t last_checkpoint_id() const { return next_id_ - 1; }
-  [[nodiscard]] std::uint32_t partner_of(std::uint32_t rank) const {
-    return (rank + 1) % config_.node_count;
-  }
 
-  // XOR-group topology: the parity for the group containing `rank` is
-  // hosted by the node after the group's last member.
+  // Partner-group topology: consecutive ranks form groups (of one under
+  // kCopy); the parity for the group containing `rank` - keyed by the
+  // group's first rank - is hosted by the node after its last member.
   [[nodiscard]] std::uint32_t group_first(std::uint32_t rank) const;
   [[nodiscard]] std::uint32_t parity_host(std::uint32_t rank) const;
 
@@ -418,12 +418,14 @@ class MultilevelManager {
   void for_tasks(std::size_t n, const std::function<void(std::size_t)>& body,
                  std::size_t work_bytes = 0) const;
   // Parse + CRC-check + dedup-assemble one rank's image from the remote
-  // levels (partner copy / XOR rebuild, then IO). Serial: touches shared
+  // levels (partner rebuild, then IO). Serial: touches shared
   // fault-scheduled stores.
   [[nodiscard]] std::optional<CheckpointImage> try_remote_rank(
       std::uint32_t rank, std::uint64_t id, RecoveryLevel& level_out) const;
-  [[nodiscard]] std::optional<Bytes> try_xor_rebuild(std::uint32_t rank,
-                                                     std::uint64_t id) const;
+  // Rebuild one rank's image from its group's parity and the surviving
+  // members' local copies (for a group of one, the parity is the image).
+  [[nodiscard]] std::optional<CheckpointImage> fetch_partner(
+      std::uint32_t rank, std::uint64_t id) const;
   // Read one rank/id image from the local NVM only. Pure (no shared-store
   // ops, no health counters): safe from any task.
   [[nodiscard]] std::optional<CheckpointImage> fetch_local(
@@ -473,7 +475,6 @@ class MultilevelManager {
   // order - by finish_commit_io after the writer flushes.
   struct IoPending {
     bool active = false;  // writer jobs submitted; finish_commit_io owed
-    bool was_degraded = false;
     std::vector<LevelHealth> deltas;
     std::vector<ByteLedger> ledgers;
     std::vector<char> ok;
@@ -503,6 +504,8 @@ class MultilevelManager {
   [[nodiscard]] std::optional<Bytes> decode_io_stream(Bytes stored) const;
 
   MultilevelConfig config_;
+  // Partner-group width: xor_group_size, or 1 for copy partners.
+  std::uint32_t group_;
   // Chunked container codec for the IO level; empty when uncompressed.
   std::optional<compress::ChunkedCodec> io_codec_;
   // Adaptive candidates (config_.io_codec_adaptive), indexed like
@@ -523,7 +526,8 @@ class MultilevelManager {
   // shared_ptr: with a nvm_factory the devices outlive the manager (the
   // crash simulator re-attaches them to the restart manager).
   std::vector<std::shared_ptr<NvmStore>> local_;
-  // partner_space_[n] holds copies for rank (n + N - 1) % N.
+  // partner_space_[n] holds the parity of the group that ends at rank
+  // (n + N - 1) % N.
   std::vector<std::unique_ptr<KvStore>> partner_space_;
   std::unique_ptr<KvStore> io_;
   std::uint64_t next_id_ = 1;

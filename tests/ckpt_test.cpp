@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 
 #include "ckpt/image.hpp"
 #include "ckpt/multilevel.hpp"
@@ -926,6 +927,126 @@ TEST(Multilevel, ByteLedgerPinsTouchesPerPayloadByte) {
   EXPECT_DOUBLE_EQ(
       metrics.gauge("ckpt.data.ledger.touches_per_payload_byte").value(),
       d.touches_per_payload_byte());
+}
+
+// Partner space that fails a transient put once per host, then refuses
+// every put of checkpoint `down_id` (an outage that degrades the level
+// until the next commit's probe heals it).
+class FlakyPartnerStore final : public KvStore {
+ public:
+  explicit FlakyPartnerStore(std::uint64_t down_id) : down_id_(down_id) {}
+  StoreStatus put(std::uint32_t rank, std::uint64_t id, Bytes data) override {
+    if (!failed_once_) {
+      failed_once_ = true;
+      return StoreStatus::failure(StoreErrorKind::kTransient, "flaky");
+    }
+    if (id == down_id_) {
+      return StoreStatus::failure(StoreErrorKind::kPermanent, "down");
+    }
+    return KvStore::put(rank, id, std::move(data));
+  }
+
+ private:
+  std::uint64_t down_id_;
+  bool failed_once_ = false;
+};
+
+struct PartnerRun {
+  // (host, key, id, bytes) of every partner entry left after the run.
+  std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint64_t, Bytes>>
+      partner;
+  std::optional<MultilevelManager::Recovery> rec;
+  HealthReport health;
+  DataPathStats data;
+  std::uint32_t metrics_fp = 0;  // every HealthReport/DataPathStats field
+};
+
+// Four commits through a flaky partner level (retry, outage, probe heal),
+// then node loss plus a corrupted partner entry, then recovery.
+PartnerRun run_partner_level(PartnerScheme scheme, std::uint32_t group) {
+  constexpr std::uint32_t kNodes = 5;
+  auto cfg = small_config(kNodes);
+  cfg.partner_scheme = scheme;
+  cfg.xor_group_size = group;
+  std::vector<KvStore*> partner(kNodes, nullptr);
+  cfg.store_factory = [&](StoreLevel level,
+                          std::uint32_t host) -> std::unique_ptr<KvStore> {
+    if (level == StoreLevel::kIo) return std::make_unique<KvStore>();
+    auto store = std::make_unique<FlakyPartnerStore>(/*down_id=*/2);
+    partner[host] = store.get();
+    return store;
+  };
+  MultilevelManager mgr(cfg);
+  for (int tag = 1; tag <= 4; ++tag) {
+    std::vector<Bytes> payloads;
+    for (std::uint32_t r = 0; r < kNodes; ++r) {
+      payloads.emplace_back(100 + 37 * r + 11 * tag,
+                            static_cast<std::byte>(0x40 + r + tag));
+    }
+    mgr.commit(views(payloads));
+  }
+  mgr.fail_node(0);
+  mgr.fail_node(2);
+  EXPECT_TRUE(mgr.corrupt_partner(2));
+  PartnerRun run;
+  run.rec = mgr.recover();
+  for (std::uint32_t host = 0; host < kNodes; ++host) {
+    for (std::uint32_t key = 0; key < kNodes; ++key) {
+      for (const std::uint64_t at : partner[host]->list(key)) {
+        run.partner.emplace_back(host, key, at, *partner[host]->get(key, at));
+      }
+    }
+  }
+  run.health = mgr.health();
+  run.data = mgr.data_path();
+  obs::MetricsRegistry metrics;
+  record_health(metrics, run.health, "ckpt");
+  record_data_path(metrics, run.data, "ckpt.data");
+  run.metrics_fp = metrics.fingerprint();
+  return run;
+}
+
+TEST(Multilevel, CopySchemeIsXorGroupOfOne) {
+  // A copy partner is the XOR group of one: same stored bytes, recovery,
+  // health and byte ledger - including the partner CRC, since a group of
+  // one's parity is its image and reuses the image's digest.
+  const PartnerRun copy = run_partner_level(PartnerScheme::kCopy, 4);
+  const PartnerRun xor1 = run_partner_level(PartnerScheme::kXorGroup, 1);
+  ASSERT_TRUE(copy.rec.has_value());
+  ASSERT_TRUE(xor1.rec.has_value());
+  EXPECT_EQ(copy.rec->levels[0], RecoveryLevel::kPartner);
+  EXPECT_EQ(copy.rec->levels[2], RecoveryLevel::kIo);  // partner corrupted
+  EXPECT_EQ(copy.health.partner.put_retries, 5u);
+  EXPECT_EQ(copy.health.partner.repairs, 1u);
+  EXPECT_FALSE(copy.partner.empty());
+  EXPECT_EQ(copy.partner, xor1.partner);
+  EXPECT_EQ(copy.rec->checkpoint_id, xor1.rec->checkpoint_id);
+  EXPECT_EQ(copy.rec->payloads, xor1.rec->payloads);
+  EXPECT_EQ(copy.rec->levels, xor1.rec->levels);
+  EXPECT_EQ(copy.data.partner.crc, xor1.data.partner.crc);
+  EXPECT_EQ(copy.metrics_fp, xor1.metrics_fp);
+
+  // Groups {0,1} {2,3} {4}: each pair digests its parity before the
+  // verify read; the trailing singleton stores its image and only pays
+  // the verify read.
+  auto cfg = small_config(5);
+  cfg.io_every = 0;
+  cfg.partner_scheme = PartnerScheme::kXorGroup;
+  cfg.xor_group_size = 2;
+  MultilevelManager mgr(cfg);
+  std::vector<Bytes> payloads;
+  for (std::uint32_t r = 0; r < 5; ++r) {
+    payloads.emplace_back(300 - 40 * r, static_cast<std::byte>(r));
+  }
+  const auto id = mgr.commit(views(payloads));
+  std::vector<std::size_t> s;
+  for (std::uint32_t r = 0; r < 5; ++r) {
+    s.push_back(mgr.local_store(r).get(id)->size());
+  }
+  const ByteLedger& ledger = mgr.data_path().partner;
+  EXPECT_EQ(ledger.copied, s[0] + s[2] + s[4]);
+  EXPECT_EQ(ledger.xored, s[1] + s[3]);
+  EXPECT_EQ(ledger.crc, 2 * (s[0] + s[2]) + s[4]);
 }
 
 TEST(Multilevel, XorGroupValidatesGeometry) {
