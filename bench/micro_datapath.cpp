@@ -3,7 +3,9 @@
 //   crc32             slicing-by-8 vs a byte-at-a-time reference
 //   codec_kernels     whole-payload compress/decompress throughput for
 //                     every registered codec, with ratio and vs-baseline
-//                     columns against the pre-overhaul kernels
+//                     columns against the pre-overhaul kernels, plus nlz4
+//                     on proxy-kernel captures (the incompressible images
+//                     a checkpoint service's tenants write)
 //   chunked_compress  ChunkedCodec worker sweep on one payload, plain and
 //                     accelerated, compress and decompress legs
 //   commit / recover  MultilevelManager wall throughput across pool sizes
@@ -32,6 +34,11 @@
 //                     the byte-serial kernels these paths replaced (FNV-1a,
 //                     padded-copy XOR) on the same bytes
 //
+// codec_kernels, chunked_compress, commit and host_stall time each row as
+// the median of interleaved repeats and carry its min and IQR
+// (median_*/min_*/iqr_* columns; tools/bench_diff treats a median move
+// inside the IQR as noise). The other sections time each row once.
+//
 //   --smoke 1     tiny sizes (CI); also the `perf` ctest label
 //   --csv PATH    structured output (default BENCH_datapath.json)
 //   --trace PATH  write the traced commit loop's Chrome trace JSON
@@ -55,6 +62,7 @@
 #include "faults/crash.hpp"
 #include "ndp/agent.hpp"
 #include "obs/trace.hpp"
+#include "workloads/proxy_kernels.hpp"
 
 using namespace ndpcr;
 
@@ -72,6 +80,29 @@ std::string fmt(double v, int digits = 2) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", digits, v);
   return buf;
+}
+
+// Appends the median/min/IQR cells of one interleaved row, in ms.
+void add_timing_cells(std::vector<std::string>& row, const bench::Timing& t) {
+  row.push_back(fmt(t.median * 1e3, 3));
+  row.push_back(fmt(t.min * 1e3, 3));
+  row.push_back(fmt(t.iqr * 1e3, 3));
+}
+
+// `count` proxy-kernel captures of `bytes` each, after eight solver steps
+// (cg/mg/ft in turn): the nearly incompressible float state that a
+// checkpoint service's tenants commit.
+std::vector<Bytes> kernel_captures(std::size_t count, std::size_t bytes,
+                                   std::uint64_t seed) {
+  const auto& names = workloads::proxy_kernel_names();
+  std::vector<Bytes> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto kernel =
+        workloads::make_proxy_kernel(names[i % names.size()], bytes, seed + i);
+    for (int step = 0; step < 8; ++step) kernel->iterate();
+    out.push_back(kernel->registry().capture());
+  }
+  return out;
 }
 
 Bytes mixed_payload(std::size_t size, std::uint64_t seed) {
@@ -167,64 +198,105 @@ int main(int argc, char** argv) {
     // (seed pinned so the vs-baseline columns compare identical bytes).
     // The baseline constants are the pre-overhaul kernels measured on the
     // reference host (docs/PERF.md); sizes shrink for the slow coders so a
-    // full run stays interactive.
+    // full run stays interactive. The `-kernels` rows compress proxy-kernel
+    // captures one image at a time instead and have no baseline.
     struct KernelCfg {
       const char* name;
+      const char* codec;
       int level;
       bool accel;
-      std::size_t full_mib;
-      int reps;
-      double comp_base;    // pre-overhaul MiB/s, reference host
+      std::size_t full_mib;  // 0: proxy-kernel captures
+      double comp_base;      // pre-overhaul MiB/s, reference host
       double decomp_base;
     };
     const std::vector<KernelCfg> cfgs = {
-        {"null", 0, false, 8, 4, 694.0, 1136.1},
-        {"rle", 0, false, 8, 4, 218.7, 560.6},
-        {"nlz4", 1, false, 8, 3, 49.0, 664.4},
-        {"nlz4-accel", 1, true, 8, 3, 49.0, 664.4},
-        {"ngzip", 6, false, 2, 2, 31.8, 120.5},
-        {"nbzip2", 9, false, 1, 1, 6.0, 19.5},
-        {"nxz", 1, false, 1, 1, 3.6, 16.6},
+        {"null", "null", 0, false, 8, 694.0, 1136.1},
+        {"rle", "rle", 0, false, 8, 218.7, 560.6},
+        {"nlz4", "nlz4", 1, false, 8, 49.0, 664.4},
+        {"nlz4-accel", "nlz4", 1, true, 8, 49.0, 664.4},
+        {"ngzip", "ngzip", 6, false, 2, 31.8, 120.5},
+        {"nbzip2", "nbzip2", 9, false, 1, 6.0, 19.5},
+        {"nxz", "nxz", 1, false, 1, 3.6, 16.6},
+        {"nlz4-kernels", "nlz4", 1, false, 0, 0.0, 0.0},
+        {"nlz4-accel-kernels", "nlz4", 1, true, 0, 0.0, 0.0},
     };
+    const int reps = smoke ? 2 : 7;
+    const std::vector<Bytes> captures =
+        kernel_captures(smoke ? 2 : 8, 192ull << 10, seed);
+    struct Leg {
+      std::unique_ptr<compress::Codec> codec;
+      std::vector<Bytes> inputs;
+      std::vector<Bytes> packed;
+      std::vector<Bytes> back;
+      std::size_t bytes = 0;
+    };
+    std::vector<Leg> legs(cfgs.size());
+    std::vector<std::function<void()>> comp_fns;
+    std::vector<std::function<void()>> decomp_fns;
+    compress::CodecScratch scratch;
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      const KernelCfg& cfg = cfgs[i];
+      Leg& leg = legs[i];
+      leg.codec = cfg.accel ? std::make_unique<compress::Lz4StyleCodec>(
+                                  cfg.level, /*accelerate=*/true)
+                            : compress::make_codec(cfg.codec, cfg.level);
+      if (cfg.full_mib == 0) {
+        leg.inputs = captures;
+      } else {
+        leg.inputs.push_back(
+            mixed_payload(smoke ? (256ull << 10) : (cfg.full_mib << 20),
+                          2026));
+      }
+      for (const Bytes& in : leg.inputs) leg.bytes += in.size();
+      leg.packed.resize(leg.inputs.size());
+      leg.back.resize(leg.inputs.size());
+      comp_fns.push_back([&leg, &scratch] {
+        for (std::size_t k = 0; k < leg.inputs.size(); ++k) {
+          leg.packed[k] = leg.codec->compress(leg.inputs[k], scratch);
+        }
+      });
+      decomp_fns.push_back([&leg, &scratch] {
+        for (std::size_t k = 0; k < leg.inputs.size(); ++k) {
+          leg.back[k] = leg.codec->decompress(leg.packed[k], scratch);
+        }
+      });
+    }
+    const std::vector<bench::Timing> comp_t =
+        bench::measure_interleaved(reps, comp_fns);
+    const std::vector<bench::Timing> decomp_t =
+        bench::measure_interleaved(reps, decomp_fns);
     out.add_section("codec_kernels",
                     {"codec", "level", "comp_mib_s", "comp_vs_base",
-                     "decomp_mib_s", "decomp_vs_base", "ratio"});
-    compress::CodecScratch scratch;
-    for (const auto& cfg : cfgs) {
-      const std::size_t bytes =
-          smoke ? (256ull << 10) : (cfg.full_mib << 20);
-      const int comp_reps = smoke ? 1 : cfg.reps;
-      const int decomp_reps = smoke ? 1 : cfg.reps * 4;
-      const Bytes data = mixed_payload(bytes, 2026);
-      const std::unique_ptr<compress::Codec> codec =
-          cfg.accel ? std::make_unique<compress::Lz4StyleCodec>(
-                          cfg.level, /*accelerate=*/true)
-                    : compress::make_codec(cfg.name, cfg.level);
-      Bytes packed;
-      const double comp_s = seconds_of([&] {
-        for (int r = 0; r < comp_reps; ++r) {
-          packed = codec->compress(data, scratch);
-        }
-      });
-      Bytes back;
-      const double decomp_s = seconds_of([&] {
-        for (int r = 0; r < decomp_reps; ++r) {
-          back = codec->decompress(packed, scratch);
-        }
-      });
-      if (back != data) {
+                     "decomp_mib_s", "decomp_vs_base", "ratio",
+                     "median_comp_ms", "min_comp_ms", "iqr_comp_ms",
+                     "median_decomp_ms", "min_decomp_ms", "iqr_decomp_ms",
+                     "reps"});
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      const KernelCfg& cfg = cfgs[i];
+      const Leg& leg = legs[i];
+      if (leg.back != leg.inputs) {
         std::fprintf(stderr, "FAIL: %s kernel round-trip\n", cfg.name);
         return 1;
       }
-      const double mib = static_cast<double>(bytes) / (1024.0 * 1024.0);
-      const double comp = mib * comp_reps / comp_s;
-      const double decomp = mib * decomp_reps / decomp_s;
-      out.add_row({cfg.name, std::to_string(cfg.level), fmt(comp, 1),
-                   fmt(comp / cfg.comp_base), fmt(decomp, 1),
-                   fmt(decomp / cfg.decomp_base),
-                   fmt(static_cast<double>(packed.size()) /
-                           static_cast<double>(bytes),
-                       3)});
+      std::size_t packed_bytes = 0;
+      for (const Bytes& p : leg.packed) packed_bytes += p.size();
+      const double mib = static_cast<double>(leg.bytes) / (1024.0 * 1024.0);
+      const double comp = mib / comp_t[i].median;
+      const double decomp = mib / decomp_t[i].median;
+      const auto vs_base = [](double v, double base) {
+        return base > 0.0 ? fmt(v / base) : std::string("-");
+      };
+      std::vector<std::string> row = {
+          cfg.name, std::to_string(cfg.level), fmt(comp, 1),
+          vs_base(comp, cfg.comp_base), fmt(decomp, 1),
+          vs_base(decomp, cfg.decomp_base),
+          fmt(static_cast<double>(packed_bytes) /
+                  static_cast<double>(leg.bytes),
+              3)};
+      add_timing_cells(row, comp_t[i]);
+      add_timing_cells(row, decomp_t[i]);
+      row.push_back(std::to_string(reps));
+      out.add_row(std::move(row));
     }
   }
 
@@ -237,110 +309,140 @@ int main(int argc, char** argv) {
     // 453.1 MiB/s (same payload through the old whole-stream kernel).
     constexpr double kCompBase = 55.3;
     constexpr double kDecompBase = 453.1;
+    const int reps = smoke ? 2 : 7;
+    struct Cfg {
+      bool accel;
+      unsigned threads;
+      std::unique_ptr<compress::ChunkedCodec> codec;
+      Bytes packed;
+      Bytes back;
+    };
+    std::vector<Cfg> cfgs;
+    for (const bool accel : {false, true}) {
+      for (const unsigned threads : pool_sizes) {
+        cfgs.push_back({accel, threads,
+                        std::make_unique<compress::ChunkedCodec>(
+                            compress::CodecId::kLz4Style, 1, 64ull << 10,
+                            threads, accel),
+                        {}, {}});
+      }
+    }
+    std::vector<std::function<void()>> comp_fns;
+    std::vector<std::function<void()>> decomp_fns;
+    for (Cfg& cfg : cfgs) {
+      comp_fns.push_back(
+          [&cfg, &data] { cfg.packed = cfg.codec->compress(data); });
+      decomp_fns.push_back(
+          [&cfg] { cfg.back = cfg.codec->decompress(cfg.packed); });
+    }
+    const std::vector<bench::Timing> comp_t =
+        bench::measure_interleaved(reps, comp_fns);
+    const std::vector<bench::Timing> decomp_t =
+        bench::measure_interleaved(reps, decomp_fns);
     out.add_section("chunked_compress",
                     {"codec", "mode", "threads", "comp_mib_s",
                      "comp_vs_base", "decomp_mib_s", "decomp_vs_base",
-                     "ratio"});
-    for (const bool accel : {false, true}) {
-      for (const unsigned threads : pool_sizes) {
-        const compress::ChunkedCodec codec(compress::CodecId::kLz4Style, 1,
-                                           64ull << 10, threads, accel);
-        const int comp_reps = accel ? (smoke ? 2 : 8) : 1;
-        const int decomp_reps = smoke ? 2 : 8;
-        Bytes packed;
-        const double comp_s = seconds_of([&] {
-          for (int r = 0; r < comp_reps; ++r) {
-            packed = codec.compress(data);
-          }
-        });
-        Bytes back;
-        const double decomp_s = seconds_of([&] {
-          for (int r = 0; r < decomp_reps; ++r) {
-            back = codec.decompress(packed);
-          }
-        });
-        if (back != data) {
-          std::fprintf(stderr, "FAIL: chunked round-trip\n");
-          return 1;
-        }
-        const double mib = static_cast<double>(bytes) / (1024.0 * 1024.0);
-        out.add_row({"nlz4", accel ? "accel" : "plain",
-                     std::to_string(threads),
-                     fmt(mib * comp_reps / comp_s, 1),
-                     fmt(mib * comp_reps / comp_s / kCompBase),
-                     fmt(mib * decomp_reps / decomp_s, 1),
-                     fmt(mib * decomp_reps / decomp_s / kDecompBase),
-                     fmt(static_cast<double>(packed.size()) /
-                             static_cast<double>(bytes),
-                         3)});
+                     "ratio", "median_comp_ms", "min_comp_ms", "iqr_comp_ms",
+                     "median_decomp_ms", "min_decomp_ms", "iqr_decomp_ms",
+                     "reps"});
+    const double mib = static_cast<double>(bytes) / (1024.0 * 1024.0);
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      const Cfg& cfg = cfgs[i];
+      if (cfg.back != data) {
+        std::fprintf(stderr, "FAIL: chunked round-trip\n");
+        return 1;
       }
+      const double comp = mib / comp_t[i].median;
+      const double decomp = mib / decomp_t[i].median;
+      std::vector<std::string> row = {
+          "nlz4", cfg.accel ? "accel" : "plain", std::to_string(cfg.threads),
+          fmt(comp, 1), fmt(comp / kCompBase), fmt(decomp, 1),
+          fmt(decomp / kDecompBase),
+          fmt(static_cast<double>(cfg.packed.size()) /
+                  static_cast<double>(bytes),
+              3)};
+      add_timing_cells(row, comp_t[i]);
+      add_timing_cells(row, decomp_t[i]);
+      row.push_back(std::to_string(reps));
+      out.add_row(std::move(row));
     }
   }
 
   // --- multilevel commit / recover across pool sizes ------------------
   {
+    // At each pool size the null- and nlz4-IO managers commit in
+    // interleaved repeats (one full commit per sample); each then
+    // recovers once.
     const std::uint32_t ranks = 8;
     const std::size_t per_rank = smoke ? (64ull << 10) : (512ull << 10);
-    const int commits = smoke ? 2 : 4;
-    std::vector<std::vector<std::string>> commit_rows;
-    std::vector<std::vector<std::string>> recover_rows;
-    struct IoCodec {
-      const char* name;
-      compress::CodecId id;
-    };
-    for (const IoCodec io_codec :
-         {IoCodec{"null", compress::CodecId::kNull},
-          IoCodec{"nlz4", compress::CodecId::kLz4Style}}) {
-      double base_s = 0.0;
-      for (const unsigned threads : pool_sizes) {
-        exec::TaskPool pool(threads);
+    const int reps = smoke ? 2 : 9;
+    std::vector<Bytes> payloads;
+    for (std::uint32_t r = 0; r < ranks; ++r) {
+      payloads.push_back(mixed_payload(per_rank, seed + 2 + r));
+    }
+    const std::vector<ByteSpan> views(payloads.begin(), payloads.end());
+    const std::vector<std::pair<const char*, compress::CodecId>> io_codecs =
+        {{"null", compress::CodecId::kNull},
+         {"nlz4", compress::CodecId::kLz4Style}};
+    std::vector<std::vector<std::vector<std::string>>> commit_rows(
+        io_codecs.size());
+    std::vector<std::vector<std::vector<std::string>>> recover_rows(
+        io_codecs.size());
+    std::vector<double> base_s(io_codecs.size(), 0.0);
+    const double total_gib =
+        static_cast<double>(per_rank) * ranks / (1024.0 * 1024.0 * 1024.0);
+    for (const unsigned threads : pool_sizes) {
+      exec::TaskPool pool(threads);
+      std::vector<std::unique_ptr<ckpt::MultilevelManager>> managers;
+      std::vector<std::function<void()>> fns;
+      for (const auto& [name, id] : io_codecs) {
         ckpt::MultilevelConfig mc;
         mc.node_count = ranks;
-        mc.nvm_capacity_bytes = (per_rank + 4096) * (commits + 1);
+        mc.nvm_capacity_bytes = (per_rank + 4096) * 5;
         mc.partner_every = 1;
         mc.io_every = 1;
-        mc.io_codec = io_codec.id;
-        mc.io_codec_level =
-            io_codec.id == compress::CodecId::kNull ? 0 : 1;
+        mc.io_codec = id;
+        mc.io_codec_level = id == compress::CodecId::kNull ? 0 : 1;
         mc.io_chunk_bytes = 64ull << 10;
         mc.pool = &pool;
-        ckpt::MultilevelManager manager(mc);
-
-        std::vector<Bytes> payloads;
-        for (std::uint32_t r = 0; r < ranks; ++r) {
-          payloads.push_back(mixed_payload(per_rank, seed + 2 + r));
-        }
-        const std::vector<ByteSpan> views(payloads.begin(),
-                                          payloads.end());
-        const double commit_s = seconds_of([&] {
-          for (int c = 0; c < commits; ++c) (void)manager.commit(views);
+        managers.push_back(std::make_unique<ckpt::MultilevelManager>(mc));
+        fns.push_back([m = managers.back().get(), &views] {
+          (void)m->commit(views);
         });
-        if (threads == 1) base_s = commit_s;
-        const double total_gib = static_cast<double>(per_rank) * ranks *
-                                 commits / (1024.0 * 1024.0 * 1024.0);
-        commit_rows.push_back({io_codec.name, std::to_string(threads),
-                               fmt(total_gib / commit_s, 3),
-                               fmt(base_s / commit_s)});
+      }
+      const std::vector<bench::Timing> t =
+          bench::measure_interleaved(reps, fns);
+      for (std::size_t c = 0; c < io_codecs.size(); ++c) {
+        if (threads == 1) base_s[c] = t[c].median;
+        std::vector<std::string> row = {
+            io_codecs[c].first, std::to_string(threads),
+            fmt(total_gib / t[c].median, 3), fmt(base_s[c] / t[c].median)};
+        add_timing_cells(row, t[c]);
+        row.push_back(std::to_string(reps));
+        commit_rows[c].push_back(std::move(row));
 
         std::optional<ckpt::MultilevelManager::Recovery> recovery;
         const double recover_s =
-            seconds_of([&] { recovery = manager.recover(); });
+            seconds_of([&] { recovery = managers[c]->recover(); });
         if (!recovery || recovery->payloads != payloads) {
           std::fprintf(stderr, "FAIL: recover mismatch\n");
           return 1;
         }
-        recover_rows.push_back(
-            {io_codec.name, std::to_string(threads),
-             fmt(static_cast<double>(per_rank) * ranks /
-                     (1024.0 * 1024.0 * 1024.0) / recover_s,
-                 3)});
+        recover_rows[c].push_back({io_codecs[c].first,
+                                   std::to_string(threads),
+                                   fmt(total_gib / recover_s, 3)});
       }
     }
-    out.add_section("commit",
-                    {"codec", "pool_threads", "gib_per_s", "speedup"});
-    for (auto& row : commit_rows) out.add_row(std::move(row));
+    out.add_section("commit", {"codec", "pool_threads", "gib_per_s",
+                               "speedup", "median_ms", "min_ms", "iqr_ms",
+                               "reps"});
+    for (auto& rows : commit_rows) {
+      for (auto& row : rows) out.add_row(std::move(row));
+    }
     out.add_section("recover", {"codec", "pool_threads", "gib_per_s"});
-    for (auto& row : recover_rows) out.add_row(std::move(row));
+    for (auto& rows : recover_rows) {
+      for (auto& row : rows) out.add_row(std::move(row));
+    }
   }
 
   // --- pipelined commit breakdown (docs/PERF.md) ----------------------

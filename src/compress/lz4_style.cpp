@@ -13,10 +13,20 @@ namespace {
 constexpr std::uint32_t kMinMatch = 4;
 constexpr std::uint32_t kWindow = 0xFFFF;  // 16-bit offsets
 
-// Acceleration ramp: after 2^kSkipTrigger consecutive misses the probe
-// stride becomes 2, after another 2^kSkipTrigger it becomes 3, and so on
-// (the LZ4 fast-path heuristic).
-constexpr int kSkipTrigger = 4;
+// Skip ramp: after 2^trigger consecutive misses the probe stride becomes
+// 2, after another 2^trigger it becomes 3, and so on; a match resets it
+// (the LZ4 fast-path heuristic). Plain level 1 uses LZ4's default trigger,
+// `accelerate` a steeper one. Levels 2-9 probe every byte, like LZ4-HC:
+// their trigger is the top bit of the miss counter, so the stride stays 1
+// for the first 2^63 misses, i.e. for any input.
+constexpr int kDefaultSkipTrigger = 6;
+constexpr int kAcceleratedSkipTrigger = 4;
+constexpr int kExhaustiveSkipTrigger = 63;
+
+int skip_trigger_for(int level, bool accelerate) {
+  if (accelerate) return kAcceleratedSkipTrigger;
+  return level == 1 ? kDefaultSkipTrigger : kExhaustiveSkipTrigger;
+}
 
 void write_length(Bytes& out, std::size_t len) {
   // 255-block continuation, as in LZ4.
@@ -59,7 +69,7 @@ std::uint32_t chain_depth_for_level(int level) {
 }  // namespace
 
 Lz4StyleCodec::Lz4StyleCodec(int level, bool accelerate)
-    : level_(level), accelerate_(accelerate) {
+    : level_(level), skip_trigger_(skip_trigger_for(level, accelerate)) {
   if (level < 1 || level > 9) {
     throw CodecError("nlz4 level must be in [1, 9]");
   }
@@ -75,7 +85,8 @@ void Lz4StyleCodec::compress_payload(ByteSpan input, Bytes& out,
                      scratch.match_prev);
   std::size_t pos = 0;
   std::size_t literal_start = 0;
-  std::uint32_t search_tick = 1u << kSkipTrigger;
+  const std::uint64_t tick_reset = std::uint64_t{1} << skip_trigger_;
+  std::uint64_t search_tick = tick_reset;
   while (pos < input.size()) {
     // The parse is greedy, so the probed position is always committed
     // (matched or emitted as a literal) - find_and_insert hashes once.
@@ -94,13 +105,13 @@ void Lz4StyleCodec::compress_payload(ByteSpan input, Bytes& out,
       }
       pos = end;
       literal_start = pos;
-      search_tick = 1u << kSkipTrigger;
+      search_tick = tick_reset;
     } else {
-      pos += accelerate_ ? (search_tick++ >> kSkipTrigger) : 1;
+      pos += search_tick++ >> skip_trigger_;
     }
   }
   // Terminal literals-only sequence (always present, possibly empty).
-  // Acceleration can step pos past the end, so bound by the input size.
+  // The skip ramp can step pos past the end, so bound by the input size.
   emit_sequence(out, input.subspan(literal_start), 0, 0);
 }
 

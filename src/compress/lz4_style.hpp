@@ -8,9 +8,11 @@
 // Offsets are 16-bit little-endian (64 KiB window). The stream ends with a
 // literals-only sequence (offset omitted), exactly as in LZ4.
 //
-// Levels: level 1 uses a single-probe hash table (LZ4's fast path); levels
-// 2-9 walk hash chains with increasing depth (LZ4-HC flavored). The output
-// format is identical across levels.
+// Levels: level 1 uses a single-probe hash table with LZ4's default skip
+// ramp (the probe stride grows by one after every 64 consecutive misses,
+// so incompressible regions cost a few probes per KiB); levels 2-9 walk
+// hash chains with increasing depth and probe every byte (LZ4-HC
+// flavored). The output format is identical across levels.
 
 #include "compress/codec.hpp"
 
@@ -18,12 +20,12 @@ namespace ndpcr::compress {
 
 class Lz4StyleCodec final : public Codec {
  public:
-  // `accelerate` enables LZ4-style skip acceleration: after consecutive
-  // match misses the probe stride grows, so incompressible regions are
-  // skipped in large steps. This changes the compressed bytes (still a
-  // valid stream, just a different parse), so it is opt-in and never used
-  // by the registry - the default output stays bit-identical across
-  // releases.
+  // `accelerate` steepens the skip ramp to one stride step per 16
+  // consecutive misses, at any level, trading ratio for speed on
+  // incompressible data. It changes the parse, not the format: the
+  // decoder is shared. The registry builds plain codecs; the adaptive
+  // probe (`choose_codec`) picks the accelerated one for incompressible
+  // ranks, and ChunkedCodec's `accelerate` flag builds it.
   explicit Lz4StyleCodec(int level, bool accelerate = false);
 
   [[nodiscard]] std::string name() const override { return "nlz4"; }
@@ -39,7 +41,7 @@ class Lz4StyleCodec final : public Codec {
 
  private:
   int level_;
-  bool accelerate_;
+  int skip_trigger_;  // log2 of the misses per stride step (see .cpp)
 };
 
 }  // namespace ndpcr::compress

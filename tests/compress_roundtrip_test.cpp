@@ -171,6 +171,92 @@ TEST(CompressRoundTrip, Lz4AcceleratedModeRoundTrips) {
   }
 }
 
+Bytes random_bytes(std::size_t size, std::uint64_t seed) {
+  Rng rng(seed);
+  Bytes data(size);
+  for (auto& b : data) b = static_cast<std::byte>(rng.next_u64());
+  return data;
+}
+
+// [n incompressible bytes][repeat of their last 256][repeat of their
+// first 256]: the probe stride has ramped up by the time the repeats
+// arrive, and for n = 70000 the second repeat lies outside the 64 KiB
+// window.
+Bytes ramp_payload(std::size_t n, std::uint64_t seed) {
+  Bytes data = random_bytes(n, seed);
+  const std::size_t span = std::min<std::size_t>(n, 256);
+  const auto width = static_cast<std::ptrdiff_t>(span);
+  const Bytes tail(data.end() - width, data.end());
+  const Bytes head(data.begin(), data.begin() + width);
+  data.insert(data.end(), tail.begin(), tail.end());
+  data.insert(data.end(), head.begin(), head.end());
+  return data;
+}
+
+TEST(CompressRoundTrip, Lz4SkipRampRoundTripsAroundTheTrigger) {
+  // Plain level 1 widens its stride after every 64 misses, accelerated
+  // after every 16: sizes straddle the first trigger and run far past it.
+  CodecScratch scratch;
+  const Lz4StyleCodec plain(1);
+  const Lz4StyleCodec fast(1, /*accelerate=*/true);
+  for (std::size_t n : {std::size_t{63}, std::size_t{64}, std::size_t{65},
+                        std::size_t{128}, std::size_t{1000},
+                        std::size_t{70000}}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    const Bytes input = ramp_payload(n, n);
+    expect_roundtrip(plain, input, scratch);
+    expect_roundtrip(fast, input, scratch);
+    for (const bool accel : {false, true}) {
+      const ChunkedCodec cc(CodecId::kLz4Style, 1, 16 * 1024, 1, accel);
+      EXPECT_EQ(cc.decompress(cc.compress(input)), input)
+          << (accel ? "chunked accelerated" : "chunked plain");
+    }
+  }
+}
+
+TEST(CompressRoundTrip, Lz4SkipRampKeepsRepeatedBlocksCompressible) {
+  // A 4 KiB random block repeated 16 times: the ramp must not skip past
+  // the first repeat (its first 64 positions were all probed), after which
+  // one match covers the rest.
+  const Bytes block = random_bytes(4096, 4096);
+  Bytes input;
+  for (int i = 0; i < 16; ++i) {
+    input.insert(input.end(), block.begin(), block.end());
+  }
+  const auto ratio = [&](const Bytes& packed) {
+    return static_cast<double>(packed.size()) /
+           static_cast<double>(input.size());
+  };
+  for (const bool accel : {false, true}) {
+    SCOPED_TRACE(accel ? "accelerated" : "plain");
+    const Lz4StyleCodec codec(1, accel);
+    const Bytes packed = codec.compress(input);
+    EXPECT_LT(ratio(packed), 0.1);
+    EXPECT_EQ(codec.decompress(packed), input);
+    const ChunkedCodec cc(CodecId::kLz4Style, 1, 64 * 1024, 1, accel);
+    const Bytes chunked = cc.compress(input);
+    EXPECT_LT(ratio(chunked), 0.1);
+    EXPECT_EQ(cc.decompress(chunked), input);
+  }
+}
+
+TEST(CompressRoundTrip, Lz4HigherLevelsStillProbeEveryByte) {
+  // Levels 2-9 keep the exhaustive parse (their goldens are unchanged): a
+  // lone 256-byte repeat after 70000 incompressible bytes is always found,
+  // so the stream is smaller than the same input with fresh bytes there.
+  const Bytes input = ramp_payload(70000, 7);
+  Bytes fresh = random_bytes(70000, 7);
+  const Bytes filler = random_bytes(512, 8);
+  fresh.insert(fresh.end(), filler.begin(), filler.end());
+  for (int level = 2; level <= 9; ++level) {
+    SCOPED_TRACE("level " + std::to_string(level));
+    const Lz4StyleCodec codec(level);
+    const Bytes packed = codec.compress(input);
+    EXPECT_LT(packed.size() + 200, codec.compress(fresh).size());
+    EXPECT_EQ(codec.decompress(packed), input);
+  }
+}
+
 TEST(CompressRoundTrip, ChunkedAcceleratedRoundTripsAcrossThreadCounts) {
   const Bytes input = fuzz_payload(200 * 1024, 77);
   Bytes reference;

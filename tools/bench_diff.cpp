@@ -13,6 +13,13 @@
 // reaches that (usually looser) bound flags FAIL and the exit status
 // becomes 1. Exit status is otherwise 0 unless the inputs cannot be
 // parsed (2).
+//
+// Columns are matched by header name, so a section may gain columns.
+// Rows timed as the median of repeats carry median_X / iqr_X column
+// pairs (bench::measure_interleaved). When every median of such a row
+// moved by less than the larger of its old and new IQR, the row's moves
+// are inside the recorded noise band: it prints `noise` instead of WARN
+// or FAIL and counts toward neither.
 
 #include <cctype>
 #include <cmath>
@@ -167,12 +174,26 @@ bool numeric(const std::string& cell, double& out) {
   return end == cell.c_str() + cell.size();
 }
 
-std::string row_key(const std::vector<std::string>& row) {
-  // Non-numeric cells identify the configuration (codec names, modes,
-  // thread counts are numeric but positional - keep integers too when
-  // they look like labels: pool_threads etc. are part of the key).
+// Index of the column named `name`, or -1.
+int column(const Section& sec, const std::string& name) {
+  for (std::size_t c = 0; c < sec.header.size(); ++c) {
+    if (sec.header[c] == name) return static_cast<int>(c);
+  }
+  return -1;
+}
+
+// The cells of `row` under the columns named `names` (the columns both
+// reports share, so a section that gains a column still matches its old
+// rows). Non-numeric cells identify the configuration (codec names,
+// modes); thread counts are numeric but positional - keep integers too
+// when they look like labels: pool_threads etc. are part of the key.
+std::string row_key(const Section& sec, const std::vector<std::string>& row,
+                    const std::vector<std::string>& names) {
   std::string key;
-  for (const auto& cell : row) {
+  for (const auto& name : names) {
+    const int c = column(sec, name);
+    if (c < 0 || static_cast<std::size_t>(c) >= row.size()) continue;
+    const std::string& cell = row[static_cast<std::size_t>(c)];
     double v = 0.0;
     const bool is_num = numeric(cell, v);
     const bool integral = is_num && v == std::floor(v) &&
@@ -183,6 +204,35 @@ std::string row_key(const std::vector<std::string>& row) {
     }
   }
   return key;
+}
+
+double cell_value(const std::vector<std::string>& row, int c) {
+  double v = 0.0;
+  if (c < 0 || static_cast<std::size_t>(c) >= row.size() ||
+      !numeric(row[static_cast<std::size_t>(c)], v)) {
+    return std::nan("");
+  }
+  return v;
+}
+
+// True when the row carries at least one median_X/iqr_X pair and every
+// median moved by less than the larger of the two rows' IQRs for it.
+bool within_noise(const Section& sec_a, const std::vector<std::string>& old_row,
+                  const Section& sec_b, const std::vector<std::string>& row) {
+  bool any = false;
+  for (std::size_t c = 0; c < sec_b.header.size(); ++c) {
+    const std::string& h = sec_b.header[c];
+    if (h.rfind("median_", 0) != 0) continue;
+    const std::string iqr = "iqr_" + h.substr(7);
+    const double new_median = cell_value(row, static_cast<int>(c));
+    const double old_median = cell_value(old_row, column(sec_a, h));
+    const double band = std::fmax(cell_value(row, column(sec_b, iqr)),
+                                  cell_value(old_row, column(sec_a, iqr)));
+    // NaN (a missing cell) fails every comparison: not noise.
+    if (!(std::fabs(new_median - old_median) < band)) return false;
+    any = true;
+  }
+  return any;
 }
 
 bool load_report(const char* path, Report& report, std::string& meta) {
@@ -267,6 +317,7 @@ int main(int argc, char** argv) {
 
   int warnings = 0;
   int failures = 0;
+  int noisy = 0;
   for (const auto& [name, sec_b] : after) {
     const auto it = before.find(name);
     if (it == before.end()) {
@@ -278,15 +329,23 @@ int main(int argc, char** argv) {
     std::printf("\n[%s]\n", name.c_str());
     // Index the old rows by key for stable matching.
     std::map<std::string, const std::vector<std::string>*> old_rows;
-    for (const auto& row : sec_a.rows) old_rows[row_key(row)] = &row;
+    std::vector<std::string> shared;
+    for (const auto& col_name : sec_b.header) {
+      if (column(sec_a, col_name) >= 0) shared.push_back(col_name);
+    }
+    const auto old_key = [&](const std::vector<std::string>& r) {
+      return row_key(sec_a, r, shared);
+    };
+    for (const auto& row : sec_a.rows) old_rows[old_key(row)] = &row;
     for (std::size_t i = 0; i < sec_b.rows.size(); ++i) {
       const auto& row = sec_b.rows[i];
-      const auto match = old_rows.find(row_key(row));
+      const std::string key = row_key(sec_b, row, shared);
+      const auto match = old_rows.find(key);
       const std::vector<std::string>* old_row = nullptr;
       if (match != old_rows.end()) {
         old_row = match->second;
       } else if (i < sec_a.rows.size() &&
-                 row_key(sec_a.rows[i]) == row_key(row)) {
+                 old_key(sec_a.rows[i]) == key) {
         old_row = &sec_a.rows[i];
       }
       std::string label;
@@ -303,13 +362,18 @@ int main(int argc, char** argv) {
           label += row[c];
           continue;
         }
-        if (!old_row || c >= old_row->size()) continue;
+        if (!old_row) continue;
+        const int oc = column(sec_a, sec_b.header[c]);
+        if (oc < 0 || static_cast<std::size_t>(oc) >= old_row->size()) {
+          continue;
+        }
+        const std::string& old_cell = (*old_row)[static_cast<std::size_t>(oc)];
         double ov = 0.0;
-        if (!numeric((*old_row)[c], ov)) continue;
+        if (!numeric(old_cell, ov)) continue;
         const double pct = ov == 0.0 ? 0.0 : (nv - ov) / ov * 100.0;
         char buf[160];
         std::snprintf(buf, sizeof buf, "  %s %s->%s (%+.1f%%)",
-                      sec_b.header[c].c_str(), (*old_row)[c].c_str(),
+                      sec_b.header[c].c_str(), old_cell.c_str(),
                       row[c].c_str(), pct);
         deltas += buf;
         if (std::fabs(pct) >= threshold) warned = true;
@@ -320,11 +384,17 @@ int main(int argc, char** argv) {
       if (!old_row) {
         std::printf("  %-28s (new row)\n", label.c_str());
       } else if (!deltas.empty()) {
-        std::printf("%s %-28s%s\n",
-                    failed ? "FAIL" : (warned ? "WARN" : "    "),
+        const bool noise =
+            (warned || failed) && within_noise(sec_a, *old_row, sec_b, row);
+        std::printf("%-5s %-28s%s\n",
+                    noise    ? "noise"
+                    : failed ? "FAIL"
+                    : warned ? "WARN"
+                             : "",
                     label.c_str(), deltas.c_str());
-        warnings += warned ? 1 : 0;
-        failures += failed ? 1 : 0;
+        noisy += noise ? 1 : 0;
+        warnings += warned && !noise ? 1 : 0;
+        failures += failed && !noise ? 1 : 0;
       }
     }
   }
@@ -335,10 +405,13 @@ int main(int argc, char** argv) {
     }
   }
   if (fail_threshold >= 0.0) {
-    std::printf("\n%d warning(s), %d row(s) past the fail bound; exit %d\n",
-                warnings, failures, failures > 0 ? 1 : 0);
+    std::printf(
+        "\n%d warning(s), %d row(s) past the fail bound, %d within noise; "
+        "exit %d\n",
+        warnings, failures, noisy, failures > 0 ? 1 : 0);
     return failures > 0 ? 1 : 0;
   }
-  std::printf("\n%d warning(s); warn-only, exit 0\n", warnings);
+  std::printf("\n%d warning(s), %d within noise; warn-only, exit 0\n",
+              warnings, noisy);
   return 0;
 }
