@@ -372,7 +372,10 @@ int main(int argc, char** argv) {
   {
     // At each pool size the null- and nlz4-IO managers commit in
     // interleaved repeats (one full commit per sample); each then
-    // recovers once.
+    // recovers once. One manager serves every sample, so after the
+    // first two commits its stores hold only the generations retention
+    // keeps and each commit writes into recycled buffers - the steady
+    // state of a long run.
     const std::uint32_t ranks = 8;
     const std::size_t per_rank = smoke ? (64ull << 10) : (512ull << 10);
     const int reps = smoke ? 2 : 9;

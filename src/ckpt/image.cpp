@@ -32,7 +32,8 @@ const char* to_string(PayloadKind kind) {
   return "?";
 }
 
-Bytes CheckpointImage::build(const CheckpointMeta& meta, ByteSpan payload) {
+Bytes CheckpointImage::build(const CheckpointMeta& meta, ByteSpan payload,
+                             std::uint32_t* framed_crc) {
   Bytes out;
   out.reserve(kHeaderSize + payload.size());
   append_le<std::uint32_t>(out, kMagic);
@@ -43,7 +44,15 @@ Bytes CheckpointImage::build(const CheckpointMeta& meta, ByteSpan payload) {
   append_le<std::uint32_t>(out, static_cast<std::uint32_t>(meta.kind));
   append_le<std::uint64_t>(out, meta.base_id);
   append_le<std::uint64_t>(out, payload.size());
-  append_le<std::uint32_t>(out, image_crc(ByteSpan(out), payload));
+  const std::uint32_t payload_crc = Crc32::compute(payload);
+  Crc32 prefix;
+  prefix.update(ByteSpan(out));
+  append_le<std::uint32_t>(
+      out, Crc32::combine(prefix.value(), payload_crc, payload.size()));
+  if (framed_crc) {
+    prefix.update(ByteSpan(out).subspan(kCrcOffset));
+    *framed_crc = Crc32::combine(prefix.value(), payload_crc, payload.size());
+  }
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }

@@ -39,8 +39,12 @@ struct CheckpointMeta {
 
 class CheckpointImage {
  public:
-  // Serialize metadata + payload into a framed image.
-  static Bytes build(const CheckpointMeta& meta, ByteSpan payload);
+  // Serialize metadata + payload into a framed image. The payload is
+  // CRC'd once; the header CRC and, when `framed_crc` is set, the CRC-32
+  // of the whole framed image (its write digest) both derive from that
+  // pass through Crc32::combine.
+  static Bytes build(const CheckpointMeta& meta, ByteSpan payload,
+                     std::uint32_t* framed_crc = nullptr);
 
   // Parse and validate a framed image. Throws ImageError on bad magic,
   // truncation, or CRC mismatch.

@@ -70,6 +70,11 @@ std::optional<CheckpointImage> parse_image(std::uint32_t rank,
   }
 }
 
+// Slot of a level in per-level arrays (Generation::complete).
+constexpr std::size_t slot(RecoveryLevel level) {
+  return static_cast<std::size_t>(level);
+}
+
 // Recovery walks levels fastest to slowest; a chain is charged the
 // deepest level any of its links came from.
 RecoveryLevel deeper(RecoveryLevel a, RecoveryLevel b) {
@@ -284,6 +289,38 @@ void MultilevelManager::adopt_existing_state() {
     }
   }
   next_id_ = newest + 1;
+  // Retention records for what survived. Their delta chains are unknown
+  // (a dead life's links are not re-parsed), so retire_generations keeps
+  // every older adopted generation while one of them is still a restore
+  // point; a level counts as complete where every rank or group holds an
+  // entry.
+  for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
+    for (const std::uint64_t id : local_[rank]->ids()) {
+      generations_[id].adopted = true;
+    }
+    for (const std::uint64_t id : io_->list(rank)) {
+      generations_[id].adopted = true;
+    }
+    if (config_.node_count > 1 && rank == group_first(rank)) {
+      for (const std::uint64_t id :
+           partner_space_[parity_host(rank)]->list(rank)) {
+        generations_[id].adopted = true;
+      }
+    }
+  }
+  for (auto& [id, gen] : generations_) {
+    bool local = true;
+    bool partner = config_.node_count > 1;
+    bool io = true;
+    for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
+      local = local && local_[rank]->contains(id);
+      io = io && io_->contains(rank, id);
+      if (partner && rank == group_first(rank)) {
+        partner = partner_space_[parity_host(rank)]->contains(rank, id);
+      }
+    }
+    gen.complete = {local, partner, io};  // RecoveryLevel order
+  }
   // Rebuild the dedup bookkeeping from the recipes that survived: without
   // this, the first post-restart commit would re-plan every block as new
   // (wasted IO) and a later release could never free shared blocks. The
@@ -309,6 +346,125 @@ std::uint32_t MultilevelManager::parity_host(std::uint32_t rank) const {
   const std::uint32_t last =
       std::min(group_first(rank) + group_ - 1, config_.node_count - 1);
   return (last + 1) % config_.node_count;
+}
+
+std::uint64_t MultilevelManager::chain_anchor(std::uint64_t id) const {
+  std::uint64_t cur = id;
+  for (;;) {
+    const auto it = generations_.find(cur);
+    if (it == generations_.end()) return cur;
+    if (it->second.adopted) return generations_.begin()->first;
+    if (it->second.base_id == 0) return cur;
+    cur = it->second.base_id;
+  }
+}
+
+std::size_t MultilevelManager::erase_generation(RecoveryLevel level,
+                                                std::uint64_t id) {
+  std::size_t erased = 0;
+  switch (level) {
+    case RecoveryLevel::kLocal:
+      for (const auto& nvm : local_) {
+        // A pinned entry belongs to whoever locked it.
+        if (nvm->contains(id) && !nvm->is_locked(id)) {
+          nvm->erase(id);
+          ++erased;
+        }
+      }
+      break;
+    case RecoveryLevel::kPartner:
+      if (config_.node_count < 2) break;
+      for (std::uint32_t first = 0; first < config_.node_count;
+           first += group_) {
+        KvStore& store = *partner_space_[parity_host(first)];
+        if (store.contains(first, id)) {
+          store.erase(first, id);
+          ++erased;
+        }
+      }
+      break;
+    case RecoveryLevel::kIo:
+      for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
+        if (io_->contains(rank, id)) {
+          io_->erase(rank, id);
+          ++erased;
+        }
+        if (!io_dedup_) continue;
+        // The recipe goes first: a crash between the two erases leaves
+        // unreferenced blocks, never a recipe missing its blocks.
+        for (const std::uint64_t key : io_dedup_->release(rank, id)) {
+          if (io_->contains(kDedupBlockRank, key)) {
+            io_->erase(kDedupBlockRank, key);
+            ++erased;
+          }
+        }
+      }
+      break;
+  }
+  return erased;
+}
+
+void MultilevelManager::retire_generations() {
+  // The retention rule (DESIGN.md section 5): generation g stays on level L
+  // only while it is L's newest complete generation, L's fallback (the
+  // newest complete one older than that generation's chain anchor), the
+  // newest complete generation of another level (where a multi-node
+  // loss rolls back to), or a delta link one of those needs.
+  constexpr std::size_t kLevels = 3;
+  std::array<std::uint64_t, kLevels> newest{};  // 0 = none
+  for (auto it = generations_.rbegin(); it != generations_.rend(); ++it) {
+    for (std::size_t l = 0; l < kLevels; ++l) {
+      if (newest[l] == 0 && it->second.complete[l]) newest[l] = it->first;
+    }
+  }
+  // Until some level holds a complete generation, nothing is provably
+  // superseded.
+  if (newest == std::array<std::uint64_t, kLevels>{}) return;
+  // Kept ids per level, as [anchor, id] chain ranges.
+  std::array<std::vector<std::pair<std::uint64_t, std::uint64_t>>, kLevels>
+      keep;
+  for (std::size_t l = 0; l < kLevels; ++l) {
+    const auto keep_chain = [&](std::uint64_t id) {
+      if (id != 0) keep[l].emplace_back(chain_anchor(id), id);
+    };
+    for (std::size_t m = 0; m < kLevels; ++m) keep_chain(newest[m]);
+    if (newest[l] == 0) continue;
+    const std::uint64_t anchor = chain_anchor(newest[l]);
+    for (auto it = generations_.lower_bound(anchor);
+         it != generations_.begin();) {
+      --it;
+      if (it->second.complete[l]) {
+        keep_chain(it->first);
+        break;
+      }
+    }
+  }
+  const auto kept = [&](std::size_t l, std::uint64_t id) {
+    for (const auto& [lo, hi] : keep[l]) {
+      if (lo <= id && id <= hi) return true;
+    }
+    return false;
+  };
+  obs::TraceBuffer* rb = trace_->root();
+  for (std::size_t l = 0; l < kLevels; ++l) {
+    const auto level = static_cast<RecoveryLevel>(l);
+    for (auto& [id, gen] : generations_) {
+      if (kept(l, id)) continue;
+      gen.complete[l] = false;
+      const std::size_t erased = erase_generation(level, id);
+      if (rb && erased > 0) {
+        rb->instant("retire", "ckpt", 0,
+                    {obs::u64("id", id), obs::str("level", to_string(level)),
+                     obs::u64("entries", erased)});
+      }
+    }
+  }
+  std::erase_if(generations_, [&](const auto& entry) {
+    for (std::size_t l = 0; l < kLevels; ++l) {
+      if (kept(l, entry.first)) return false;
+    }
+    return true;
+  });
 }
 
 namespace {
@@ -508,7 +664,7 @@ std::optional<Bytes> MultilevelManager::checked_get(const KvStore& store,
   return std::nullopt;
 }
 
-void MultilevelManager::commit_local(std::uint64_t id,
+bool MultilevelManager::commit_local(std::uint64_t id,
                                      const std::vector<Bytes>& images,
                                      const std::vector<EntryDigest>& digests) {
   obs::TraceBuffer* rb = trace_->root();
@@ -547,6 +703,7 @@ void MultilevelManager::commit_local(std::uint64_t id,
                    : 0;
   }, image_bytes);
   trace_->splice(tbs);
+  bool complete = true;
   for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
     merge_level(health_.local, deltas[rank]);
     data_stats_.local += ledgers[rank];
@@ -554,14 +711,16 @@ void MultilevelManager::commit_local(std::uint64_t id,
       data_stats_.local_bytes_written += images[rank].size();
     } else {
       health_.local.state = LevelState::kDegraded;
+      complete = false;
     }
   }
   if (rb && !was_degraded && health_.local.degraded()) {
     rb->instant("level_degraded", "ckpt.local", 0, {obs::u64("id", id)});
   }
+  return complete;
 }
 
-void MultilevelManager::commit_partner(
+bool MultilevelManager::commit_partner(
     std::uint64_t id, const std::vector<Bytes>& images,
     const std::vector<EntryDigest>& digests) {
   LevelHealth& health = health_.partner;
@@ -653,6 +812,7 @@ void MultilevelManager::commit_partner(
     }
   }
   settle_level(health, level_ok, rb, "ckpt.partner", id);
+  return level_ok;
 }
 
 const compress::ChunkedCodec* MultilevelManager::codec_for(
@@ -693,7 +853,7 @@ std::optional<Bytes> MultilevelManager::decode_io_stream(Bytes stored) const {
   }
 }
 
-void MultilevelManager::commit_io(std::uint64_t id,
+bool MultilevelManager::commit_io(std::uint64_t id,
                                   const std::vector<Bytes>& images,
                                   const std::vector<EntryDigest>& digests,
                                   AsyncStageWriter* writer,
@@ -763,7 +923,7 @@ void MultilevelManager::commit_io(std::uint64_t id,
       }
     }
     settle_level(health, level_ok, rb, "ckpt.io", id);
-    return;
+    return level_ok;
   }
   if (health.degraded()) {
     // Probe mode: serial, compress-as-you-go, stop at the first failure.
@@ -800,7 +960,7 @@ void MultilevelManager::commit_io(std::uint64_t id,
       data_stats_.io_bytes_written += stored_size;
     }
     settle_level(health, level_ok, rb, "ckpt.io", id);
-    return;
+    return level_ok;
   }
   // Healthy path: rank-granular pipeline. Rank r's chunks compress on the
   // task pool (intra-image parallelism: one big rank no longer serializes
@@ -902,10 +1062,11 @@ void MultilevelManager::commit_io(std::uint64_t id,
       job();
     }
   }
+  return false;  // not settled yet: finish_commit_io reports the level
 }
 
-void MultilevelManager::finish_commit_io(std::uint64_t id, IoPending& pending) {
-  if (!pending.active) return;
+bool MultilevelManager::finish_commit_io(std::uint64_t id, IoPending& pending) {
+  if (!pending.active) return false;
   pending.active = false;
   LevelHealth& health = health_.io;
   obs::TraceBuffer* rb = trace_->root();
@@ -923,6 +1084,7 @@ void MultilevelManager::finish_commit_io(std::uint64_t id, IoPending& pending) {
     }
   }
   settle_level(health, level_ok, rb, "ckpt.io", id);
+  return level_ok;
 }
 
 std::uint64_t MultilevelManager::commit(
@@ -980,6 +1142,7 @@ std::uint64_t MultilevelManager::commit(
       meta.checkpoint_id = id;
       ByteLedger& ledger = build_ledgers[rank];
       std::size_t body = payloads[rank].size();
+      std::uint32_t framed_crc = 0;
       if (as_delta) {
         meta.kind = PayloadKind::kDelta;
         meta.base_id = id - 1;
@@ -991,14 +1154,16 @@ std::uint64_t MultilevelManager::commit(
         ledger.compared += dstats[rank].compared_bytes;
         ledger.copied += stream.size();  // literals into the stream
         body = stream.size();
-        images[rank] = CheckpointImage::build(meta, stream);
+        images[rank] = CheckpointImage::build(meta, stream, &framed_crc);
       } else {
-        images[rank] = CheckpointImage::build(meta, payloads[rank]);
+        images[rank] =
+            CheckpointImage::build(meta, payloads[rank], &framed_crc);
       }
-      // build(): the body is copied once and CRC'd once for the header.
+      // build(): the body is copied once and CRC'd once; the NDCI header
+      // CRC and the write digest both derive from that one pass.
       ledger.copied += body;
       ledger.crc += body;
-      digests[rank] = digest_counted(images[rank], ledger);
+      digests[rank] = EntryDigest{framed_crc, images[rank].size()};
       if (!tbs.empty()) {
         tbs[rank].instant("image", "ckpt",
                           1 + static_cast<std::uint32_t>(rank),
@@ -1025,8 +1190,11 @@ std::uint64_t MultilevelManager::commit(
   }
 
   ++health_.commits;
+  Generation gen;
+  if (as_delta) gen.base_id = id - 1;
   if (to_partner && config_.node_count > 1) {
-    commit_partner(id, images, digests);
+    gen.complete[slot(RecoveryLevel::kPartner)] =
+        commit_partner(id, images, digests);
   }
   // Pipelined IO (docs/PERF.md): the healthy compressed path submits its
   // per-rank puts to a double-buffered writer thread, so level writes
@@ -1043,21 +1211,25 @@ std::uint64_t MultilevelManager::commit(
                            config_.io_writer_depth > 0 &&
                            !exec::TaskPool::in_worker();
     if (pipelined) io_writer.emplace(config_.io_writer_depth);
-    commit_io(id, images, digests, io_writer ? &*io_writer : nullptr,
-              io_pending);
+    gen.complete[slot(RecoveryLevel::kIo)] = commit_io(
+        id, images, digests, io_writer ? &*io_writer : nullptr, io_pending);
   }
-  commit_local(id, images, digests);
+  gen.complete[slot(RecoveryLevel::kLocal)] =
+      commit_local(id, images, digests);
   if (io_pending.active) {
     // Commit point: no health settle, no trace splice, and no return to
     // the caller until every submitted IO write has landed.
     if (io_writer) io_writer->flush();
-    finish_commit_io(id, io_pending);
+    gen.complete[slot(RecoveryLevel::kIo)] =
+        finish_commit_io(id, io_pending);
   }
   if (io_writer) pipeline_stats_.merge(io_writer->stats());
   if (health_.any_degraded()) {
     ++health_.degraded_commits;
     if (rb) rb->instant("commit_degraded", "ckpt", 0, {obs::u64("id", id)});
   }
+  generations_[id] = gen;
+  retire_generations();
 
   // This commit's payloads become the next delta's reference (a copy: the
   // caller's spans die with the call). Per-rank copies are independent,

@@ -17,6 +17,12 @@
 // the examples and the cluster simulator can exercise true data-path
 // behaviour (corruption detection, partner rebuild, level fallback).
 //
+// Stores keep only live restore points (DESIGN.md section 5, "Retention"):
+// once a commit settles, every generation recovery can no longer reach
+// first is erased from each level - like the paper's NVM circular buffer
+// (section 4.2) and SCR's bounded cache - so new commits write into
+// recycled buffers instead of ever-fresh pages.
+//
 // The data path is self-healing (docs/FAULTS.md): store writes go through
 // bounded retry with exponential backoff (virtual - counted, never slept),
 // every write is verified by readback, corrupted entries are quarantined,
@@ -36,8 +42,10 @@
 // commit/recover are themselves called from inside a pool worker (the
 // chaos suite runs whole replicates as tasks) everything runs inline.
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -253,13 +261,15 @@ struct MultilevelConfig {
   bool io_codec_adaptive = false;
 
   // Handoff-queue depth of the async IO writer (the pipelined commit
-  // path): level writes run on a dedicated writer thread, in rank order,
-  // overlapping the next rank's compression and the local-NVM fan-out.
-  // 2 = double buffering. 0 runs every IO write synchronously on the
-  // committing thread - bit-identical results either way (the writer
-  // preserves the store's op order; health/trace merge in rank order),
-  // which the writer-on/off chaos test pins.
-  std::size_t io_writer_depth = 2;
+  // path, opt-in): level writes run on a dedicated writer thread, in
+  // rank order, overlapping the next rank's compression and the
+  // local-NVM fan-out; 2 = double buffering. The default 0 runs every IO
+  // write on the committing thread: a writer thread is spawned and
+  // joined per commit, and it has not beaten the inline path on the
+  // bench host (docs/PERF.md). Results are bit-identical either way (the
+  // writer preserves the store's op order; health/trace merge in rank
+  // order), which the writer-on/off chaos test pins.
+  std::size_t io_writer_depth = 0;
 
   // Execution engine for the parallel data path (null = the process-wide
   // exec::global_pool()). Thread count is an execution detail: committed
@@ -466,9 +476,11 @@ class MultilevelManager {
                    std::uint32_t rank, std::uint64_t id,
                    const PutBytes& bytes, const EntryDigest& expected,
                    bool probe, TraceCtx tc = TraceCtx());
-  void commit_local(std::uint64_t id, const std::vector<Bytes>& images,
+  // Each level's commit returns whether the generation is complete there:
+  // every rank (local, IO) or every group (partner) verified.
+  bool commit_local(std::uint64_t id, const std::vector<Bytes>& images,
                     const std::vector<EntryDigest>& digests);
-  void commit_partner(std::uint64_t id, const std::vector<Bytes>& images,
+  bool commit_partner(std::uint64_t id, const std::vector<Bytes>& images,
                       const std::vector<EntryDigest>& digests);
   // In-flight state of the pipelined IO level: per-rank health deltas,
   // outcomes and trace buffers the writer jobs fill in, merged - in rank
@@ -485,14 +497,34 @@ class MultilevelManager {
   // = run each put synchronously in place). The healthy compressed path
   // pipelines: rank r's store write overlaps rank r+1's chunk
   // compression. Dedup and degraded-probe paths stay serial and settle
-  // the level themselves (pending.active stays false).
-  void commit_io(std::uint64_t id, const std::vector<Bytes>& images,
+  // the level themselves (pending.active stays false); only those return
+  // the level's completeness - the pipelined path's comes from
+  // finish_commit_io.
+  bool commit_io(std::uint64_t id, const std::vector<Bytes>& images,
                  const std::vector<EntryDigest>& digests,
                  AsyncStageWriter* writer, IoPending& pending);
   // Barrier half: merge writer-job results in rank order and settle the
   // level. Runs after commit_local, so IO writes overlap the local
   // fan-out; the caller flushed `writer` first.
-  void finish_commit_io(std::uint64_t id, IoPending& pending);
+  bool finish_commit_io(std::uint64_t id, IoPending& pending);
+  // Retention (DESIGN.md section 5): what one generation left on the
+  // levels. `complete` is indexed by RecoveryLevel and cleared once the
+  // level's entries are erased.
+  struct Generation {
+    std::uint64_t base_id = 0;  // delta reference; 0 for a full anchor
+    bool adopted = false;       // inventoried on restart: chain unknown
+    std::array<bool, 3> complete{};
+  };
+  // Erase, level by level, every generation the retention rule no longer
+  // keeps. Runs once a commit has settled; each erase goes through the
+  // store's own erase, so crash gates see it as a mutation.
+  void retire_generations();
+  // Oldest id of `id`'s delta chain: its full anchor, or the oldest
+  // generation on record when an adopted link's chain is unknown.
+  [[nodiscard]] std::uint64_t chain_anchor(std::uint64_t id) const;
+  // Erase every entry of generation `id` from one level (IO recipes
+  // release their dedup blocks too). Returns the entries erased.
+  std::size_t erase_generation(RecoveryLevel level, std::uint64_t id);
   // The ChunkedCodec a rank's IO stream uses: the adaptive candidate for
   // `choice`, or io_codec_ when adaptive is off (nullptr = store raw).
   [[nodiscard]] const compress::ChunkedCodec* codec_for(
@@ -531,6 +563,8 @@ class MultilevelManager {
   std::vector<std::unique_ptr<KvStore>> partner_space_;
   std::unique_ptr<KvStore> io_;
   std::uint64_t next_id_ = 1;
+  // Generations some level may still hold, by id (retire_generations).
+  std::map<std::uint64_t, Generation> generations_;
   // Per-rank local write-op counters (fault-hook op indices must not
   // depend on the order ranks drain from the pool).
   std::vector<std::uint64_t> local_write_ops_;

@@ -140,6 +140,13 @@ std::optional<std::uint64_t> NvmStore::newest_id() const {
   return entries_.back().id;
 }
 
+std::vector<std::uint64_t> NvmStore::ids() const {
+  std::vector<std::uint64_t> out;
+  out.reserve(entries_.size());
+  for (const Entry& e : entries_) out.push_back(e.id);
+  return out;
+}
+
 void NvmStore::lock(std::uint64_t checkpoint_id) {
   for (auto& e : entries_) {
     if (e.id == checkpoint_id) {

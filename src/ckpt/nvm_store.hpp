@@ -23,6 +23,7 @@
 #include <map>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "ckpt/mutation_gate.hpp"
 #include "common/bytes.hpp"
@@ -50,6 +51,9 @@ class NvmStore {
 
   // Newest stored id, if any.
   [[nodiscard]] std::optional<std::uint64_t> newest_id() const;
+
+  // Every stored id, oldest first (the restart inventory).
+  [[nodiscard]] std::vector<std::uint64_t> ids() const;
 
   // Pin / unpin against FIFO eviction. Throws std::out_of_range for an
   // unknown id. Locks nest (each lock() needs an unlock()).

@@ -36,6 +36,33 @@ constexpr std::array<std::array<std::uint32_t, 256>, 8> make_tables() {
 
 constexpr auto kTables = make_tables();
 
+// a * b mod P over GF(2), both operands in reflected order (bit 31 is
+// x^0) - zlib's multmodp.
+constexpr std::uint32_t mul_mod_p(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if (a & m) {
+      product ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    b = (b & 1u) ? (b >> 1) ^ kPoly : b >> 1;
+  }
+  return product;
+}
+
+// kPow2[k] = x^(2^k) mod P: repeated squaring from x^1.
+constexpr std::array<std::uint32_t, 32> make_pow2() {
+  std::array<std::uint32_t, 32> t{};
+  std::uint32_t p = 1u << 30;  // x^1
+  for (std::size_t k = 0; k < t.size(); ++k) {
+    t[k] = p;
+    p = mul_mod_p(p, p);
+  }
+  return t;
+}
+
+constexpr auto kPow2 = make_pow2();
+
 // Portable little-endian 32-bit load (compiles to one mov on LE targets).
 inline std::uint32_t load_le32(const unsigned char* p) {
   return static_cast<std::uint32_t>(p[0]) |
@@ -242,6 +269,17 @@ std::uint32_t Crc32::compute(const void* data, std::size_t size) {
   Crc32 crc;
   crc.update(data, size);
   return crc.value();
+}
+
+std::uint32_t Crc32::combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                             std::uint64_t len_b) {
+  // x^(8 len_b) mod P, one table power per set bit of len_b (the x^8 per
+  // byte is the k = 3 offset). x^(2^32) = x mod P, so k wraps at 32.
+  std::uint32_t shift = 1u << 31;  // x^0
+  for (unsigned k = 3; len_b != 0; len_b >>= 1, ++k) {
+    if (len_b & 1u) shift = mul_mod_p(kPow2[k & 31], shift);
+  }
+  return mul_mod_p(shift, crc_a) ^ crc_b;
 }
 
 }  // namespace ndpcr

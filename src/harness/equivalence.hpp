@@ -70,9 +70,9 @@ struct EquivalenceConfig {
   // whatever codec the dying run picked.
   bool io_codec_adaptive = false;
   // Async IO writer depth (MultilevelConfig::io_writer_depth): the
-  // default 2 sweeps the pipelined commit path; 0 pins the serial
-  // reference.
-  std::size_t io_writer_depth = 2;
+  // default 0 sweeps the inline commit path the manager runs by default;
+  // 2 opts into the pipelined writer.
+  std::size_t io_writer_depth = 0;
   // Seeded device-fault schedule under the crash gates (clean when zero).
   faults::FaultRates rates;
   std::uint64_t fault_seed = 1;

@@ -77,7 +77,6 @@ Session::Session(CheckpointService& service, std::uint32_t tenant_id,
   mc.io_codec = spec_.io_codec;
   mc.io_codec_level =
       spec_.io_codec == compress::CodecId::kNull ? 0 : 1;
-  mc.io_writer_depth = cfg.io_writer_depth;
   mc.pool = cfg.pool;
   if (spec_.delta_chain > 0) {
     mc.delta.enabled = true;

@@ -135,7 +135,6 @@ struct SvcConfig {
   // bytes / io_bandwidth + io_op_seconds.
   double io_bandwidth = 1ull << 30;
   double io_op_seconds = 1e-4;
-  std::size_t io_writer_depth = 2;  // forwarded to every manager
   exec::TaskPool* pool = nullptr;   // null = exec::global_pool()
   obs::Tracer* trace = nullptr;     // per-tenant scheduler event tracks
 };

@@ -40,6 +40,27 @@ TEST(Image, PeekMetaWithoutFullValidation) {
   EXPECT_EQ(meta.checkpoint_id, 3u);
 }
 
+TEST(Image, BuildReportsTheFramedImageCrc) {
+  // The write digest build() derives from its single payload pass must
+  // be the CRC of the framed bytes, for empty and odd-sized payloads too.
+  for (const std::size_t size : {0u, 1u, 13u, 4099u}) {
+    Bytes payload(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      payload[i] = static_cast<std::byte>(i * 37 + 5);
+    }
+    std::uint32_t framed_crc = 0;
+    const Bytes raw = CheckpointImage::build(
+        CheckpointMeta{.app_id = 2, .rank = 1, .checkpoint_id = 8}, payload,
+        &framed_crc);
+    EXPECT_EQ(framed_crc, digest_of(raw).crc) << size;
+    EXPECT_EQ(raw, CheckpointImage::build(CheckpointMeta{.app_id = 2,
+                                                         .rank = 1,
+                                                         .checkpoint_id = 8},
+                                          payload));
+    EXPECT_NO_THROW(CheckpointImage::parse(raw));
+  }
+}
+
 TEST(Image, ParseRejectsCorruption) {
   Bytes raw = CheckpointImage::build(CheckpointMeta{}, payload_of("payload"));
   Bytes truncated(raw.begin(), raw.end() - 1);
@@ -892,11 +913,12 @@ TEST(Multilevel, ByteLedgerPinsTouchesPerPayloadByte) {
   // Host-independent regression gate for the commit path's byte passes:
   // 8 ranks x 1 MiB through local NVM + XOR partners (groups of 4), with
   // write verify. Per payload byte: image build copies once and CRCs
-  // twice (NDCI header, write digest); local copies once and CRCs the
-  // stored entry once; the partner level copies each group's first image,
-  // folds the other three (0.25 + 0.75) and CRCs each parity twice
-  // (digest, verify read: 2 x 0.25). The readback-compare path this
-  // replaced touched 6.75 bytes per payload byte.
+  // once (the NDCI header CRC and the write digest both derive from that
+  // pass via Crc32::combine); local copies once and CRCs the stored
+  // entry once; the partner level copies each group's first image, folds
+  // the other three (0.25 + 0.75) and CRCs each parity twice (digest,
+  // verify read: 2 x 0.25). The readback-compare path touched 6.75 bytes
+  // per payload byte, the two-pass image build 6.5.
   auto cfg = small_config(8);
   cfg.nvm_capacity_bytes = 4 << 20;
   cfg.io_every = 0;
@@ -915,8 +937,9 @@ TEST(Multilevel, ByteLedgerPinsTouchesPerPayloadByte) {
   EXPECT_EQ(d.local.crc, d.local.copied);
   EXPECT_EQ(d.partner.xored, 3 * d.partner.copied);
   EXPECT_EQ(d.partner.compared + d.local.compared, 0u);
-  EXPECT_NEAR(d.touches_per_payload_byte(), 6.5, 1e-3);
-  EXPECT_LT(d.touches_per_payload_byte(), 6.75);
+  EXPECT_EQ(d.image.crc, payload);
+  EXPECT_NEAR(d.touches_per_payload_byte(), 5.5, 1e-3);
+  EXPECT_LT(d.touches_per_payload_byte(), 6.5);
 
   obs::MetricsRegistry metrics;
   record_data_path(metrics, d, "ckpt.data");
@@ -1056,6 +1079,175 @@ TEST(Multilevel, XorGroupValidatesGeometry) {
   EXPECT_THROW(MultilevelManager{cfg}, std::invalid_argument);
   cfg.xor_group_size = 0;
   EXPECT_THROW(MultilevelManager{cfg}, std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Retention: after every commit each level holds exactly the generations
+// recovery can still reach first (DESIGN.md section 5, "Retention").
+
+using Ids = std::vector<std::uint64_t>;
+
+Bytes random_payload(Rng& rng, std::size_t size) {
+  Bytes data(size);
+  for (auto& b : data) b = static_cast<std::byte>(rng.next_below(256));
+  return data;
+}
+
+TEST(Retention, EachLevelHoldsExactlyTheKeptGenerations) {
+  // 8 ranks, XOR groups of 4 (parity hosts 4 and 0), IO every 4th.
+  auto cfg = small_config(8);
+  cfg.partner_scheme = PartnerScheme::kXorGroup;
+  cfg.xor_group_size = 4;
+  cfg.io_every = 4;
+  std::vector<KvStore*> partner(8, nullptr);
+  cfg.store_factory = [&](StoreLevel level, std::uint32_t host) {
+    auto store = std::make_unique<KvStore>();
+    if (level == StoreLevel::kPartner) partner[host] = store.get();
+    return store;
+  };
+  MultilevelManager mgr(cfg);
+  Rng rng(5);
+  std::vector<std::vector<Bytes>> committed(1);
+  const auto commit_next = [&] {
+    std::vector<Bytes> payloads;
+    for (std::uint32_t r = 0; r < 8; ++r) {
+      payloads.push_back(random_payload(rng, 600 + 40 * r));
+    }
+    committed.push_back(payloads);
+    return mgr.commit(views(payloads));
+  };
+  const auto expect_levels = [&](const Ids& local, const Ids& partners,
+                                 const Ids& io) {
+    for (std::uint32_t r = 0; r < 8; ++r) {
+      EXPECT_EQ(mgr.local_store(r).count(), local.size()) << "rank " << r;
+      EXPECT_EQ(mgr.local_store(r).ids(), local) << "rank " << r;
+      EXPECT_EQ(mgr.io_store().list(r), io) << "rank " << r;
+    }
+    EXPECT_EQ(mgr.io_store().count(), 8 * io.size());
+    for (std::uint32_t host = 0; host < 8; ++host) {
+      const bool hosts_parity = host == 0 || host == 4;
+      EXPECT_EQ(partner[host]->count(), hosts_parity ? partners.size() : 0u)
+          << "host " << host;
+    }
+    EXPECT_EQ(partner[4]->list(0), partners);
+    EXPECT_EQ(partner[0]->list(4), partners);
+  };
+
+  for (int c = 0; c < 20; ++c) commit_next();
+  // Newest (20) and fallback (19) everywhere; IO's fallback is the
+  // previous IO generation.
+  expect_levels({19, 20}, {19, 20}, {16, 20});
+  commit_next();
+  expect_levels({20, 21}, {20, 21}, {16, 20});
+  commit_next();
+  // 20 stays on local and partner as IO's newest: a two-node loss in one
+  // group rolls back there, and the survivors restore it locally.
+  expect_levels({20, 21, 22}, {20, 21, 22}, {16, 20});
+
+  mgr.fail_node(1);
+  mgr.fail_node(2);
+  const auto rec = mgr.recover();
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->checkpoint_id, 20u);
+  for (std::uint32_t r = 0; r < 8; ++r) {
+    EXPECT_EQ(rec->levels[r], r == 1 || r == 2 ? RecoveryLevel::kIo
+                                               : RecoveryLevel::kLocal);
+    EXPECT_EQ(rec->payloads[r], committed[20][r]);
+  }
+}
+
+TEST(Retention, DeltaChainsOfBothRestorePointsStayWhole) {
+  // Chains of three links: 1F 2D 3D 4D 5F 6D 7D 8D 9F 10D.
+  auto cfg = small_config(2);
+  cfg.partner_every = 0;
+  cfg.io_every = 0;
+  cfg.delta.enabled = true;
+  cfg.delta.chain_length = 3;
+  cfg.delta.block_bytes = 64;
+  MultilevelManager mgr(cfg);
+  Rng rng(9);
+  std::vector<std::vector<Bytes>> committed(1);
+  std::vector<Bytes> payloads = {random_payload(rng, 2048),
+                                 random_payload(rng, 2048)};
+  for (std::uint64_t id = 1; id <= 10; ++id) {
+    for (Bytes& p : payloads) p[rng.next_below(p.size())] ^= std::byte{1};
+    committed.push_back(payloads);
+    ASSERT_EQ(mgr.commit(views(payloads)), id);
+    Ids expect;
+    switch (id) {
+      case 8:  // newest 8 (anchor 5) + fallback 4 with its chain from 1
+        expect = {1, 2, 3, 4, 5, 6, 7, 8};
+        break;
+      case 9:  // newest 9 is an anchor; fallback 8 needs 5..7
+        expect = {5, 6, 7, 8, 9};
+        break;
+      case 10:
+        expect = {5, 6, 7, 8, 9, 10};
+        break;
+      default:
+        continue;
+    }
+    for (std::uint32_t r = 0; r < 2; ++r) {
+      EXPECT_EQ(mgr.local_store(r).ids(), expect) << "id " << id;
+    }
+  }
+  // Killing the newest chain's anchor on one rank falls back to 8, whose
+  // whole chain (5..8) was kept.
+  ASSERT_TRUE(mgr.local_store(1).corrupt_entry(9, 77));
+  const auto rec = mgr.recover();
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->checkpoint_id, 8u);
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(rec->payloads[r], committed[8][r]);
+  }
+}
+
+TEST(Retention, DedupIoStaysBoundedAndKeptGenerationsAssemble) {
+  // Each image shares a fixed 32 KiB prefix across commits (shared dedup
+  // blocks) and ends in 16 KiB of fresh bytes (blocks released with
+  // their recipe).
+  auto cfg = small_config(2);
+  cfg.partner_every = 0;
+  cfg.io_every = 1;
+  cfg.delta.io_dedup = true;
+  cfg.delta.cdc.min_bytes = 512;
+  cfg.delta.cdc.avg_bytes = 2048;
+  cfg.delta.cdc.max_bytes = 8192;
+  MultilevelManager mgr(cfg);
+  Rng rng(13);
+  const std::vector<Bytes> prefix = {random_payload(rng, 32 << 10),
+                                     random_payload(rng, 32 << 10)};
+  std::vector<std::vector<Bytes>> committed(1);
+  std::size_t peak = 0;
+  for (int c = 0; c < 30; ++c) {
+    std::vector<Bytes> payloads;
+    for (std::uint32_t r = 0; r < 2; ++r) {
+      Bytes p = prefix[r];
+      const Bytes tail = random_payload(rng, 16 << 10);
+      p.insert(p.end(), tail.begin(), tail.end());
+      payloads.push_back(std::move(p));
+    }
+    committed.push_back(payloads);
+    mgr.commit(views(payloads));
+    peak = std::max(peak, mgr.io_store().used_bytes());
+  }
+  // Two kept generations per rank: the shared prefixes once plus two
+  // tails each, and recipes. Without retention this grows to ~1 MiB.
+  EXPECT_LT(peak, 2 * (32u << 10) + 2 * 4 * (16u << 10));
+  EXPECT_EQ(mgr.io_store().list(0), (Ids{29, 30}));
+  EXPECT_EQ(mgr.io_store().list(1), (Ids{29, 30}));
+  // Both kept generations still assemble from IO alone.
+  mgr.fail_node(0);
+  mgr.fail_node(1);
+  auto rec = mgr.recover();
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->checkpoint_id, 30u);
+  EXPECT_EQ(rec->payloads, committed[30]);
+  ASSERT_TRUE(mgr.corrupt_io(1));
+  rec = mgr.recover();
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->checkpoint_id, 29u);
+  EXPECT_EQ(rec->payloads, committed[29]);
 }
 
 TEST(Multilevel, CommitValidatesPayloadCount) {

@@ -64,6 +64,33 @@ TEST(Crc32, SplitsAtOddOffsetsMatchOneShot) {
   }
 }
 
+TEST(Crc32, CombineMatchesOneShotOverSeededSplits) {
+  // combine(crc(A), crc(B), |B|) must equal crc(A || B) for any split:
+  // empty and 1-byte parts, unaligned lengths, and parts long enough to
+  // take the carry-less-multiply path of update().
+  Rng rng(2024);
+  Bytes data(70000);
+  for (auto& b : data) b = static_cast<std::byte>(rng.next_below(256));
+  std::vector<std::size_t> splits = {0, 1, 3, 63, 64, 65, 4093,
+                                     data.size() - 1, data.size()};
+  for (int i = 0; i < 24; ++i) splits.push_back(rng.next_below(data.size()));
+  for (const std::size_t len : {std::size_t{0}, std::size_t{1},
+                                std::size_t{7}, std::size_t{1021},
+                                data.size()}) {
+    const ByteSpan whole = ByteSpan(data).first(len);
+    const std::uint32_t one_shot = Crc32::compute(whole);
+    for (const std::size_t s : splits) {
+      if (s > len) continue;
+      const std::uint32_t a = Crc32::compute(whole.first(s));
+      const std::uint32_t b = Crc32::compute(whole.subspan(s));
+      EXPECT_EQ(Crc32::combine(a, b, len - s), one_shot)
+          << "len=" << len << " split=" << s;
+    }
+  }
+  // Combining with an empty tail is the identity.
+  EXPECT_EQ(Crc32::combine(0xCBF43926u, 0, 0), 0xCBF43926u);
+}
+
 TEST(Crc32, DetectsSingleBitFlip) {
   Bytes data(1024, std::byte{0x42});
   const auto clean = Crc32::compute(data);

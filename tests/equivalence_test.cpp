@@ -68,15 +68,15 @@ TEST_F(EquivalenceTest, DedupPayloadSweep) {
   ExpectCleanSweep(run_sweep(SmokeConfig(PayloadMode::kDedup, "ft"), 2));
 }
 
-// The pipelined commit path under crash: the async writer (depth 2, the
-// default every sweep above already drives) and the serial reference
-// (depth 0) must enumerate identical canonical crash points and recover
+// The pipelined commit path under crash: the opt-in async writer (depth
+// 2) and the inline default (depth 0, which every sweep above drives)
+// must enumerate identical canonical crash points and recover
 // equivalently at each - the writer reorders nothing the crash gates can
 // observe.
 TEST_F(EquivalenceTest, PipelinedWriterMatchesSerialSweep) {
-  EquivalenceConfig piped = SmokeConfig(PayloadMode::kFull, "cg");
-  EquivalenceConfig serial = piped;
-  serial.io_writer_depth = 0;
+  EquivalenceConfig serial = SmokeConfig(PayloadMode::kFull, "cg");
+  EquivalenceConfig piped = serial;
+  piped.io_writer_depth = 2;
   const SweepReport a = run_sweep(piped, 2);
   const SweepReport b = run_sweep(serial, 2);
   ExpectCleanSweep(a);
@@ -132,6 +132,47 @@ TEST_F(EquivalenceTest, SweepIsThreadInvariant) {
   }
   EXPECT_EQ(fingerprints[0], fingerprints[1]);
   EXPECT_EQ(fingerprints[0], fingerprints[2]);
+}
+
+// Retention erases are crash points too (docs/EQUIVALENCE.md). A crash
+// between two erases of one commit's cleanup, on a device whose erases
+// follow every write that commit must land (the IO store in an IO epoch;
+// the last rank's NVM, canonically the epoch's final device), must still
+// recover that commit bit-exactly: the cleanup only ever drops
+// generations the commit has superseded.
+TEST_F(EquivalenceTest, CrashBetweenRetentionErasesRecoversNewestCommit) {
+  struct Case {
+    EquivalenceConfig config;
+    std::uint32_t device;
+  };
+  EquivalenceConfig full = SmokeConfig(PayloadMode::kFull, "cg");
+  full.iterations = 12;  // six commits, IO every 2nd
+  // Ten delta commits: the anchor at 9 retires the whole 1..4 chain.
+  EquivalenceConfig delta = SmokeConfig(PayloadMode::kDelta, "mg");
+  delta.iterations = 20;
+  const std::vector<Case> cases = {
+      {full, faults::io_target().id},
+      {delta, faults::local_target(delta.node_count - 1).id}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(to_string(c.config.mode));
+    const GoldenRun golden = run_golden(c.config);
+    std::size_t k = 0;
+    for (std::size_t i = 1; i < golden.points.size() && k == 0; ++i) {
+      const faults::CrashPoint& a = golden.points[i - 1];
+      const faults::CrashPoint& b = golden.points[i];
+      if (a.site.op == ckpt::MutationOp::kErase &&
+          b.site.op == ckpt::MutationOp::kErase && a.epoch == b.epoch &&
+          a.device == c.device && b.device == c.device) {
+        k = i;
+      }
+    }
+    ASSERT_GT(k, 0u) << "no commit erased twice on the device";
+    const CrashRunResult res = run_crash_point(c.config, golden, k);
+    EXPECT_TRUE(res.crashed);
+    EXPECT_TRUE(res.ok()) << res.failure;
+    EXPECT_EQ(res.recovered_id, golden.points[k].epoch)
+        << faults::describe(golden.points[k]);
+  }
 }
 
 // Regression for the crash-consistency bug the first sweep exposed: a
