@@ -6,8 +6,9 @@
 //                     columns against the pre-overhaul kernels, plus nlz4
 //                     on proxy-kernel captures (the incompressible images
 //                     a checkpoint service's tenants write)
-//   chunked_compress  ChunkedCodec worker sweep on one payload, plain and
-//                     accelerated, compress and decompress legs
+//   chunked_compress  ChunkedCodec across TaskPool sizes on one payload,
+//                     plain and accelerated: pool-scheduled compress_chunk
+//                     + assemble, and decompress on the pool
 //   commit / recover  MultilevelManager wall throughput across pool sizes
 //   drain             NdpAgent chunk pipeline: wall throughput at
 //                     unbounded virtual bandwidth, plus the virtual-time
@@ -146,6 +147,17 @@ std::uint32_t crc32_bytewise(const Bytes& data) {
     crc = table[(crc ^ static_cast<std::uint32_t>(b)) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
+}
+
+// The commit path's compression schedule: one compress_chunk task per
+// chunk on `pool`, assembled in index order (compress()'s bytes).
+Bytes pool_compress(const compress::ChunkedCodec& codec, ByteSpan data,
+                    exec::TaskPool& pool) {
+  return codec.assemble(
+      data.size(), pool.parallel_map(codec.chunk_count(data.size()),
+                                     [&](std::size_t i) {
+                                       return codec.compress_chunk(data, i);
+                                     }));
 }
 
 }  // namespace
@@ -314,6 +326,7 @@ int main(int argc, char** argv) {
       bool accel;
       unsigned threads;
       std::unique_ptr<compress::ChunkedCodec> codec;
+      std::unique_ptr<exec::TaskPool> pool;
       Bytes packed;
       Bytes back;
     };
@@ -324,16 +337,19 @@ int main(int argc, char** argv) {
                         std::make_unique<compress::ChunkedCodec>(
                             compress::CodecId::kLz4Style, 1, 64ull << 10,
                             threads, accel),
+                        std::make_unique<exec::TaskPool>(threads),
                         {}, {}});
       }
     }
     std::vector<std::function<void()>> comp_fns;
     std::vector<std::function<void()>> decomp_fns;
     for (Cfg& cfg : cfgs) {
-      comp_fns.push_back(
-          [&cfg, &data] { cfg.packed = cfg.codec->compress(data); });
-      decomp_fns.push_back(
-          [&cfg] { cfg.back = cfg.codec->decompress(cfg.packed); });
+      comp_fns.push_back([&cfg, &data] {
+        cfg.packed = pool_compress(*cfg.codec, data, *cfg.pool);
+      });
+      decomp_fns.push_back([&cfg] {
+        cfg.back = cfg.codec->decompress(cfg.packed, cfg.pool.get());
+      });
     }
     const std::vector<bench::Timing> comp_t =
         bench::measure_interleaved(reps, comp_fns);
@@ -494,7 +510,7 @@ int main(int argc, char** argv) {
         const double compress_s = seconds_of([&] {
           for (int c = 0; c < commits; ++c) {
             for (std::uint32_t r = 0; r < ranks; ++r) {
-              packed[r] = codec.compress(images[r]);
+              packed[r] = pool_compress(codec, images[r], pool);
             }
           }
         });

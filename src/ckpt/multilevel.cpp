@@ -202,15 +202,9 @@ MultilevelManager::MultilevelManager(const MultilevelConfig& config)
     // whole machine would host its own parity and tolerate nothing.
     throw std::invalid_argument("xor_group_size must be in [1, node_count)");
   }
-  unsigned codec_threads = config.io_threads;
-  if (codec_threads == 0) {
-    codec_threads = config.pool ? config.pool->thread_count()
-                                : exec::default_thread_count();
-  }
   if (config.io_codec != compress::CodecId::kNull) {
     io_codec_.emplace(config.io_codec, config.io_codec_level,
-                      config.io_chunk_bytes, codec_threads);
-    io_codec_->warm(codec_threads);
+                      config.io_chunk_bytes);
   } else if (config.io_codec_adaptive) {
     // Online selection (docs/PERF.md): one pre-built codec per candidate,
     // so the per-commit probe choice costs a table lookup, never a codec
@@ -219,9 +213,8 @@ MultilevelManager::MultilevelManager(const MultilevelConfig& config)
     for (std::size_t c = 0; c < compress::kCodecCandidates; ++c) {
       const compress::CodecChoice choice = compress::codec_candidate(c);
       adaptive_codecs_.push_back(std::make_unique<compress::ChunkedCodec>(
-          choice.id, choice.level, config.io_chunk_bytes, codec_threads,
+          choice.id, choice.level, config.io_chunk_bytes, /*ignored=*/1,
           choice.accelerate));
-      adaptive_codecs_.back()->warm(codec_threads);
     }
   }
   if (config.delta.enabled) {
@@ -575,6 +568,10 @@ EntryDigest digest_counted(const Bytes& data, ByteLedger& ledger) {
 
 }  // namespace
 
+exec::TaskPool& MultilevelManager::pool() const {
+  return config_.pool ? *config_.pool : exec::global_pool();
+}
+
 void MultilevelManager::for_tasks(
     std::size_t n, const std::function<void(std::size_t)>& body,
     std::size_t work_bytes) const {
@@ -585,9 +582,7 @@ void MultilevelManager::for_tasks(
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  exec::TaskPool& pool =
-      config_.pool ? *config_.pool : exec::global_pool();
-  pool.parallel_for(n, body, grain_for(n, work_bytes));
+  pool().parallel_for(n, body, grain_for(n, work_bytes));
 }
 
 bool MultilevelManager::checked_put(KvStore& store, LevelHealth& health,
@@ -833,21 +828,23 @@ std::optional<Bytes> MultilevelManager::decode_io_stream(Bytes stored) const {
   // Streams are self-describing: the container header names the codec
   // the writer chose (adaptive selection, or another life's static
   // config), so recovery never needs this manager's codec to match.
+  // Chunks decode on the manager's pool (inline inside a pool worker).
+  exec::TaskPool* const decode_pool = &pool();
   try {
     if (io_codec_ && io_codec_->id() == header->id &&
         io_codec_->level() == header->level) {
-      return io_codec_->decompress(ByteSpan(stored));
+      return io_codec_->decompress(ByteSpan(stored), decode_pool);
     }
     for (const auto& codec : adaptive_codecs_) {
       if (codec->id() == header->id && codec->level() == header->level) {
-        return codec->decompress(ByteSpan(stored));
+        return codec->decompress(ByteSpan(stored), decode_pool);
       }
     }
     // Unfamiliar (older-config) stream: a transient decoder with the
     // manager's chunk geometry. make_codec validates id/level.
     const compress::ChunkedCodec codec(header->id, header->level,
                                        config_.io_chunk_bytes, 1);
-    return codec.decompress(ByteSpan(stored));
+    return codec.decompress(ByteSpan(stored), decode_pool);
   } catch (const compress::CodecError&) {
     return std::nullopt;
   }
@@ -865,15 +862,17 @@ bool MultilevelManager::commit_io(std::uint64_t id,
   for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
     data_stats_.io_logical_bytes += images[rank].size();
   }
-  bool level_ok = true;
+  // A degraded level is probed: single-attempt puts that stop at the
+  // first rank that fails - one failed probe is proof enough.
+  const bool probe = health.degraded();
+  if (probe && rb) rb->instant("probe", "ckpt.io", 0, {obs::u64("id", id)});
   if (io_dedup_) {
     // Dedup path: each image becomes a recipe plus the content-addressed
     // blocks no prior image already stored. Serial in rank order (one
     // shared fault-scheduled device), and the index is only updated after
     // every block and the recipe are durably in place - a failed put
     // leaves the index describing exactly what the store holds.
-    const bool probe = health.degraded();
-    if (probe && rb) rb->instant("probe", "ckpt.io", 0, {obs::u64("id", id)});
+    bool level_ok = true;
     ByteLedger& ledger = data_stats_.io;
     for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
       const DedupIndex::Plan plan = io_dedup_->plan(images[rank]);
@@ -925,53 +924,20 @@ bool MultilevelManager::commit_io(std::uint64_t id,
     settle_level(health, level_ok, rb, "ckpt.io", id);
     return level_ok;
   }
-  if (health.degraded()) {
-    // Probe mode: serial, compress-as-you-go, stop at the first failure.
-    if (rb) rb->instant("probe", "ckpt.io", 0, {obs::u64("id", id)});
-    ByteLedger& ledger = data_stats_.io;
-    for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
-      const compress::ChunkedCodec* codec =
-          io_codec_ ? &*io_codec_
-                    : (config_.io_codec_adaptive
-                           ? codec_for(compress::choose_codec(
-                                 ByteSpan(images[rank])))
-                           : nullptr);
-      bool put_ok = false;
-      std::size_t stored_size = images[rank].size();
-      if (codec) {
-        Bytes packed = codec->compress(images[rank]);
-        stored_size = packed.size();
-        const EntryDigest expected = digest_counted(packed, ledger);
-        const auto bytes = [&](std::uint32_t attempt) {
-          return attempt == 0 ? std::move(packed)
-                              : codec->compress(images[rank]);
-        };
-        put_ok = checked_put(*io_, health, ledger, rank, id, bytes, expected,
-                             true, {rb, 0, "ckpt.io"});
-      } else {
-        put_ok = checked_put(*io_, health, ledger, rank, id,
-                             copy_of(images[rank], ledger), digests[rank],
-                             true, {rb, 0, "ckpt.io"});
-      }
-      if (!put_ok) {
-        level_ok = false;
-        break;
-      }
-      data_stats_.io_bytes_written += stored_size;
-    }
-    settle_level(health, level_ok, rb, "ckpt.io", id);
-    return level_ok;
-  }
-  // Healthy path: rank-granular pipeline. Rank r's chunks compress on the
-  // task pool (intra-image parallelism: one big rank no longer serializes
-  // the batch behind a flat (rank, chunk) fan-out), then its put is handed
-  // to the async writer, so rank r's level write overlaps rank r+1's
-  // compression - and, because finish_commit_io runs after commit_local,
-  // the whole IO write train overlaps the local-NVM fan-out. The writer
-  // runs jobs strictly in submission (rank) order on one thread, so the
-  // shared fault-scheduled IO device sees the exact op sequence the serial
-  // path issued. Each job fills only its rank's IoPending slots; health
-  // deltas and trace buffers merge in rank order in finish_commit_io.
+  // One per-rank body for the healthy and the degraded level. Rank r's
+  // chunks compress on the task pool (intra-image parallelism: one big
+  // rank no longer serializes the batch behind a flat (rank, chunk)
+  // fan-out), then its put runs inline or is handed to the async writer,
+  // so rank r's level write overlaps rank r+1's compression - and,
+  // because finish_commit_io runs after commit_local, the whole IO write
+  // train overlaps the local-NVM fan-out. The writer runs jobs strictly
+  // in submission (rank) order on one thread, so the shared
+  // fault-scheduled IO device sees the exact op sequence the inline path
+  // issues. Each job fills only its rank's IoPending slots; health deltas
+  // and trace buffers merge in rank order in finish_commit_io. Probes
+  // never reach the writer, so each runs inline and can stop the loop
+  // (commit() starts no writer for a degraded level anyway).
+  if (probe) writer = nullptr;
   pending.active = true;
   pending.deltas.assign(config_.node_count, LevelHealth{});
   pending.ledgers.assign(config_.node_count, ByteLedger{});
@@ -1029,7 +995,7 @@ bool MultilevelManager::commit_io(std::uint64_t id,
     // The job reads the caller's image - `images` outlives the flush
     // barrier in commit() - for the null codec's copy and for a retry's
     // recompression; a compressed stream is handed to the store as is.
-    auto job = [this, &pending, rank, id, codec, image = &images[rank],
+    auto job = [this, &pending, rank, id, codec, probe, image = &images[rank],
                 digest = digests[rank], owned = std::move(packed)]() mutable {
       ByteLedger& ledger = pending.ledgers[rank];
       const std::size_t size = codec ? owned.size() : image->size();
@@ -1049,7 +1015,7 @@ bool MultilevelManager::commit_io(std::uint64_t id,
         return attempt == 0 ? std::move(owned) : codec->compress(*image);
       };
       if (checked_put(*io_, pending.deltas[rank], ledger, rank, id, bytes,
-                      expected, false, tc)) {
+                      expected, probe, tc)) {
         pending.ok[rank] = 1;
         pending.bytes[rank] = size;
       }
@@ -1060,6 +1026,7 @@ bool MultilevelManager::commit_io(std::uint64_t id,
       ++pipeline_stats_.jobs;
       ++pipeline_stats_.inline_jobs;
       job();
+      if (probe && !pending.ok[rank]) break;
     }
   }
   return false;  // not settled yet: finish_commit_io reports the level
@@ -1317,18 +1284,14 @@ std::optional<CheckpointImage> MultilevelManager::fetch_local(
   return parse_image(rank, id, *span);
 }
 
-std::optional<Bytes> MultilevelManager::fetch_io_raw(
-    std::uint32_t rank, std::uint64_t id) const {
+std::optional<Bytes> MultilevelManager::decode_io_entry(Bytes stored) const {
   obs::TraceBuffer* rb = trace_->root();
-  const auto stored =
-      checked_get(*io_, health_.io, rank, id, {rb, 0, "ckpt.io"});
-  if (!stored) return std::nullopt;
-  if (DedupIndex::is_recipe(*stored)) {
+  if (DedupIndex::is_recipe(stored)) {
     // Recipe: reassemble from the content-addressed block space. Checked
     // even when dedup is off in this manager's config - the store may
     // hold recipes written before a restart reconfigured it.
     return DedupIndex::assemble(
-        *stored, [&](const DedupIndex::BlockRef& ref) -> std::optional<Bytes> {
+        stored, [&](const DedupIndex::BlockRef& ref) -> std::optional<Bytes> {
           auto block = checked_get(*io_, health_.io, kDedupBlockRank,
                                    ref.key, {rb, 0, "ckpt.io"});
           if (!block) return std::nullopt;
@@ -1341,7 +1304,7 @@ std::optional<Bytes> MultilevelManager::fetch_io_raw(
   }
   // Whole streams are self-describing (container header, or raw NDCI
   // image bytes); decode_io_stream dispatches on the recorded codec.
-  return decode_io_stream(std::move(*stored));
+  return decode_io_stream(std::move(stored));
 }
 
 std::optional<CheckpointImage> MultilevelManager::try_remote_rank(
@@ -1350,10 +1313,21 @@ std::optional<CheckpointImage> MultilevelManager::try_remote_rank(
     level_out = RecoveryLevel::kPartner;
     return image;
   }
-  if (const auto raw = fetch_io_raw(rank, id)) {
-    if (auto image = parse_image(rank, id, *raw)) {
-      level_out = RecoveryLevel::kIo;
-      return image;
+  // An IO entry whose bytes fail to decode or parse is read once more: a
+  // bit flip in flight leaves the stored entry intact, so the second read
+  // usually comes back clean. Damage at rest fails both reads and the
+  // caller moves on to an older checkpoint. An absent entry is read once.
+  const std::uint32_t reads =
+      std::min<std::uint32_t>(2, config_.retry.max_attempts);
+  for (std::uint32_t read = 0; read < reads; ++read) {
+    auto stored = checked_get(*io_, health_.io, rank, id,
+                              {trace_->root(), 0, "ckpt.io"});
+    if (!stored) break;
+    if (const auto raw = decode_io_entry(std::move(*stored))) {
+      if (auto image = parse_image(rank, id, *raw)) {
+        level_out = RecoveryLevel::kIo;
+        return image;
+      }
     }
   }
   return std::nullopt;
@@ -1455,132 +1429,39 @@ std::optional<MultilevelManager::Recovery> MultilevelManager::recover()
       trace_->splice(tbs);
     }
 
-    // Phase 2: ranks that missed locally fall back remote. Store reads
-    // stay serial in rank order - partner/IO are shared fault-scheduled
-    // devices whose op sequence is part of the deterministic replay - but
-    // a directly-usable IO stream's decompress + parse (pure CPU work) is
-    // handed to a decode stage, so rank r's decode overlaps rank r+1's
-    // reads (the committed 8-thread recover collapse was this serialized;
-    // docs/PERF.md). Delta heads, recipes and any damage fall back to the
-    // fully-serial chain walk after the stage drains.
+    // Phase 2: ranks that missed locally resolve again, each link falling
+    // back local -> partner -> io. Serial in rank order: partner and IO are
+    // shared fault-scheduled devices whose op sequence is part of the
+    // deterministic replay. An IO stream's chunks still decode on the pool
+    // (decode_io_stream).
     bool ok = true;
-    enum class Pend : unsigned char { kDone, kStaged, kFallback };
-    std::vector<Pend> pend(config_.node_count, Pend::kDone);
-    std::vector<Bytes> staged_raw(config_.node_count);
-    std::vector<std::optional<Bytes>> staged_out(config_.node_count);
-    std::vector<obs::TraceBuffer> dtbs =
-        trace_->task_buffers(config_.node_count);
-    {
-      AsyncStageWriter decode_stage(
-          (exec::TaskPool::in_worker() || config_.io_writer_depth == 0)
-              ? 0
-              : config_.io_writer_depth);
-      for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
-        if (payload[rank]) continue;
-        // Serial remote head fetch: partner group rebuild first.
-        const std::optional<CheckpointImage> head = fetch_partner(rank, id);
-        if (head) {
-          if (head->meta().kind == PayloadKind::kFull) {
-            payload[rank] = Bytes(head->payload().begin(),
-                                  head->payload().end());
-            levels[rank] = RecoveryLevel::kPartner;
-          } else {
-            pend[rank] = Pend::kFallback;  // delta head: chain walk
-          }
-          continue;
+    for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
+      if (payload[rank]) continue;
+      payload[rank] = resolve_payload(rank, id, /*local_only=*/false,
+                                      levels[rank], links[rank]);
+      if (!payload[rank]) {
+        if (rb) {
+          rb->instant("rank_unrecoverable", "ckpt", 0,
+                      {obs::u64("rank", rank), obs::u64("id", id)});
         }
-        const auto raw =
-            checked_get(*io_, health_.io, rank, id, {rb, 0, "ckpt.io"});
-        if (!raw) {
-          // Nothing remote. A local delta head could still anchor a
-          // mixed-level chain; otherwise this id is unrecoverable and -
-          // exactly like the serial path - the sweep stops here.
-          if (fetch_local(rank, id)) {
-            pend[rank] = Pend::kFallback;
-            continue;
-          }
-          if (rb) {
-            rb->instant("rank_unrecoverable", "ckpt", 0,
-                        {obs::u64("rank", rank), obs::u64("id", id)});
-          }
-          ok = false;
-          break;
-        }
-        if (DedupIndex::is_recipe(*raw)) {
-          pend[rank] = Pend::kFallback;  // block fetches must stay serial
-          continue;
-        }
-        pend[rank] = Pend::kStaged;
-        staged_raw[rank] = std::move(*raw);
-        decode_stage.submit([this, rank, id, &staged_raw, &staged_out,
-                             &dtbs]() {
-          std::optional<Bytes> decoded =
-              decode_io_stream(std::move(staged_raw[rank]));
-          if (!dtbs.empty()) {
-            dtbs[rank].instant(
-                "io_decode", "ckpt.io", 1 + rank,
-                {obs::u64("rank", rank),
-                 obs::u64("bytes", decoded ? decoded->size() : 0)});
-          }
-          if (!decoded) return;
-          if (const auto image = parse_image(rank, id, ByteSpan(*decoded))) {
-            if (image->meta().kind == PayloadKind::kFull) {
-              staged_out[rank] = Bytes(image->payload().begin(),
-                                       image->payload().end());
-            }
-          }
-        });
-      }
-      decode_stage.flush();
-      pipeline_stats_.merge(decode_stage.stats());
-    }
-    trace_->splice(dtbs);
-    if (ok) {
-      for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
-        if (pend[rank] == Pend::kStaged) {
-          if (staged_out[rank]) {
-            payload[rank] = std::move(staged_out[rank]);
-            levels[rank] = RecoveryLevel::kIo;
-          } else {
-            pend[rank] = Pend::kFallback;  // delta head or damage
-          }
-        }
-      }
-      // Whatever the fast paths could not settle walks the full serial
-      // chain resolution, rank order, exactly as before.
-      for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
-        if (payload[rank]) continue;
-        payload[rank] = resolve_payload(rank, id, /*local_only=*/false,
-                                        levels[rank], links[rank]);
-        if (!payload[rank]) {
-          if (rb) {
-            rb->instant("rank_unrecoverable", "ckpt", 0,
-                        {obs::u64("rank", rank), obs::u64("id", id)});
-          }
-          ok = false;
-          break;
-        }
+        ok = false;
+        break;
       }
     }
-    if (ok) {
-      for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
-        data_stats_.chain_links += links[rank];
-        if (links[rank] > 0) ++data_stats_.chain_replays;
-        if (rb && levels[rank] != RecoveryLevel::kLocal) {
-          rb->instant("rank_recovered", "ckpt", 0,
-                      {obs::u64("rank", rank), obs::u64("id", id),
-                       obs::str("level", to_string(levels[rank]))});
-        }
-        result.payloads[rank] = std::move(*payload[rank]);
-        result.levels[rank] = levels[rank];
+    if (!ok) continue;
+    for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
+      data_stats_.chain_links += links[rank];
+      if (links[rank] > 0) ++data_stats_.chain_replays;
+      if (rb && levels[rank] != RecoveryLevel::kLocal) {
+        rb->instant("rank_recovered", "ckpt", 0,
+                    {obs::u64("rank", rank), obs::u64("id", id),
+                     obs::str("level", to_string(levels[rank]))});
       }
+      result.payloads[rank] = std::move(*payload[rank]);
+      result.levels[rank] = levels[rank];
     }
-    if (ok) {
-      if (rb) {
-        rb->instant("recovered", "ckpt", 0, {obs::u64("id", id)});
-      }
-      return result;
-    }
+    if (rb) rb->instant("recovered", "ckpt", 0, {obs::u64("id", id)});
+    return result;
   }
   if (rb) rb->instant("recovery_exhausted", "ckpt", 0);
   return std::nullopt;

@@ -239,14 +239,12 @@ struct MultilevelConfig {
   PartnerScheme partner_scheme = PartnerScheme::kCopy;
   std::uint32_t xor_group_size = 4; // ranks per parity group (kXorGroup)
   // Codec for IO-level checkpoints; null means store uncompressed. The
-  // stream is a ChunkedCodec container so chunk compression parallelizes;
-  // `io_chunk_bytes` fixes the format (and therefore the stored bytes),
-  // `io_threads` only the execution (0 = the pool's thread count, <= 1
-  // compresses inline when used outside commit()).
+  // stream is a ChunkedCodec container whose chunks (de)compress on
+  // `pool`; `io_chunk_bytes` fixes the format (and therefore the stored
+  // bytes), the pool only the execution.
   compress::CodecId io_codec = compress::CodecId::kNull;
   int io_codec_level = 0;
   std::size_t io_chunk_bytes = 1ull << 20;
-  unsigned io_threads = 0;
 
   // Online per-region codec selection (docs/PERF.md): probe every rank's
   // image at commit time (compress::choose_codec) and pick accel-nlz4
@@ -418,6 +416,8 @@ class MultilevelManager {
   // for surviving checkpoint ids (so next_id_ continues the sequence) and
   // rebuild the IO dedup index from the recipes still on the device.
   void adopt_existing_state();
+  // The configured pool, or exec::global_pool() when none is.
+  [[nodiscard]] exec::TaskPool& pool() const;
   // Run body(i) for i in [0, n) on the configured pool, or inline when
   // already inside a pool worker (nested parallel_for is rejected).
   // `work_bytes` estimates the batch's total work: when per-index work
@@ -428,8 +428,8 @@ class MultilevelManager {
   void for_tasks(std::size_t n, const std::function<void(std::size_t)>& body,
                  std::size_t work_bytes = 0) const;
   // Parse + CRC-check + dedup-assemble one rank's image from the remote
-  // levels (partner rebuild, then IO). Serial: touches shared
-  // fault-scheduled stores.
+  // levels (partner rebuild, then IO; an IO entry that reads back damaged
+  // is read once more). Serial: touches shared fault-scheduled stores.
   [[nodiscard]] std::optional<CheckpointImage> try_remote_rank(
       std::uint32_t rank, std::uint64_t id, RecoveryLevel& level_out) const;
   // Rebuild one rank's image from its group's parity and the surviving
@@ -450,10 +450,10 @@ class MultilevelManager {
   [[nodiscard]] std::optional<Bytes> resolve_payload(
       std::uint32_t rank, std::uint64_t id, bool local_only,
       RecoveryLevel& level_out, std::size_t& links_out) const;
-  // Raw IO-level image bytes for rank/id: checked_get plus dedup recipe
-  // assembly and chunked decompression, but no CRC/meta validation yet.
-  [[nodiscard]] std::optional<Bytes> fetch_io_raw(std::uint32_t rank,
-                                                  std::uint64_t id) const;
+  // Raw image bytes from one stored IO entry: dedup recipe assembly
+  // (block reads through checked_get) and chunked decompression, but no
+  // CRC/meta validation yet.
+  [[nodiscard]] std::optional<Bytes> decode_io_entry(Bytes stored) const;
   // Read through a remote store with bounded retry on transient errors.
   [[nodiscard]] std::optional<Bytes> checked_get(const KvStore& store,
                                                  LevelHealth& health,
@@ -482,9 +482,9 @@ class MultilevelManager {
                     const std::vector<EntryDigest>& digests);
   bool commit_partner(std::uint64_t id, const std::vector<Bytes>& images,
                       const std::vector<EntryDigest>& digests);
-  // In-flight state of the pipelined IO level: per-rank health deltas,
-  // outcomes and trace buffers the writer jobs fill in, merged - in rank
-  // order - by finish_commit_io after the writer flushes.
+  // In-flight state of the per-rank IO level: per-rank health deltas,
+  // outcomes and trace buffers the put jobs (inline or on the writer) fill
+  // in, merged - in rank order - by finish_commit_io after the flush.
   struct IoPending {
     bool active = false;  // writer jobs submitted; finish_commit_io owed
     std::vector<LevelHealth> deltas;
@@ -494,11 +494,11 @@ class MultilevelManager {
     std::vector<obs::TraceBuffer> tbs;
   };
   // Serialize/compress rank images and hand their puts to `writer` (null
-  // = run each put synchronously in place). The healthy compressed path
-  // pipelines: rank r's store write overlaps rank r+1's chunk
-  // compression. Dedup and degraded-probe paths stay serial and settle
-  // the level themselves (pending.active stays false); only those return
-  // the level's completeness - the pipelined path's comes from
+  // = run each put synchronously in place): rank r's store write overlaps
+  // rank r+1's chunk compression. A degraded level runs the same per-rank
+  // body as a probe, inline. The dedup path stays serial and settles the
+  // level itself (pending.active stays false), and only it returns the
+  // level's completeness - the per-rank path's comes from
   // finish_commit_io.
   bool commit_io(std::uint64_t id, const std::vector<Bytes>& images,
                  const std::vector<EntryDigest>& digests,
@@ -572,10 +572,9 @@ class MultilevelManager {
   mutable HealthReport health_;
   // Mutable: recover() counts chain links walked and replays completed.
   mutable DataPathStats data_stats_;
-  // Async-stage accounting, folded after every flush. Mutable: recover's
-  // decode stage contributes too. Observational only - never part of a
-  // fingerprint (queue depth is wall-clock scheduling).
-  mutable PipelineStats pipeline_stats_;
+  // Async-stage accounting, folded after every flush. Observational only -
+  // never part of a fingerprint (queue depth is wall-clock scheduling).
+  PipelineStats pipeline_stats_;
   // Never null: config.trace or the shared disabled Tracer::null().
   obs::Tracer* trace_;
 };

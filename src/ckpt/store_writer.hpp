@@ -18,9 +18,7 @@
 //     closures strictly in submission (FIFO) order, with a bounded
 //     handoff queue (depth 2 = double buffering: one job in flight, one
 //     staged). The commit path submits its per-rank IO puts here so
-//     level writes overlap the next rank's serialization/compression;
-//     recover submits pure decompress jobs so decode overlaps the next
-//     rank's store reads.
+//     level writes overlap the next rank's serialization/compression.
 //
 // Determinism contract: the writer adds concurrency, never reordering.
 // Jobs run in submission order on one thread, so a store driven only

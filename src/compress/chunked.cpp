@@ -1,8 +1,5 @@
 #include "compress/chunked.hpp"
 
-#include <atomic>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "compress/lz4_style.hpp"
@@ -14,53 +11,14 @@ namespace {
 constexpr std::uint32_t kMagic = 0x4E44434B;  // "NDCK"
 constexpr std::size_t kHeaderSize = 4 + 1 + 1 + 4 + 8;
 
-// Run `work(i)` for i in [0, count) on up to `threads` workers. Exceptions
-// from workers are rethrown on the caller thread (first one wins).
-template <typename Fn>
-void parallel_for(std::size_t count, unsigned threads, Fn&& work) {
-  if (threads <= 1 || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) work(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr error;
-  std::mutex error_mutex;
-
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count || failed.load(std::memory_order_relaxed)) return;
-      try {
-        work(i);
-      } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!error) error = std::current_exception();
-        }
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
-  std::vector<std::jthread> pool;
-  const unsigned n = std::min<unsigned>(threads, static_cast<unsigned>(count));
-  pool.reserve(n);
-  for (unsigned w = 0; w < n; ++w) pool.emplace_back(worker);
-  pool.clear();  // join
-  if (error) std::rethrow_exception(error);
-}
-
 }  // namespace
 
 ChunkedCodec::ChunkedCodec(CodecId id, int level, std::size_t chunk_size,
-                           unsigned threads, bool accelerate)
+                           unsigned /*ignored*/, bool accelerate)
     : id_(id),
       level_(level),
       accelerate_(accelerate),
       chunk_size_(chunk_size),
-      threads_(threads),
       codec_(make_codec(id, level)),  // validates id/level eagerly
       scratch_(std::make_unique<ScratchPool>()) {
   if (chunk_size == 0) {
@@ -73,8 +31,6 @@ ChunkedCodec::ChunkedCodec(CodecId id, int level, std::size_t chunk_size,
     codec_ = std::make_unique<Lz4StyleCodec>(level, /*accelerate=*/true);
   }
 }
-
-void ChunkedCodec::warm(std::size_t count) const { scratch_->warm(count); }
 
 std::size_t ChunkedCodec::chunk_count(std::size_t input_size) const {
   return input_size == 0 ? 0 : (input_size + chunk_size_ - 1) / chunk_size_;
@@ -143,20 +99,14 @@ std::optional<ChunkedCodec::Header> ChunkedCodec::peek(ByteSpan framed) {
 }
 
 Bytes ChunkedCodec::compress(ByteSpan input) const {
-  const std::size_t chunks = chunk_count(input.size());
-  std::vector<Bytes> compressed(chunks);
-
-  // Inside an exec::TaskPool worker nested parallelism is rejected, so the
-  // internal pool degrades to inline execution (same bytes either way).
-  const unsigned threads = exec::TaskPool::in_worker() ? 1 : threads_;
-  parallel_for(chunks, threads, [&](std::size_t i) {
+  std::vector<Bytes> compressed(chunk_count(input.size()));
+  for (std::size_t i = 0; i < compressed.size(); ++i) {
     compressed[i] = compress_chunk(input, i);
-  });
-
+  }
   return assemble(input.size(), compressed);
 }
 
-Bytes ChunkedCodec::decompress(ByteSpan framed) const {
+Bytes ChunkedCodec::decompress(ByteSpan framed, exec::TaskPool* pool) const {
   if (framed.size() < kHeaderSize) {
     throw CodecError("chunked stream truncated");
   }
@@ -194,17 +144,22 @@ Bytes ChunkedCodec::decompress(ByteSpan framed) const {
     throw CodecError("chunked stream size mismatch");
   }
 
-  // Workers decode straight into their chunk's window of the final buffer:
+  // Tasks decode straight into their chunk's window of the final buffer:
   // no per-chunk output vectors and no serial reassembly copy.
   Bytes out(original_size);
-  const unsigned threads = exec::TaskPool::in_worker() ? 1 : threads_;
-  parallel_for(chunks, threads, [&](std::size_t i) {
+  const auto decode = [&](std::size_t i) {
     const auto [chunk_offset, chunk_len] = chunk_extent(original_size, i);
     const auto lease = scratch_->acquire();
     codec_->decompress_into(
         framed.subspan(extents[i].first, extents[i].second),
         out.data() + chunk_offset, chunk_len, *lease);
-  });
+  };
+  // A pool worker may not nest parallel_for: decode inline (same bytes).
+  if (pool && !exec::TaskPool::in_worker()) {
+    pool->parallel_for(chunks, decode);
+  } else {
+    for (std::size_t i = 0; i < chunks; ++i) decode(i);
+  }
   return out;
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 
-// Chunked, parallel (de)compression. The paper's host-side compression
-// path runs one compression thread per core (64 threads, section 3.5) and
-// its restore path decompresses independent pages on different cores
+// Chunked (de)compression. The paper's host-side compression path runs
+// one compression thread per core (64 threads, section 3.5) and its
+// restore path decompresses independent pages on different cores
 // (section 4.3). Both need a container that splits the payload into
 // independently-coded chunks:
 //
@@ -11,17 +11,17 @@
 //   chunk payloads (each a complete framed stream of the inner codec)
 //
 // Chunk boundaries are fixed by `chunk_size` over the *input*, so the
-// compressed output is bit-identical regardless of the thread count -
+// compressed output is bit-identical however the chunks are scheduled -
 // parallelism is an execution detail, not a format detail.
 //
-// Two ways to parallelize:
-//   - compress()/decompress() spin up to `threads` internal workers. When
-//     the caller is already an exec::TaskPool worker (which rejects nested
-//     parallelism) they silently run inline instead.
-//   - Callers that own an executor schedule chunk tasks themselves through
-//     the chunk-level interface: chunk_count() + compress_chunk() per
-//     index, then assemble() in index order. MultilevelManager::commit
-//     hoists every rank's chunks into one flat TaskPool batch this way.
+// The codec schedules nothing itself: the caller's exec::TaskPool does.
+//   - compress() is a serial loop. Callers that own an executor schedule
+//     chunk tasks through the chunk-level interface: chunk_count() +
+//     compress_chunk() per index, then assemble() in index order.
+//     MultilevelManager::commit and NdpAgent's drain compress this way.
+//   - decompress(framed, pool) decodes chunks on `pool`, or inline when
+//     `pool` is null or the caller is already a pool worker (which
+//     rejects nested parallelism).
 
 #include <cstdint>
 #include <memory>
@@ -32,26 +32,26 @@
 #include "compress/codec.hpp"
 #include "compress/scratch.hpp"
 
+namespace ndpcr::exec {
+class TaskPool;
+}  // namespace ndpcr::exec
+
 namespace ndpcr::compress {
 
 class ChunkedCodec {
  public:
-  // `threads` <= 1 runs inline. Chunk size must be positive. `accelerate`
-  // opts the nlz4 compressor into its skip-stride fast path: the emitted
-  // bytes differ (worse ratio, much higher throughput) but stay valid
-  // streams for the unchanged decoder, so the container format and
-  // restore path are unaffected. Only meaningful for CodecId::kLz4Style.
+  // Chunk size must be positive. The fourth argument is ignored; it stays
+  // so callers that pass it keep compiling. `accelerate` opts the nlz4
+  // compressor into its skip-stride fast path: the emitted bytes differ
+  // (worse ratio, much higher throughput) but stay valid streams for the
+  // unchanged decoder, so the container format and restore path are
+  // unaffected. Only meaningful for CodecId::kLz4Style.
   ChunkedCodec(CodecId id, int level, std::size_t chunk_size = 4ull << 20,
-               unsigned threads = 1, bool accelerate = false);
+               unsigned /*ignored*/ = 1, bool accelerate = false);
 
   [[nodiscard]] Bytes compress(ByteSpan input) const;
-  [[nodiscard]] Bytes decompress(ByteSpan framed) const;
-
-  // Pre-create `count` codec workspaces so the first parallel batch does
-  // not pay first-touch allocation inside the workers. Long-lived owners
-  // (MultilevelManager's IO leg, NdpAgent's drain) warm to their worker
-  // count at construction.
-  void warm(std::size_t count) const;
+  [[nodiscard]] Bytes decompress(ByteSpan framed,
+                                 exec::TaskPool* pool = nullptr) const;
 
   // --- chunk-level interface (caller-scheduled parallelism) ---
 
@@ -92,7 +92,6 @@ class ChunkedCodec {
   [[nodiscard]] CodecId id() const { return id_; }
   [[nodiscard]] int level() const { return level_; }
   [[nodiscard]] std::size_t chunk_size() const { return chunk_size_; }
-  [[nodiscard]] unsigned threads() const { return threads_; }
   // Whether the nlz4 skip-stride compressor is on. Not recorded in the
   // container header (the decoder is the same), so callers that pick a
   // codec by choice must match it alongside id and level.
@@ -103,7 +102,6 @@ class ChunkedCodec {
   int level_;
   bool accelerate_;
   std::size_t chunk_size_;
-  unsigned threads_;
   // One long-lived codec instance (codecs are stateless and const-callable
   // from any thread) plus a pool of reusable workspaces, so the per-chunk
   // cost is a workspace lease instead of a codec + table allocation.

@@ -2,13 +2,6 @@
 
 namespace ndpcr::compress {
 
-void ScratchPool::warm(std::size_t count) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  while (free_.size() < count) {
-    free_.push_back(std::make_unique<CodecScratch>());
-  }
-}
-
 std::unique_ptr<CodecScratch> ScratchPool::take() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);

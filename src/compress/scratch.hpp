@@ -7,8 +7,8 @@
 // dominate the fast codecs. CodecScratch keeps them alive across calls:
 // codecs reset or resize in place and reallocate only when a larger input
 // arrives. ScratchPool hands workspaces to concurrent workers; ChunkedCodec
-// (and through it MultilevelManager's IO leg and NdpAgent's drain) holds a
-// pool warmed to its worker count.
+// (and through it MultilevelManager's IO leg and NdpAgent's drain) holds
+// one pool.
 
 #include <cstdint>
 #include <memory>
@@ -64,10 +64,6 @@ class ScratchPool {
   };
 
   [[nodiscard]] Lease acquire() { return Lease(*this); }
-
-  // Pre-create workspaces up to `count` so the first parallel batch does
-  // not serialize on first-touch allocation.
-  void warm(std::size_t count);
 
  private:
   std::unique_ptr<CodecScratch> take();

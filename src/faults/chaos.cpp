@@ -158,7 +158,6 @@ ChaosReport run_chaos(const ChaosConfig& config) {
   mc.io_codec = config.io_codec;
   mc.io_codec_level = config.io_codec == compress::CodecId::kNull ? 0 : 1;
   mc.io_chunk_bytes = config.io_chunk_bytes;
-  mc.io_threads = config.io_threads;
   mc.pool = config.pool;
   mc.trace = config.trace;
   if (config.delta_chain > 0) {

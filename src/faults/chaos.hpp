@@ -62,10 +62,9 @@ struct ChaosConfig {
   // random payloads) - the regime where delta/dedup actually save bytes.
   bool sparse_updates = false;
   double update_fraction = 0.05;
-  // IO-level ChunkedCodec parameters forwarded to the manager (chunk size
-  // is format-visible; threads are an execution detail).
+  // IO-level ChunkedCodec chunk size forwarded to the manager (format-
+  // visible: it fixes the stored bytes).
   std::size_t io_chunk_bytes = 1ull << 20;
-  unsigned io_threads = 1;
   // Pool for the manager's parallel data path (null = global_pool()).
   // Thread count must not change the report - that is the invariant the
   // thread-invariance tests pin.

@@ -59,9 +59,7 @@ NdpAgent::NdpAgent(const AgentConfig& config, ckpt::KvStore& io_store)
     throw std::invalid_argument("agent chunk_bytes must be positive");
   }
   if (cfg_.codec != compress::CodecId::kNull) {
-    codec_.emplace(cfg_.codec, cfg_.codec_level, cfg_.chunk_bytes,
-                   std::max(1u, cfg_.codec_threads));
-    codec_->warm(std::max(1u, cfg_.codec_threads));
+    codec_.emplace(cfg_.codec, cfg_.codec_level, cfg_.chunk_bytes);
   }
   if (cfg_.delta_chain > 0) {
     if (cfg_.delta_block_bytes == 0) {

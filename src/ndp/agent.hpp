@@ -67,9 +67,6 @@ struct AgentConfig {
   // The IO copy is a ChunkedCodec container, so the chunk size fixes the
   // stored bytes - it is a format knob, not just a timing knob.
   std::size_t chunk_bytes = 256ull << 10;
-  // Worker threads for ChunkedCodec work outside the drain pipeline
-  // (restore-path decompression); <= 1 runs inline.
-  unsigned codec_threads = 1;
   // IO-store write failures: total put attempts per drain before the
   // agent gives up and hands the bytes back to the host path, and the
   // virtual backoff before the first retry (doubles per retry).

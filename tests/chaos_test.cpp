@@ -138,39 +138,100 @@ TEST(SelfHealing, TornWriteQuarantinedAndRewritten) {
   EXPECT_EQ(rec->payloads[1], payloads[1]);
 }
 
+TEST(SelfHealing, RecoverRereadsAnIoEntryFlippedInFlight) {
+  // A read bit flip damages only the returned copy; the stored entry stays
+  // intact. Recovery reads a damaged IO entry once more, so one flip on
+  // rank 0's first recover-time IO get still restores the newest commit.
+  // A second flip on that re-read fails the id, and recovery rolls back.
+  for (const auto codec :
+       {compress::CodecId::kNull, compress::CodecId::kLz4Style}) {
+    for (const bool flip_reread : {false, true}) {
+      auto plan = std::make_shared<FaultPlan>(41);
+      auto cfg = faulty_config(plan, 2, 0, 1);
+      cfg.io_codec = codec;
+      cfg.io_codec_level = codec == compress::CodecId::kNull ? 0 : 1;
+      ckpt::MultilevelManager mgr(cfg);
+      const auto p1 = two_payloads(std::byte{0x21});
+      const auto p2 = two_payloads(std::byte{0x42});
+      mgr.commit(views(p1));
+      mgr.commit(views(p2));
+
+      const auto& io = dynamic_cast<const FaultyKvStore&>(mgr.io_store());
+      const std::uint64_t first_get = io.stats().ops;
+      plan->force(io_target(), first_get, FaultKind::kBitFlip);
+      if (flip_reread) {
+        plan->force(io_target(), first_get + 1, FaultKind::kBitFlip);
+      }
+      mgr.fail_node(0);
+      const auto rec = mgr.recover();
+      ASSERT_TRUE(rec.has_value());
+      EXPECT_EQ(io.stats().bit_flips, flip_reread ? 2u : 1u);
+      EXPECT_EQ(rec->checkpoint_id, flip_reread ? 1u : 2u)
+          << "codec " << static_cast<int>(codec);
+      EXPECT_EQ(rec->levels[0], ckpt::RecoveryLevel::kIo);
+      EXPECT_EQ(rec->payloads, flip_reread ? p1 : p2);
+    }
+  }
+}
+
 TEST(SelfHealing, IoOutageDegradesThenRepairs) {
-  auto plan = std::make_shared<FaultPlan>(3);
-  // IO device down for ops 0..3: commit 1 burns two put attempts (one per
-  // rank), commits 2 and 3 burn one probe each. Commit 4 probes op 4,
-  // which succeeds, and the level heals.
-  plan->add_outage(io_target(), 0, 3);
-  ckpt::MultilevelManager mgr(faulty_config(plan, 2, 1, 1));
+  for (const auto codec :
+       {compress::CodecId::kNull, compress::CodecId::kLz4Style}) {
+    SCOPED_TRACE(codec == compress::CodecId::kNull ? "null" : "nlz4");
+    auto plan = std::make_shared<FaultPlan>(3);
+    // IO device down for ops 0..3: commit 1 burns two put attempts (one
+    // per rank), commits 2 and 3 burn one probe each. Commit 4 probes op
+    // 4, which succeeds, and the level heals.
+    plan->add_outage(io_target(), 0, 3);
+    auto cfg = faulty_config(plan, 2, 1, 1);
+    cfg.io_codec = codec;
+    cfg.io_codec_level = codec == compress::CodecId::kNull ? 0 : 1;
+    ckpt::MultilevelManager mgr(cfg);
 
-  const auto payloads = two_payloads(std::byte{0x77});
-  mgr.commit(views(payloads));  // id 1: IO down, level degrades
-  EXPECT_TRUE(mgr.health().io.degraded());
-  EXPECT_GE(mgr.health().io.put_failures, 2u);
-  EXPECT_EQ(mgr.health().io.repairs, 0u);
+    const auto payloads = two_payloads(std::byte{0x77});
+    mgr.commit(views(payloads));  // id 1: IO down, level degrades
+    EXPECT_TRUE(mgr.health().io.degraded());
+    EXPECT_EQ(mgr.health().io.puts, 2u);
+    EXPECT_EQ(mgr.health().io.put_failures, 2u);
+    EXPECT_EQ(mgr.health().io.repairs, 0u);
 
-  mgr.commit(views(payloads));  // id 2: probe fails, commit still succeeds
-  mgr.commit(views(payloads));  // id 3: probe fails
-  EXPECT_TRUE(mgr.health().io.degraded());
-  EXPECT_EQ(mgr.health().degraded_commits, 3u);
-  EXPECT_EQ(mgr.health().commits, 3u);
+    mgr.commit(views(payloads));  // id 2: probe fails, commit still succeeds
+    mgr.commit(views(payloads));  // id 3: probe fails
+    EXPECT_TRUE(mgr.health().io.degraded());
+    EXPECT_EQ(mgr.health().io.puts, 4u);  // one probe each
+    EXPECT_EQ(mgr.health().io.put_failures, 4u);
+    EXPECT_EQ(mgr.health().degraded_commits, 3u);
+    EXPECT_EQ(mgr.health().commits, 3u);
 
-  // Mid-outage the application is still fully recoverable from the
-  // surviving levels.
-  const auto mid = mgr.recover();
-  ASSERT_TRUE(mid.has_value());
-  EXPECT_EQ(mid->checkpoint_id, 3u);
-  EXPECT_EQ(mid->payloads[0], payloads[0]);
+    // Mid-outage the application is still fully recoverable from the
+    // surviving levels.
+    const auto mid = mgr.recover();
+    ASSERT_TRUE(mid.has_value());
+    EXPECT_EQ(mid->checkpoint_id, 3u);
+    EXPECT_EQ(mid->payloads[0], payloads[0]);
 
-  mgr.commit(views(payloads));  // id 4: outage cleared, probe repairs
-  EXPECT_FALSE(mgr.health().io.degraded());
-  EXPECT_EQ(mgr.health().io.repairs, 1u);
-  EXPECT_TRUE(mgr.io_store().contains(0, 4));
-  EXPECT_TRUE(mgr.io_store().contains(1, 4));
-  EXPECT_EQ(mgr.health().degraded_commits, 3u);  // no new degraded commits
+    mgr.commit(views(payloads));  // id 4: outage cleared, probe repairs
+    EXPECT_FALSE(mgr.health().io.degraded());
+    EXPECT_EQ(mgr.health().io.repairs, 1u);
+    EXPECT_EQ(mgr.health().degraded_commits, 3u);  // no new degraded commits
+
+    // The repairing probe stored exactly what a never-degraded manager
+    // stores for the same commit.
+    auto clean_cfg = cfg;
+    clean_cfg.store_factory = nullptr;
+    ckpt::MultilevelManager clean(clean_cfg);
+    for (int c = 0; c < 4; ++c) clean.commit(views(payloads));
+    for (std::uint32_t r = 0; r < 2; ++r) {
+      const auto probed = mgr.io_store().get(r, 4);
+      const auto healthy = clean.io_store().get(r, 4);
+      ASSERT_TRUE(probed.ok()) << "rank " << r;
+      ASSERT_TRUE(healthy.ok()) << "rank " << r;
+      EXPECT_EQ(*probed, *healthy) << "rank " << r;
+    }
+    if (codec != compress::CodecId::kNull) {
+      EXPECT_TRUE(compress::ChunkedCodec::peek(*mgr.io_store().get(0, 4)));
+    }
+  }
 }
 
 TEST(SelfHealing, LocalTornWriteCaughtByVerify) {
@@ -368,7 +429,6 @@ DataPathTrace run_data_path(unsigned pool_threads, bool with_faults) {
   mc.io_codec = compress::CodecId::kDeflateStyle;
   mc.io_codec_level = 1;
   mc.io_chunk_bytes = 2048;  // several chunks per rank
-  mc.io_threads = 0;         // resolve to the pool's size
   mc.pool = &pool;
   if (with_faults) {
     auto plan = std::make_shared<FaultPlan>(
@@ -449,7 +509,6 @@ TEST(ThreadInvariance, ChaosFingerprintInvariantAcrossManagerPools) {
   cfg.commits = 16;
   cfg.io_codec = compress::CodecId::kDeflateStyle;
   cfg.io_chunk_bytes = 1024;
-  cfg.io_threads = 0;
   exec::TaskPool one(1);
   exec::TaskPool two(2);
   exec::TaskPool eight(8);
@@ -595,7 +654,6 @@ TEST(ChaosDelta, FingerprintThreadInvariantAtPools128) {
   cfg.sparse_updates = true;
   cfg.io_codec = compress::CodecId::kDeflateStyle;
   cfg.io_chunk_bytes = 1024;
-  cfg.io_threads = 0;
   exec::TaskPool one(1);
   exec::TaskPool two(2);
   exec::TaskPool eight(8);

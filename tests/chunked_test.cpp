@@ -16,6 +16,17 @@ Bytes test_data(std::size_t size, std::uint64_t seed) {
   return data;
 }
 
+// Caller-scheduled compression: one compress_chunk task per chunk on
+// `pool`, assembled in index order.
+Bytes pool_compress(const ChunkedCodec& codec, ByteSpan data,
+                    exec::TaskPool& pool) {
+  return codec.assemble(
+      data.size(), pool.parallel_map(codec.chunk_count(data.size()),
+                                     [&](std::size_t i) {
+                                       return codec.compress_chunk(data, i);
+                                     }));
+}
+
 TEST(Chunked, RoundTripsAcrossChunkBoundaries) {
   const ChunkedCodec codec(CodecId::kDeflateStyle, 1, /*chunk=*/10000);
   for (std::size_t size : {0u, 1u, 9999u, 10000u, 10001u, 35000u}) {
@@ -26,22 +37,27 @@ TEST(Chunked, RoundTripsAcrossChunkBoundaries) {
 }
 
 TEST(Chunked, OutputIndependentOfThreadCount) {
-  // Parallelism is an execution detail: the stream must be bit-identical
-  // for any worker count.
+  // Parallelism is an execution detail: chunks compressed as pool tasks
+  // assemble to compress()'s bytes, and decompress on any pool (or none)
+  // returns the input.
   const Bytes data = test_data(200000, 7);
-  const ChunkedCodec serial(CodecId::kLz4Style, 1, 16384, 1);
-  const ChunkedCodec parallel(CodecId::kLz4Style, 1, 16384, 8);
-  const Bytes a = serial.compress(data);
-  const Bytes b = parallel.compress(data);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(parallel.decompress(a), data);
-  EXPECT_EQ(serial.decompress(b), data);
+  const ChunkedCodec codec(CodecId::kLz4Style, 1, 16384);
+  const Bytes reference = codec.compress(data);
+  EXPECT_EQ(codec.decompress(reference), data);
+  for (unsigned threads : {1u, 2u, 8u}) {
+    exec::TaskPool pool(threads);
+    EXPECT_EQ(pool_compress(codec, data, pool), reference)
+        << "threads=" << threads;
+    EXPECT_EQ(codec.decompress(reference, &pool), data)
+        << "threads=" << threads;
+  }
 }
 
 TEST(Chunked, ParallelDecompressMatches) {
   const Bytes data = test_data(150000, 9);
-  const ChunkedCodec codec(CodecId::kDeflateStyle, 1, 8192, 4);
-  EXPECT_EQ(codec.decompress(codec.compress(data)), data);
+  const ChunkedCodec codec(CodecId::kDeflateStyle, 1, 8192);
+  exec::TaskPool pool(4);
+  EXPECT_EQ(codec.decompress(codec.compress(data), &pool), data);
 }
 
 TEST(Chunked, ChunkingCostsLittleRatio) {
@@ -79,12 +95,13 @@ TEST(Chunked, RejectsCorruptStreams) {
 }
 
 TEST(Chunked, ExceptionFromWorkerPropagates) {
-  const ChunkedCodec codec(CodecId::kDeflateStyle, 1, 64, 4);
+  const ChunkedCodec codec(CodecId::kDeflateStyle, 1, 64);
   const Bytes data = test_data(4096, 15);
   Bytes packed = codec.compress(data);
   // Corrupt a middle chunk: the parallel decompress must rethrow.
   packed[packed.size() / 2] ^= std::byte{0xFF};
-  EXPECT_THROW((void)codec.decompress(packed), CodecError);
+  exec::TaskPool pool(4);
+  EXPECT_THROW((void)codec.decompress(packed, &pool), CodecError);
 }
 
 TEST(Chunked, InvalidConfigThrows) {
@@ -123,19 +140,25 @@ TEST(Chunked, ChunkLevelInterfaceMatchesCompressBitExact) {
 }
 
 TEST(Chunked, CompressInsidePoolWorkerRunsInlineAndMatches) {
-  // A TaskPool worker may not nest parallel_for; compress() must detect
-  // that, run inline, and still produce identical bytes.
-  const ChunkedCodec codec(CodecId::kLz4Style, 1, 8192, 8);
+  // A TaskPool worker may not nest parallel_for; decompress(framed, &pool)
+  // called from a task must detect that, run inline, and still return the
+  // input. compress() is a serial loop, so it is safe anywhere.
+  const ChunkedCodec codec(CodecId::kLz4Style, 1, 8192);
   const Bytes data = test_data(100000, 17);
   const Bytes outside = codec.compress(data);
-  exec::TaskPool pool(4);
-  std::vector<Bytes> inside(3);
-  pool.parallel_for(inside.size(), [&](std::size_t i) {
-    inside[i] = codec.compress(data);
-    // Round-trip inside the worker too (decompress also degrades inline).
-    if (codec.decompress(inside[i]) != data) inside[i].clear();
-  });
-  for (const Bytes& b : inside) EXPECT_EQ(b, outside);
+  for (unsigned threads : {1u, 2u, 8u}) {
+    exec::TaskPool pool(threads);
+    EXPECT_EQ(pool_compress(codec, data, pool), outside)
+        << "threads=" << threads;
+    std::vector<Bytes> inside(3);
+    pool.parallel_for(inside.size(), [&](std::size_t i) {
+      inside[i] = codec.compress(data);
+      if (codec.decompress(inside[i], &pool) != data) inside[i].clear();
+    });
+    for (const Bytes& b : inside) {
+      EXPECT_EQ(b, outside) << "threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

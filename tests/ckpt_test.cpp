@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "ckpt/image.hpp"
 #include "ckpt/multilevel.hpp"
@@ -1248,6 +1250,100 @@ TEST(Retention, DedupIoStaysBoundedAndKeptGenerationsAssemble) {
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->checkpoint_id, 29u);
   EXPECT_EQ(rec->payloads, committed[29]);
+}
+
+// A plain store that counts get() calls per (rank, id) key.
+class CountingStore final : public KvStore {
+ public:
+  [[nodiscard]] StoreResult<Bytes> get(std::uint32_t rank,
+                                       std::uint64_t id) const override {
+    ++gets_[{rank, id}];
+    return KvStore::get(rank, id);
+  }
+  [[nodiscard]] const std::map<std::pair<std::uint32_t, std::uint64_t>,
+                               std::uint64_t>&
+  gets() const {
+    return gets_;
+  }
+
+ private:
+  mutable std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t>
+      gets_;
+};
+
+using GetCounts =
+    std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t>;
+
+TEST(RemoteWalk, RecoverReadsEachRemoteEntryOnce) {
+  // Copy partners, chains 1F 2D 3D: after node 0 dies its whole chain
+  // comes off the partner host, one get per link (the delta head is not
+  // fetched twice), and IO is never tried.
+  auto cfg = small_config(2);
+  cfg.io_every = 0;
+  cfg.delta.enabled = true;
+  cfg.delta.chain_length = 3;
+  cfg.delta.block_bytes = 64;
+  std::vector<CountingStore*> partner(2, nullptr);
+  CountingStore* io = nullptr;
+  const auto counting = [&](StoreLevel level, std::uint32_t host) {
+    auto store = std::make_unique<CountingStore>();
+    (level == StoreLevel::kIo ? io : partner[host]) = store.get();
+    return store;
+  };
+  cfg.store_factory = counting;
+  Rng rng(17);
+  std::vector<Bytes> payloads = {random_payload(rng, 2048),
+                                 random_payload(rng, 2048)};
+  {
+    MultilevelManager mgr(cfg);
+    for (int c = 0; c < 3; ++c) {
+      for (Bytes& p : payloads) p[rng.next_below(p.size())] ^= std::byte{1};
+      mgr.commit(views(payloads));
+    }
+    mgr.fail_node(0);
+    const auto rec = mgr.recover();
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->checkpoint_id, 3u);
+    EXPECT_EQ(rec->levels[0], RecoveryLevel::kPartner);
+    EXPECT_EQ(rec->payloads, payloads);
+    EXPECT_EQ(mgr.data_path().chain_links, 4u);  // two links per rank
+    EXPECT_EQ(partner[1]->gets(), (GetCounts{{{0, 1}, 1}, {{0, 2}, 1},
+                                             {{0, 3}, 1}}));
+    EXPECT_TRUE(partner[0]->gets().empty());
+    EXPECT_TRUE(io->gets().empty());
+  }
+
+  // IO dedup, no partner level: the lost rank tries its (empty) partner
+  // slot once, then reads its recipe once and every block it names once.
+  cfg = small_config(2);
+  cfg.partner_every = 0;
+  cfg.io_every = 1;
+  cfg.delta.io_dedup = true;
+  cfg.delta.cdc.min_bytes = 512;
+  cfg.delta.cdc.avg_bytes = 2048;
+  cfg.delta.cdc.max_bytes = 8192;
+  cfg.store_factory = counting;
+  MultilevelManager mgr(cfg);
+  payloads = {random_payload(rng, 24 << 10), random_payload(rng, 24 << 10)};
+  const auto id = mgr.commit(views(payloads));
+  mgr.fail_node(0);
+  const auto rec = mgr.recover();
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->checkpoint_id, id);
+  EXPECT_EQ(rec->levels[0], RecoveryLevel::kIo);
+  EXPECT_EQ(rec->payloads, payloads);
+  EXPECT_EQ(partner[1]->gets(), (GetCounts{{{0, id}, 1}}));
+  const GetCounts& io_gets = io->gets();
+  EXPECT_EQ(io_gets.count({0, id}), 1u);
+  EXPECT_EQ(io_gets.at({0, id}), 1u);
+  std::size_t blocks = 0;
+  for (const auto& [key, count] : io_gets) {
+    if (key.first != kDedupBlockRank) continue;
+    ++blocks;
+    EXPECT_EQ(count, 1u) << "block " << key.second;
+  }
+  EXPECT_GE(blocks, 4u);  // 24 KiB over ~2 KiB CDC blocks
+  EXPECT_EQ(io_gets.size(), 1 + blocks);
 }
 
 TEST(Multilevel, CommitValidatesPayloadCount) {

@@ -14,6 +14,7 @@
 #include "compress/codec.hpp"
 #include "compress/lz4_style.hpp"
 #include "compress/scratch.hpp"
+#include "exec/task_pool.hpp"
 
 namespace ndpcr::compress {
 namespace {
@@ -258,19 +259,24 @@ TEST(CompressRoundTrip, Lz4HigherLevelsStillProbeEveryByte) {
 }
 
 TEST(CompressRoundTrip, ChunkedAcceleratedRoundTripsAcrossThreadCounts) {
+  // Thread count is an execution detail even in accelerated mode: chunks
+  // compressed as pool tasks assemble to compress()'s bytes, and decode
+  // on any pool (or none) round-trips.
   const Bytes input = fuzz_payload(200 * 1024, 77);
-  Bytes reference;
+  const ChunkedCodec cc(CodecId::kLz4Style, 1, 16 * 1024, 1,
+                        /*accelerate=*/true);
+  const Bytes reference = cc.compress(input);
+  EXPECT_EQ(cc.decompress(reference), input);
   for (unsigned threads : {1u, 2u, 8u}) {
-    const ChunkedCodec cc(CodecId::kLz4Style, 1, 16 * 1024, threads,
-                          /*accelerate=*/true);
-    const Bytes packed = cc.compress(input);
-    if (threads == 1) {
-      reference = packed;
-    } else {
-      // Thread count is an execution detail even in accelerated mode.
-      EXPECT_EQ(packed, reference);
-    }
-    EXPECT_EQ(cc.decompress(packed), input);
+    exec::TaskPool pool(threads);
+    const std::vector<Bytes> chunks =
+        pool.parallel_map(cc.chunk_count(input.size()), [&](std::size_t i) {
+          return cc.compress_chunk(input, i);
+        });
+    EXPECT_EQ(cc.assemble(input.size(), chunks), reference)
+        << "threads=" << threads;
+    EXPECT_EQ(cc.decompress(reference, &pool), input)
+        << "threads=" << threads;
   }
   EXPECT_THROW(ChunkedCodec(CodecId::kDeflateStyle, 1, 16 * 1024, 1,
                             /*accelerate=*/true),

@@ -190,7 +190,6 @@ ObsRun run_traced_data_path(unsigned pool_threads, bool with_faults) {
   mc.io_codec = compress::CodecId::kDeflateStyle;
   mc.io_codec_level = 1;
   mc.io_chunk_bytes = 2048;
-  mc.io_threads = 0;
   mc.pool = &pool;
   mc.trace = &tracer;
   if (with_faults) {
@@ -273,7 +272,6 @@ TEST(ObsDeterminism, TracedChaosRunMatchesUntracedFingerprint) {
   cfg.commits = 16;
   cfg.io_codec = compress::CodecId::kDeflateStyle;
   cfg.io_chunk_bytes = 1024;
-  cfg.io_threads = 0;
 
   exec::TaskPool one(1);
   cfg.pool = &one;

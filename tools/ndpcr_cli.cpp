@@ -13,8 +13,7 @@
 //       --nodes <n> --commits <n> --scheme {copy|xor} --outage {0|1}
 //       --transient/--torn/--bitflip/--stall <rate>  per-op fault rates
 //       --io-codec {null|rle|lz4|deflate|bzip|xz}  IO-level codec
-//       --io-threads <n>      chunk-compression workers (0 = pool size,
-//                             1 = inline) --io-chunk <bytes>
+//       --io-chunk <bytes>    IO container chunk size (fixes the bytes)
 //       --trace <file>        write a Chrome-trace-event JSON of the run
 //                             (open in Perfetto; docs/OBSERVABILITY.md)
 //       --metrics <file>      write a metrics snapshot (.json = JSON,
@@ -309,9 +308,6 @@ int cmd_faults(const Options& opts) {
     std::fprintf(stderr, "unknown io codec: %s\n", io_codec.c_str());
     return 2;
   }
-  // 0 resolves to the engine pool's size inside the manager; the result
-  // is thread-count-invariant either way.
-  cfg.io_threads = static_cast<unsigned>(opts.number("io-threads", 0));
   cfg.io_chunk_bytes = static_cast<std::size_t>(
       opts.number("io-chunk", static_cast<double>(cfg.io_chunk_bytes)));
   if (cfg.io_chunk_bytes == 0) {
