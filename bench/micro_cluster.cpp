@@ -2,10 +2,9 @@
 //
 //   failure_engine   event throughput at N in {1k, 10k, 100k, 1M} nodes
 //                    for the pre-PR heap baseline (kept verbatim below),
-//                    the shared DES on the binary heap, the DES on the
-//                    calendar queue, and the memoryless superposition
-//                    fast path; speedup is vs the pinned baseline at the
-//                    same N
+//                    the DES on the calendar queue, and the memoryless
+//                    superposition fast path; speedup is vs the pinned
+//                    baseline at the same N
 //   scenario         the widened scenario space at 100k nodes through
 //                    the calendar engine: Weibull inter-arrivals,
 //                    cascades, rack outages under both partner
@@ -203,8 +202,6 @@ int main(int argc, char** argv) {
                                                  1'000'000};
     for (const std::uint32_t nodes : sizes) {
       const std::uint64_t fails = smoke ? 10'000 : 100'000;
-      auto heap_cfg = base_config(nodes, fails, seed);
-      heap_cfg.engine = FailureEngine::kHeap;
       auto cal_cfg = base_config(nodes, fails, seed);
       cal_cfg.engine = FailureEngine::kCalendar;
       auto sup_cfg = base_config(nodes, fails, seed);
@@ -212,12 +209,10 @@ int main(int argc, char** argv) {
       const auto walls = best_seconds_interleaved(
           trials,
           {[&] { heap_baseline(nodes, kMttf, 600.0, fails, seed); },
-           [&] { analyze_failures(heap_cfg); },
            [&] { analyze_failures(cal_cfg); },
            [&] { analyze_failures(sup_cfg); }});
-      const char* names[] = {"heap_baseline", "heap_des", "calendar",
-                             "superposition"};
-      for (std::size_t i = 0; i < 4; ++i) {
+      const char* names[] = {"heap_baseline", "calendar", "superposition"};
+      for (std::size_t i = 0; i < 3; ++i) {
         report.add_row({std::to_string(nodes), names[i],
                         fmt("%.4f", walls[i]),
                         fmt("%.0f", static_cast<double>(fails) / walls[i]),

@@ -464,96 +464,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- pipelined commit breakdown (docs/PERF.md) ----------------------
-  {
-    // Per-phase wall cost of one IO-bound commit - serialize (image
-    // build + CRC), chunk compression, raw store writes - against the
-    // pipelined end-to-end commit, at two image sizes. overlap_ratio is
-    // (serialize+compress+write)/pipelined: above 1.0 the stages
-    // genuinely overlapped. writer_speedup is the same commit with the
-    // async writer off (io_writer_depth 0) vs on - the double-buffering
-    // win in isolation; ~1x on a single-core host, honestly.
-    const std::uint32_t ranks = 8;
-    const int commits = smoke ? 2 : 4;
-    const std::vector<std::size_t> image_sizes =
-        smoke ? std::vector<std::size_t>{16ull << 10, 64ull << 10}
-              : std::vector<std::size_t>{256ull << 10, 1ull << 20};
-    out.add_section("commit_pipeline",
-                    {"image_kib", "pool_threads", "serialize_s",
-                     "compress_s", "write_s", "pipelined_s",
-                     "overlap_ratio", "writer_speedup"});
-    for (const std::size_t per_rank : image_sizes) {
-      for (const unsigned threads : pool_sizes) {
-        exec::TaskPool pool(threads);
-        std::vector<Bytes> payloads;
-        for (std::uint32_t r = 0; r < ranks; ++r) {
-          payloads.push_back(mixed_payload(per_rank, seed + 40 + r));
-        }
-        const std::vector<ByteSpan> views(payloads.begin(),
-                                          payloads.end());
-
-        // Phase legs, standalone.
-        std::vector<Bytes> images(ranks);
-        const double serialize_s = seconds_of([&] {
-          for (int c = 0; c < commits; ++c) {
-            pool.parallel_for(ranks, [&](std::size_t r) {
-              ckpt::CheckpointMeta meta;
-              meta.rank = static_cast<std::uint32_t>(r);
-              meta.checkpoint_id = static_cast<std::uint64_t>(c) + 1;
-              images[r] = ckpt::CheckpointImage::build(meta, views[r]);
-            });
-          }
-        });
-        compress::ChunkedCodec codec(compress::CodecId::kLz4Style, 1,
-                                     64ull << 10, threads);
-        std::vector<Bytes> packed(ranks);
-        const double compress_s = seconds_of([&] {
-          for (int c = 0; c < commits; ++c) {
-            for (std::uint32_t r = 0; r < ranks; ++r) {
-              packed[r] = pool_compress(codec, images[r], pool);
-            }
-          }
-        });
-        ckpt::KvStore raw_store;
-        const double write_s = seconds_of([&] {
-          for (int c = 0; c < commits; ++c) {
-            for (std::uint32_t r = 0; r < ranks; ++r) {
-              (void)raw_store.put(
-                  r, static_cast<std::uint64_t>(c) + 1, Bytes(packed[r]));
-            }
-          }
-        });
-
-        // End-to-end, writer on vs off.
-        const auto run_commits = [&](std::size_t writer_depth) {
-          ckpt::MultilevelConfig mc;
-          mc.node_count = ranks;
-          mc.nvm_capacity_bytes = (per_rank + 4096) * (commits + 1);
-          mc.partner_every = 0;
-          mc.io_every = 1;
-          mc.io_codec = compress::CodecId::kLz4Style;
-          mc.io_codec_level = 1;
-          mc.io_chunk_bytes = 64ull << 10;
-          mc.io_writer_depth = writer_depth;
-          mc.pool = &pool;
-          ckpt::MultilevelManager manager(mc);
-          return seconds_of([&] {
-            for (int c = 0; c < commits; ++c) (void)manager.commit(views);
-          });
-        };
-        const double pipelined_s = run_commits(2);
-        const double serial_s = run_commits(0);
-        out.add_row({std::to_string(per_rank >> 10),
-                     std::to_string(threads), fmt(serialize_s, 4),
-                     fmt(compress_s, 4), fmt(write_s, 4),
-                     fmt(pipelined_s, 4),
-                     fmt((serialize_s + compress_s + write_s) /
-                         pipelined_s),
-                     fmt(serial_s / pipelined_s)});
-      }
-    }
-  }
-
   // --- incremental commit path (docs/DELTA.md) ------------------------
   {
     // A sparse-update workload (each rank rewrites one contiguous ~0.5%

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "ckpt/store_writer.hpp"
 #include "exec/task_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -167,20 +168,6 @@ void record_data_path(obs::MetricsRegistry& metrics,
   ledger("io", stats.io);
   metrics.gauge(base + "ledger.touches_per_payload_byte")
       .set(stats.touches_per_payload_byte());
-}
-
-void record_pipeline(obs::MetricsRegistry& metrics,
-                     const PipelineStats& stats, std::string_view prefix) {
-  const std::string base = std::string(prefix) + ".";
-  metrics.counter(base + "jobs").add(stats.jobs);
-  metrics.counter(base + "inline_jobs").add(stats.inline_jobs);
-  metrics.counter(base + "flushes").add(stats.flushes);
-  // Wall-clock observations (scheduling-dependent): gauges, and excluded
-  // from fingerprints the way wall-time trace events are.
-  metrics.gauge(base + "queue_peak")
-      .set(static_cast<double>(stats.queue_peak));
-  metrics.gauge(base + "enqueue_stalls")
-      .set(static_cast<double>(stats.enqueue_stalls));
 }
 
 MultilevelManager::MultilevelManager(const MultilevelConfig& config)
@@ -826,8 +813,9 @@ std::optional<Bytes> MultilevelManager::decode_io_stream(Bytes stored) const {
   const auto header = compress::ChunkedCodec::peek(ByteSpan(stored));
   if (!header) return stored;  // raw (null-codec) image bytes
   // Streams are self-describing: the container header names the codec
-  // the writer chose (adaptive selection, or another life's static
-  // config), so recovery never needs this manager's codec to match.
+  // the committing manager chose (adaptive selection, or another life's
+  // static config), so recovery never needs this manager's codec to
+  // match.
   // Chunks decode on the manager's pool (inline inside a pool worker).
   exec::TaskPool* const decode_pool = &pool();
   try {
@@ -852,9 +840,7 @@ std::optional<Bytes> MultilevelManager::decode_io_stream(Bytes stored) const {
 
 bool MultilevelManager::commit_io(std::uint64_t id,
                                   const std::vector<Bytes>& images,
-                                  const std::vector<EntryDigest>& digests,
-                                  AsyncStageWriter* writer,
-                                  IoPending& pending) {
+                                  const std::vector<EntryDigest>& digests) {
   LevelHealth& health = health_.io;
   obs::TraceBuffer* rb = trace_->root();
   obs::TraceBuffer::Span phase;
@@ -924,26 +910,13 @@ bool MultilevelManager::commit_io(std::uint64_t id,
     settle_level(health, level_ok, rb, "ckpt.io", id);
     return level_ok;
   }
-  // One per-rank body for the healthy and the degraded level. Rank r's
-  // chunks compress on the task pool (intra-image parallelism: one big
-  // rank no longer serializes the batch behind a flat (rank, chunk)
-  // fan-out), then its put runs inline or is handed to the async writer,
-  // so rank r's level write overlaps rank r+1's compression - and,
-  // because finish_commit_io runs after commit_local, the whole IO write
-  // train overlaps the local-NVM fan-out. The writer runs jobs strictly
-  // in submission (rank) order on one thread, so the shared
-  // fault-scheduled IO device sees the exact op sequence the inline path
-  // issues. Each job fills only its rank's IoPending slots; health deltas
-  // and trace buffers merge in rank order in finish_commit_io. Probes
-  // never reach the writer, so each runs inline and can stop the loop
-  // (commit() starts no writer for a degraded level anyway).
-  if (probe) writer = nullptr;
-  pending.active = true;
-  pending.deltas.assign(config_.node_count, LevelHealth{});
-  pending.ledgers.assign(config_.node_count, ByteLedger{});
-  pending.ok.assign(config_.node_count, 0);
-  pending.bytes.assign(config_.node_count, 0);
-  pending.tbs = trace_->task_buffers(config_.node_count);
+  // One per-rank body for the healthy and the degraded level, run in
+  // rank order on the committing thread so the shared fault-scheduled IO
+  // device sees one fixed op sequence. Rank r's chunks compress as one
+  // task-pool batch, then its put runs here. A probe stops at the first
+  // rank that fails.
+  bool level_ok = true;
+  ByteLedger& ledger = data_stats_.io;
   for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
     const compress::ChunkedCodec* codec = io_codec_ ? &*io_codec_ : nullptr;
     if (!codec && config_.io_codec_adaptive) {
@@ -992,64 +965,38 @@ bool MultilevelManager::commit_io(std::uint64_t id,
       trace_->splice(ctbs);
       packed = codec->assemble(images[rank].size(), chunks, 0, n);
     }
-    // The job reads the caller's image - `images` outlives the flush
-    // barrier in commit() - for the null codec's copy and for a retry's
-    // recompression; a compressed stream is handed to the store as is.
-    auto job = [this, &pending, rank, id, codec, probe, image = &images[rank],
-                digest = digests[rank], owned = std::move(packed)]() mutable {
-      ByteLedger& ledger = pending.ledgers[rank];
-      const std::size_t size = codec ? owned.size() : image->size();
-      const EntryDigest expected =
-          codec ? digest_counted(owned, ledger) : digest;
-      TraceCtx tc;
-      if (!pending.tbs.empty()) tc = {&pending.tbs[rank], 1 + rank, "ckpt.io"};
-      if (tc.buf) {
-        tc.buf->instant("io_put", "ckpt.io", tc.track,
-                        {obs::u64("rank", rank), obs::u64("bytes", size)});
-      }
-      const auto bytes = [&](std::uint32_t attempt) -> Bytes {
-        if (!codec) {
-          ledger.copied += image->size();
-          return *image;
-        }
-        return attempt == 0 ? std::move(owned) : codec->compress(*image);
-      };
-      if (checked_put(*io_, pending.deltas[rank], ledger, rank, id, bytes,
-                      expected, probe, tc)) {
-        pending.ok[rank] = 1;
-        pending.bytes[rank] = size;
-      }
-    };
-    if (writer) {
-      writer->submit(std::move(job));
-    } else {
-      ++pipeline_stats_.jobs;
-      ++pipeline_stats_.inline_jobs;
-      job();
-      if (probe && !pending.ok[rank]) break;
+    const std::size_t size = codec ? packed.size() : images[rank].size();
+    const EntryDigest expected =
+        codec ? digest_counted(packed, ledger) : digests[rank];
+    const TraceCtx tc{rb, 1 + rank, "ckpt.io"};
+    if (rb) {
+      rb->instant("io_put", "ckpt.io", tc.track,
+                  {obs::u64("rank", rank), obs::u64("bytes", size)});
     }
-  }
-  return false;  // not settled yet: finish_commit_io reports the level
-}
-
-bool MultilevelManager::finish_commit_io(std::uint64_t id, IoPending& pending) {
-  if (!pending.active) return false;
-  pending.active = false;
-  LevelHealth& health = health_.io;
-  obs::TraceBuffer* rb = trace_->root();
-  obs::TraceBuffer::Span phase;
-  if (rb) phase = rb->span("io_settle", "ckpt.io", 0, {obs::u64("id", id)});
-  trace_->splice(pending.tbs);
-  bool level_ok = true;
-  for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
-    merge_level(health, pending.deltas[rank]);
-    data_stats_.io += pending.ledgers[rank];
-    if (pending.ok[rank]) {
-      data_stats_.io_bytes_written += pending.bytes[rank];
+    // Attempt 0 hands the compressed stream over as is; a retry
+    // recompresses from the caller's image.
+    const auto bytes = [&](std::uint32_t attempt) -> Bytes {
+      if (!codec) {
+        ledger.copied += images[rank].size();
+        return images[rank];
+      }
+      return attempt == 0 ? std::move(packed) : codec->compress(images[rank]);
+    };
+    // A per-rank delta keeps the backoff sum's floating-point reduction
+    // order: rank by rank, as every other level merges its deltas.
+    LevelHealth delta;
+    const bool ok =
+        checked_put(*io_, delta, ledger, rank, id, bytes, expected, probe, tc);
+    merge_level(health, delta);
+    if (ok) {
+      data_stats_.io_bytes_written += size;
     } else {
       level_ok = false;
+      if (probe) break;
     }
   }
+  obs::TraceBuffer::Span settle;
+  if (rb) settle = rb->span("io_settle", "ckpt.io", 0, {obs::u64("id", id)});
   settle_level(health, level_ok, rb, "ckpt.io", id);
   return level_ok;
 }
@@ -1163,34 +1110,13 @@ std::uint64_t MultilevelManager::commit(
     gen.complete[slot(RecoveryLevel::kPartner)] =
         commit_partner(id, images, digests);
   }
-  // Pipelined IO (docs/PERF.md): the healthy compressed path submits its
-  // per-rank puts to a double-buffered writer thread, so level writes
-  // overlap both the next rank's compression (inside commit_io) and the
-  // whole local-NVM fan-out (finish_commit_io runs after commit_local).
-  // The writer is skipped - puts run inline, bit-identically - for the
-  // dedup/degraded serial paths, when the config disables it, and inside
-  // pool workers (the chaos suite runs replicates as tasks; no nested
-  // thread churn).
-  IoPending io_pending;
-  std::optional<AsyncStageWriter> io_writer;
+  // The IO write blocks the committing thread (the paper's host
+  // configuration, section 3.5); it settles before the local fan-out.
   if (to_io) {
-    const bool pipelined = !io_dedup_ && !health_.io.degraded() &&
-                           config_.io_writer_depth > 0 &&
-                           !exec::TaskPool::in_worker();
-    if (pipelined) io_writer.emplace(config_.io_writer_depth);
-    gen.complete[slot(RecoveryLevel::kIo)] = commit_io(
-        id, images, digests, io_writer ? &*io_writer : nullptr, io_pending);
+    gen.complete[slot(RecoveryLevel::kIo)] = commit_io(id, images, digests);
   }
   gen.complete[slot(RecoveryLevel::kLocal)] =
       commit_local(id, images, digests);
-  if (io_pending.active) {
-    // Commit point: no health settle, no trace splice, and no return to
-    // the caller until every submitted IO write has landed.
-    if (io_writer) io_writer->flush();
-    gen.complete[slot(RecoveryLevel::kIo)] =
-        finish_commit_io(id, io_pending);
-  }
-  if (io_writer) pipeline_stats_.merge(io_writer->stats());
   if (health_.any_degraded()) {
     ++health_.degraded_commits;
     if (rb) rb->instant("commit_degraded", "ckpt", 0, {obs::u64("id", id)});

@@ -38,9 +38,10 @@
 // Results are bit-identical at any thread count: each task owns its index
 // and its own health-counter delta, deltas are merged in index order after
 // the barrier, and operations against shared fault-scheduled stores (the
-// IO device) stay serial so fault replays are schedule-independent. When
-// commit/recover are themselves called from inside a pool worker (the
-// chaos suite runs whole replicates as tasks) everything runs inline.
+// IO device) stay serial on the committing thread so fault replays are
+// schedule-independent. When commit/recover are themselves called from
+// inside a pool worker (the chaos suite runs whole replicates as tasks)
+// everything runs inline.
 
 #include <array>
 #include <cstdint>
@@ -54,7 +55,6 @@
 #include "ckpt/dedup_level.hpp"
 #include "ckpt/image.hpp"
 #include "ckpt/nvm_store.hpp"
-#include "ckpt/store_writer.hpp"
 #include "ckpt/stores.hpp"
 #include "compress/chunked.hpp"
 #include "compress/codec.hpp"
@@ -230,6 +230,14 @@ struct DataPathStats {
   }
 };
 
+// Read by perfbench through MultilevelManager::pipeline(); always 0, as
+// every IO put runs on the committing thread. Delete with the next
+// perfbench change.
+struct PipelineStats {
+  std::uint64_t enqueue_stalls = 0;
+  std::uint64_t queue_peak = 0;
+};
+
 struct MultilevelConfig {
   std::uint64_t app_id = 1;
   std::uint32_t node_count = 1;
@@ -258,15 +266,7 @@ struct MultilevelConfig {
   // must not depend on which image wrote it first).
   bool io_codec_adaptive = false;
 
-  // Handoff-queue depth of the async IO writer (the pipelined commit
-  // path, opt-in): level writes run on a dedicated writer thread, in
-  // rank order, overlapping the next rank's compression and the
-  // local-NVM fan-out; 2 = double buffering. The default 0 runs every IO
-  // write on the committing thread: a writer thread is spawned and
-  // joined per commit, and it has not beaten the inline path on the
-  // bench host (docs/PERF.md). Results are bit-identical either way (the
-  // writer preserves the store's op order; health/trace merge in rank
-  // order), which the writer-on/off chaos test pins.
+  // Ignored; delete with the next perfbench change (perfbench sets it).
   std::size_t io_writer_depth = 0;
 
   // Execution engine for the parallel data path (null = the process-wide
@@ -342,13 +342,6 @@ void record_health(obs::MetricsRegistry& metrics, const HealthReport& report,
 void record_data_path(obs::MetricsRegistry& metrics,
                       const DataPathStats& stats, std::string_view prefix);
 
-// Pipeline-stage accounting (docs/OBSERVABILITY.md): job counts plus the
-// queue-depth/stall gauges of the async writer under `prefix` (e.g.
-// "ckpt.pipeline"). Queue depth and stalls are wall-clock observations -
-// never fold them into a determinism fingerprint.
-void record_pipeline(obs::MetricsRegistry& metrics,
-                     const PipelineStats& stats, std::string_view prefix);
-
 // Where a store operation's trace events land: the buffer is either the
 // tracer's root (serial phases) or the task's private buffer (parallel
 // phases), null when tracing is off. `level` becomes the event category.
@@ -399,10 +392,8 @@ class MultilevelManager {
   [[nodiscard]] const KvStore& io_store() const { return *io_; }
   [[nodiscard]] const HealthReport& health() const { return health_; }
   [[nodiscard]] const DataPathStats& data_path() const { return data_stats_; }
-  // Async-stage counters (observational; see record_pipeline).
-  [[nodiscard]] const PipelineStats& pipeline() const {
-    return pipeline_stats_;
-  }
+  // Always zero (see PipelineStats).
+  [[nodiscard]] PipelineStats pipeline() const { return {}; }
   [[nodiscard]] std::uint64_t last_checkpoint_id() const { return next_id_ - 1; }
 
   // Partner-group topology: consecutive ranks form groups (of one under
@@ -482,31 +473,12 @@ class MultilevelManager {
                     const std::vector<EntryDigest>& digests);
   bool commit_partner(std::uint64_t id, const std::vector<Bytes>& images,
                       const std::vector<EntryDigest>& digests);
-  // In-flight state of the per-rank IO level: per-rank health deltas,
-  // outcomes and trace buffers the put jobs (inline or on the writer) fill
-  // in, merged - in rank order - by finish_commit_io after the flush.
-  struct IoPending {
-    bool active = false;  // writer jobs submitted; finish_commit_io owed
-    std::vector<LevelHealth> deltas;
-    std::vector<ByteLedger> ledgers;
-    std::vector<char> ok;
-    std::vector<std::size_t> bytes;  // stored bytes per rank (if ok)
-    std::vector<obs::TraceBuffer> tbs;
-  };
-  // Serialize/compress rank images and hand their puts to `writer` (null
-  // = run each put synchronously in place): rank r's store write overlaps
-  // rank r+1's chunk compression. A degraded level runs the same per-rank
-  // body as a probe, inline. The dedup path stays serial and settles the
-  // level itself (pending.active stays false), and only it returns the
-  // level's completeness - the per-rank path's comes from
-  // finish_commit_io.
+  // Serialize/compress each rank's image and put it, in rank order, on
+  // the committing thread; then settle the level. A degraded level runs
+  // the same per-rank body as a probe that stops at the first failing
+  // rank. The dedup path writes recipes plus new blocks instead.
   bool commit_io(std::uint64_t id, const std::vector<Bytes>& images,
-                 const std::vector<EntryDigest>& digests,
-                 AsyncStageWriter* writer, IoPending& pending);
-  // Barrier half: merge writer-job results in rank order and settle the
-  // level. Runs after commit_local, so IO writes overlap the local
-  // fan-out; the caller flushed `writer` first.
-  bool finish_commit_io(std::uint64_t id, IoPending& pending);
+                 const std::vector<EntryDigest>& digests);
   // Retention (DESIGN.md section 5): what one generation left on the
   // levels. `complete` is indexed by RecoveryLevel and cleared once the
   // level's entries are erased.
@@ -572,9 +544,6 @@ class MultilevelManager {
   mutable HealthReport health_;
   // Mutable: recover() counts chain links walked and replays completed.
   mutable DataPathStats data_stats_;
-  // Async-stage accounting, folded after every flush. Observational only -
-  // never part of a fingerprint (queue depth is wall-clock scheduling).
-  PipelineStats pipeline_stats_;
   // Never null: config.trace or the shared disabled Tracer::null().
   obs::Tracer* trace_;
 };

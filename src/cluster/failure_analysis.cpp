@@ -1,8 +1,8 @@
 #include "cluster/failure_analysis.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
@@ -18,29 +18,42 @@
 namespace ndpcr::cluster {
 namespace {
 
+// Every bound is written so that NaN fails it: `!(x > 0)` rejects NaN
+// where `x <= 0` would let it through.
+bool positive(double x) { return std::isfinite(x) && x > 0; }
+bool non_negative(double x) { return std::isfinite(x) && x >= 0; }
+
 void validate(const FailureAnalysisConfig& config) {
   if (config.node_count < 2) {
     throw std::invalid_argument("failure analysis needs at least 2 nodes");
   }
-  if (config.node_mttf <= 0 || config.rebuild_time < 0) {
-    throw std::invalid_argument("mttf must be positive, rebuild >= 0");
+  if (!positive(config.node_mttf) || !non_negative(config.rebuild_time)) {
+    throw std::invalid_argument(
+        "mttf must be positive and finite, rebuild >= 0 and finite");
+  }
+  if (!non_negative(config.sim_duration)) {
+    throw std::invalid_argument("sim duration must be >= 0 and finite");
   }
   if (config.distribution == FailureDistribution::kWeibull &&
-      config.weibull_shape <= 0) {
-    throw std::invalid_argument("weibull shape must be positive");
+      !positive(config.weibull_shape)) {
+    throw std::invalid_argument("weibull shape must be positive and finite");
   }
-  if (config.cascade.probability < 0 || config.cascade.probability > 1) {
+  if (!(config.cascade.probability >= 0 && config.cascade.probability <= 1)) {
     throw std::invalid_argument("cascade probability must be in [0, 1]");
   }
   if (config.cascade.probability > 0 &&
       (config.cascade.max_fanout == 0 || config.cascade.radius == 0 ||
-       config.cascade.window <= 0)) {
+       !positive(config.cascade.window))) {
     throw std::invalid_argument(
-        "cascade needs fanout >= 1, radius >= 1, window > 0");
+        "cascade needs fanout >= 1, radius >= 1, finite window > 0");
   }
-  if (config.racks.rack_size > 0 && config.racks.outage_mttf > 0 &&
-      config.racks.outage_duration < 0) {
-    throw std::invalid_argument("rack outage duration must be >= 0");
+  if (config.racks.rack_size > 0 &&
+      (!non_negative(config.racks.outage_mttf) ||
+       (config.racks.outage_mttf > 0 &&
+        !non_negative(config.racks.outage_duration)))) {
+    throw std::invalid_argument(
+        "rack outages need a finite mttf >= 0 (0 = none) and a finite "
+        "duration >= 0");
   }
   if (config.placement == PartnerPlacement::kCrossRack &&
       (config.racks.rack_size == 0 ||
@@ -53,12 +66,14 @@ void validate(const FailureAnalysisConfig& config) {
         "superposition engine is exact only for exponential arrivals "
         "without cascades or rack outages");
   }
-  if (config.energy.enabled && (config.energy.checkpoint_interval <= 0 ||
-                                config.energy.checkpoint_write_time < 0 ||
-                                config.energy.restart_time_local < 0 ||
-                                config.energy.restart_time_io < 0)) {
+  const EnergyModel& em = config.energy;
+  if (em.enabled && (!positive(em.checkpoint_interval) ||
+                     !non_negative(em.checkpoint_write_time) ||
+                     !non_negative(em.restart_time_local) ||
+                     !non_negative(em.restart_time_io))) {
     throw std::invalid_argument(
-        "energy model needs interval > 0 and non-negative phase times");
+        "energy model needs a finite interval > 0 and finite non-negative "
+        "phase times");
   }
 }
 
@@ -117,39 +132,7 @@ void publish_metrics(const FailureAnalysisConfig& config,
   }
 }
 
-// std::priority_queue behind the CalendarQueue's interface and *exact*
-// tie-break order, so run_des<HeapQueue> and run_des<CalendarAdapter>
-// pop identical sequences and consume the RNG identically - the
-// bit-identity the behavior-preservation tests pin.
-struct HeapQueue {
-  struct Greater {
-    bool operator()(const sim::SimEvent& a, const sim::SimEvent& b) const {
-      return sim::event_less(b, a);
-    }
-  };
-  std::priority_queue<sim::SimEvent, std::vector<sim::SimEvent>, Greater> q;
-
-  HeapQueue(std::size_t /*expected*/, double /*width_hint*/) {}
-  void push(const sim::SimEvent& event) { q.push(event); }
-  sim::SimEvent pop() {
-    const sim::SimEvent out = q.top();
-    q.pop();
-    return out;
-  }
-  [[nodiscard]] bool empty() const { return q.empty(); }
-};
-
-struct CalendarAdapter {
-  sim::CalendarQueue q;
-
-  CalendarAdapter(std::size_t expected, double width_hint)
-      : q(expected, width_hint) {}
-  void push(const sim::SimEvent& event) { q.push(event); }
-  sim::SimEvent pop() { return q.pop(); }
-  [[nodiscard]] bool empty() const { return q.empty(); }
-};
-
-// The general discrete-event engine, written once over the queue type.
+// The general discrete-event engine on sim::CalendarQueue.
 // Struct-of-arrays node state; cascade pull-forwards use lazy
 // invalidation (per-node generation counter in SimEvent::seq) instead of
 // deleting from the queue.
@@ -159,10 +142,8 @@ struct CalendarAdapter {
 // counts: without pull-forwards or outages no event is ever
 // invalidated, so the generation/next-time/cascade arrays - three
 // random-access streams per event - disappear entirely and the partner
-// comes from one add instead of a table load. Both queue types
-// instantiate both variants, so the heap/calendar bit-identity contract
-// is per-variant and unchanged.
-template <typename Queue, bool kWide>
+// comes from one add instead of a table load.
+template <bool kWide>
 FailureAnalysisResult run_des(const FailureAnalysisConfig& config) {
   const std::uint32_t n = config.node_count;
   const bool weibull = config.distribution == FailureDistribution::kWeibull;
@@ -198,7 +179,8 @@ FailureAnalysisResult run_des(const FailureAnalysisConfig& config) {
   const std::uint32_t nracks =
       rack_outages ? (n + rack_size - 1) / rack_size : 0;
 
-  Queue queue(static_cast<std::size_t>(n) + nracks, config.node_mttf / n);
+  sim::CalendarQueue queue(static_cast<std::size_t>(n) + nracks,
+                          config.node_mttf / n);
   for (std::uint32_t i = 0; i < n; ++i) {
     const double t = draw_gap();
     if constexpr (kWide) next_time[i] = t;
@@ -520,18 +502,10 @@ FailureAnalysisResult analyze_failures(const FailureAnalysisConfig& config) {
                     (config.racks.rack_size > 0 &&
                      config.racks.outage_mttf > 0);
   FailureAnalysisResult result;
-  switch (engine) {
-    case FailureEngine::kHeap:
-      result = wide ? run_des<HeapQueue, true>(config)
-                    : run_des<HeapQueue, false>(config);
-      break;
-    case FailureEngine::kCalendar:
-      result = wide ? run_des<CalendarAdapter, true>(config)
-                    : run_des<CalendarAdapter, false>(config);
-      break;
-    default:
-      result = run_superposition(config);
-      break;
+  if (engine == FailureEngine::kCalendar) {
+    result = wide ? run_des<true>(config) : run_des<false>(config);
+  } else {
+    result = run_superposition(config);
   }
   finish_energy(config, result);
   publish_metrics(config, result);

@@ -13,15 +13,12 @@
 // window), the same cascade or rack outage took both, or the partner sits
 // in the same downed rack.
 //
-// Three engines run the same process (docs/SIM.md):
+// Two engines run the same process (docs/SIM.md):
 //
-//   kHeap           the pre-PR binary-heap DES, kept as the pinned
-//                   baseline and as the reference for the calendar
-//                   engine's behavior-preservation tests
-//   kCalendar       the same DES on sim::CalendarQueue with
-//                   struct-of-arrays node state - O(1) amortized
-//                   scheduling, and the only engine for cascades, rack
-//                   outages and Weibull inter-arrivals
+//   kCalendar       the DES on sim::CalendarQueue with struct-of-arrays
+//                   node state - O(1) amortized scheduling, and the only
+//                   engine for cascades, rack outages and Weibull
+//                   inter-arrivals
 //   kSuperposition  exact fast path for the memoryless case (exponential
 //                   inter-arrivals, no cascades, no rack outages): the
 //                   union of N independent Poisson processes is one
@@ -31,8 +28,7 @@
 // kAuto picks kSuperposition when the configuration is memoryless and
 // kCalendar otherwise. Engines are individually deterministic in the
 // seed but sample *different* (equally valid) failure paths for the same
-// seed; heap and calendar consume the RNG identically and produce
-// bit-identical results (pinned by tests).
+// seed; golden tests pin the calendar engine's exact counters.
 
 #include <cstdint>
 
@@ -57,7 +53,6 @@ enum class PartnerPlacement : std::uint8_t { kRing, kCrossRack };
 
 enum class FailureEngine : std::uint8_t {
   kAuto,
-  kHeap,
   kCalendar,
   kSuperposition,
 };

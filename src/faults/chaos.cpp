@@ -307,7 +307,6 @@ ChaosReport run_chaos(const ChaosConfig& config) {
     obs::MetricsRegistry& m = *config.metrics;
     ckpt::record_health(m, report.health, "chaos");
     ckpt::record_data_path(m, report.data, "chaos.data");
-    ckpt::record_pipeline(m, manager.pipeline(), "chaos.pipeline");
     m.counter("chaos.run.commits").add(report.commits);
     m.counter("chaos.run.recover_calls").add(report.recover_calls);
     m.counter("chaos.run.recoveries").add(report.recoveries);

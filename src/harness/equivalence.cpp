@@ -41,7 +41,6 @@ ckpt::MultilevelConfig manager_config(const EquivalenceConfig& config) {
   mc.partner_every = config.partner_every;
   mc.io_every = config.io_every;
   mc.io_codec_adaptive = config.io_codec_adaptive;
-  mc.io_writer_depth = config.io_writer_depth;
   mc.io_chunk_bytes = 4096;  // several chunks per rank at smoke scale
   mc.pool = config.pool;
   switch (config.mode) {

@@ -69,10 +69,6 @@ struct EquivalenceConfig {
   // container header - survive any crash point: restart managers decode
   // whatever codec the dying run picked.
   bool io_codec_adaptive = false;
-  // Async IO writer depth (MultilevelConfig::io_writer_depth): the
-  // default 0 sweeps the inline commit path the manager runs by default;
-  // 2 opts into the pipelined writer.
-  std::size_t io_writer_depth = 0;
   // Seeded device-fault schedule under the crash gates (clean when zero).
   faults::FaultRates rates;
   std::uint64_t fault_seed = 1;

@@ -301,7 +301,7 @@ void NdpAgent::finish_drain() {
   ++stats_.io_put_attempts;
   obs::TraceBuffer* rb = trace_->root();
   // One attempt of the shared write-verify-quarantine primitive - the
-  // same stage the host commit path's writer jobs run (docs/PERF.md), so
+  // same stage the host commit path's IO puts run (docs/PERF.md), so
   // a drained checkpoint hits the IO device with the identical op
   // sequence a host-side commit would.
   // The drain keeps its container for retries, so each attempt hands the

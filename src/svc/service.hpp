@@ -44,8 +44,8 @@
 //   a tracer, every tenant gets its own track of scheduler events.
 //
 // Determinism contract: the service is externally synchronized (one
-// caller thread, like AsyncStageWriter) and every commit executes
-// serially in scheduler order - only the *inside* of a commit fans out
+// caller thread) and every commit executes serially in scheduler
+// order - only the *inside* of a commit fans out
 // over the TaskPool. Admission, scheduling and the virtual clock are
 // pure functions of the call sequence, so service fingerprints are
 // bit-identical at any pool size, and a tenant's own fingerprint depends

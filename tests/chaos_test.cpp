@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "ckpt/multilevel.hpp"
+#include "ckpt/store_writer.hpp"
 #include "ckpt/tenant_store.hpp"
 #include "common/rng.hpp"
 #include "compress/chunked.hpp"
@@ -736,7 +737,6 @@ std::string digest_scenario(FaultKind kind, bool io, bool proxy) {
   cfg.node_count = 4;
   cfg.partner_every = 1;
   cfg.io_every = 1;
-  cfg.io_writer_depth = 0;
   cfg.store_factory = [&](ckpt::StoreLevel level, std::uint32_t host)
       -> std::unique_ptr<ckpt::KvStore> {
     const Target t = level == ckpt::StoreLevel::kIo ? io_target()

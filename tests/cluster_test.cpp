@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "cluster/cluster_sim.hpp"
@@ -84,50 +86,111 @@ TEST(FailureAnalysis, InvalidInputsThrow) {
   cfg.energy.enabled = true;
   cfg.energy.checkpoint_interval = 0.0;
   EXPECT_THROW(analyze_failures(cfg), std::invalid_argument);
+
+  // Non-finite inputs: NaN slips through every `x <= 0` test, so each
+  // bound must reject it (and infinity) explicitly.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf}) {
+    SCOPED_TRACE(bad);
+    cfg = {};
+    cfg.node_mttf = bad;
+    EXPECT_THROW(analyze_failures(cfg), std::invalid_argument);
+    cfg = {};
+    cfg.rebuild_time = bad;
+    EXPECT_THROW(analyze_failures(cfg), std::invalid_argument);
+    cfg = {};
+    cfg.distribution = FailureDistribution::kWeibull;
+    cfg.weibull_shape = bad;
+    EXPECT_THROW(analyze_failures(cfg), std::invalid_argument);
+    cfg = {};
+    cfg.cascade.probability = 0.1;
+    cfg.cascade.window = bad;
+    EXPECT_THROW(analyze_failures(cfg), std::invalid_argument);
+    cfg = {};
+    cfg.racks.rack_size = 16;
+    cfg.racks.outage_mttf = bad;
+    EXPECT_THROW(analyze_failures(cfg), std::invalid_argument);
+    cfg = {};
+    cfg.racks.rack_size = 16;
+    cfg.racks.outage_mttf = days(365);
+    cfg.racks.outage_duration = bad;
+    EXPECT_THROW(analyze_failures(cfg), std::invalid_argument);
+    cfg = {};
+    cfg.energy.enabled = true;
+    cfg.energy.checkpoint_interval = bad;
+    EXPECT_THROW(analyze_failures(cfg), std::invalid_argument);
+    cfg = {};
+    cfg.energy.enabled = true;
+    cfg.energy.restart_time_io = bad;
+    EXPECT_THROW(analyze_failures(cfg), std::invalid_argument);
+  }
+  cfg = {};
+  cfg.cascade.probability = nan;
+  EXPECT_THROW(analyze_failures(cfg), std::invalid_argument);
+  // A NaN or infinite sim_duration is rejected too. It is not exercised
+  // here: a build that accepted it would never return.
 }
 
-// The scheduler swap is behavior-preserving: the heap and calendar
-// engines share one DES and must produce bit-identical results across
-// the whole scenario grid (the queue-level property test pins pop
-// order; this pins the end-to-end analysis).
-TEST(FailureAnalysis, HeapAndCalendarEnginesAreBitIdentical) {
-  std::vector<FailureAnalysisConfig> grid;
-  for (const auto dist :
-       {FailureDistribution::kExponential, FailureDistribution::kWeibull}) {
-    for (const bool cascade : {false, true}) {
-      for (const bool racks : {false, true}) {
-        FailureAnalysisConfig cfg;
-        cfg.node_count = 256;
-        cfg.node_mttf = days(30);
-        cfg.rebuild_time = 1800.0;
-        cfg.target_failures = 4000;
-        cfg.seed = 99;
-        cfg.distribution = dist;
-        cfg.weibull_shape = 0.7;
-        if (cascade) cfg.cascade.probability = 0.10;
-        if (racks) {
-          cfg.racks.rack_size = 16;
-          cfg.racks.outage_mttf = days(365);
-          cfg.placement = PartnerPlacement::kCrossRack;
-        }
-        grid.push_back(cfg);
-      }
-    }
-  }
-  for (auto& cfg : grid) {
-    cfg.engine = FailureEngine::kHeap;
-    const auto heap = analyze_failures(cfg);
+// Golden counters for the calendar DES across the scenario grid. The
+// binary-heap engine these were first recorded from consumed the RNG
+// identically and popped the same sequence, so the pins keep the DES's
+// results bit-identical to it after its deletion. `elapsed` and
+// `observed_system_mtti` are exact (hex-float) doubles.
+TEST(FailureAnalysis, CalendarEngineMatchesGoldenCounters) {
+  struct Golden {
+    bool weibull, cascade, racks;
+    std::uint64_t failures, local_recoverable, io_required, cascade_failures,
+        rack_outages, rack_node_failures, events_processed;
+    double elapsed, observed_system_mtti;
+  };
+  const Golden goldens[] = {
+      {false, false, false, 4000u, 3998u, 2u, 0u, 0u, 0u, 4000u,
+       0x1.347fc6620d97bp+25, 0x1.3be7318b5180bp+13},
+      {false, false, true, 4000u, 3999u, 1u, 0u, 20u, 320u, 3993u,
+       0x1.19cdd2ab7a8d5p+25, 0x1.20913a07a8805p+13},
+      {false, true, false, 4000u, 3874u, 126u, 1193u, 0u, 0u, 5139u,
+       0x1.a48b36b35ecb5p+24, 0x1.aea308e8d3c1ep+12},
+      {false, true, true, 4000u, 3922u, 78u, 1118u, 13u, 208u, 5038u,
+       0x1.93500a973b617p+24, 0x1.9cfdfe8e92d26p+12},
+      {true, false, false, 4000u, 3998u, 2u, 0u, 0u, 0u, 4000u,
+       0x1.212fe7ce30bf8p+25, 0x1.2820abd52fdecp+13},
+      {true, false, true, 4000u, 3993u, 7u, 0u, 18u, 288u, 3948u,
+       0x1.0405d2e947e63p+25, 0x1.0a4367554793ap+13},
+      {true, true, false, 4000u, 3876u, 124u, 1214u, 0u, 0u, 5109u,
+       0x1.68e050452c2a3p+24, 0x1.7189897e20efdp+12},
+      {true, true, true, 4000u, 3923u, 77u, 1158u, 9u, 144u, 5005u,
+       0x1.4ec86c9135846p+24, 0x1.56d1548c80879p+12},
+  };
+  for (const Golden& g : goldens) {
+    FailureAnalysisConfig cfg;
+    cfg.node_count = 256;
+    cfg.node_mttf = days(30);
+    cfg.rebuild_time = 1800.0;
+    cfg.target_failures = 4000;
+    cfg.seed = 99;
     cfg.engine = FailureEngine::kCalendar;
-    const auto calendar = analyze_failures(cfg);
-    EXPECT_EQ(heap.failures, calendar.failures);
-    EXPECT_EQ(heap.local_recoverable, calendar.local_recoverable);
-    EXPECT_EQ(heap.io_required, calendar.io_required);
-    EXPECT_EQ(heap.cascade_failures, calendar.cascade_failures);
-    EXPECT_EQ(heap.rack_outages, calendar.rack_outages);
-    EXPECT_EQ(heap.rack_node_failures, calendar.rack_node_failures);
-    EXPECT_EQ(heap.events_processed, calendar.events_processed);
-    EXPECT_EQ(heap.elapsed, calendar.elapsed);
-    EXPECT_EQ(heap.observed_system_mtti, calendar.observed_system_mtti);
+    if (g.weibull) cfg.distribution = FailureDistribution::kWeibull;
+    cfg.weibull_shape = 0.7;
+    if (g.cascade) cfg.cascade.probability = 0.10;
+    if (g.racks) {
+      cfg.racks.rack_size = 16;
+      cfg.racks.outage_mttf = days(365);
+      cfg.placement = PartnerPlacement::kCrossRack;
+    }
+    const auto r = analyze_failures(cfg);
+    SCOPED_TRACE(testing::Message() << "weibull=" << g.weibull
+                                    << " cascade=" << g.cascade
+                                    << " racks=" << g.racks);
+    EXPECT_EQ(r.failures, g.failures);
+    EXPECT_EQ(r.local_recoverable, g.local_recoverable);
+    EXPECT_EQ(r.io_required, g.io_required);
+    EXPECT_EQ(r.cascade_failures, g.cascade_failures);
+    EXPECT_EQ(r.rack_outages, g.rack_outages);
+    EXPECT_EQ(r.rack_node_failures, g.rack_node_failures);
+    EXPECT_EQ(r.events_processed, g.events_processed);
+    EXPECT_EQ(r.elapsed, g.elapsed);
+    EXPECT_EQ(r.observed_system_mtti, g.observed_system_mtti);
   }
 }
 

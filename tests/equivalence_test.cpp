@@ -68,24 +68,6 @@ TEST_F(EquivalenceTest, DedupPayloadSweep) {
   ExpectCleanSweep(run_sweep(SmokeConfig(PayloadMode::kDedup, "ft"), 2));
 }
 
-// The pipelined commit path under crash: the opt-in async writer (depth
-// 2) and the inline default (depth 0, which every sweep above drives)
-// must enumerate identical canonical crash points and recover
-// equivalently at each - the writer reorders nothing the crash gates can
-// observe.
-TEST_F(EquivalenceTest, PipelinedWriterMatchesSerialSweep) {
-  EquivalenceConfig serial = SmokeConfig(PayloadMode::kFull, "cg");
-  EquivalenceConfig piped = serial;
-  piped.io_writer_depth = 2;
-  const SweepReport a = run_sweep(piped, 2);
-  const SweepReport b = run_sweep(serial, 2);
-  ExpectCleanSweep(a);
-  ExpectCleanSweep(b);
-  EXPECT_EQ(a.golden.points.size(), b.golden.points.size());
-  EXPECT_EQ(a.golden.final_fingerprint, b.golden.final_fingerprint);
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
-}
-
 // Online codec selection under crash: a dying run's probe choices are
 // recorded in the stream containers, so any restart - which re-probes
 // nothing - must decode whatever the victim wrote.

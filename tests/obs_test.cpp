@@ -236,8 +236,8 @@ TEST(ObsDeterminism, CleanTraceBitIdenticalAtPoolSizes128) {
   EXPECT_GT(base.events, 0u);
   EXPECT_TRUE(json_valid(base.json));
   // Every commit phase and the recovery walk appear in the trace. The
-  // pipelined commit path emits per-rank io_compress/io_put and the
-  // io_settle barrier where the old flat batch had one io_write span.
+  // IO leg emits per-rank io_compress/io_put and one io_settle span
+  // around the level settle.
   for (const char* name : {"commit", "image_build", "local", "partner",
                            "io", "io_compress", "io_put", "io_settle",
                            "recover", "try_checkpoint"}) {

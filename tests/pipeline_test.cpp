@@ -1,20 +1,16 @@
-// The pipelined commit path (docs/PERF.md): the async double-buffered
-// store writer and the online codec selection must both be execution
-// details. Stored bytes, recovery results and every health counter are
-// pinned bit-identical writer-on vs writer-off, across pool sizes 1/2/8,
-// clean and under a seeded fault schedule, for full, delta and dedup
-// commit flavors.
+// The commit path's IO leg (docs/PERF.md): online codec selection and
+// pool-scheduled chunk compression must be execution details. Stored
+// bytes, recovery results and every health counter are pinned
+// bit-identical across pool sizes 1/2/8, clean and under a seeded fault
+// schedule.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "ckpt/multilevel.hpp"
-#include "ckpt/store_writer.hpp"
 #include "common/rng.hpp"
 #include "compress/chunked.hpp"
 #include "exec/task_pool.hpp"
@@ -26,57 +22,7 @@ namespace ndpcr::ckpt {
 namespace {
 
 // ---------------------------------------------------------------------------
-// AsyncStageWriter unit behavior: FIFO order, flush barrier, error
-// propagation, inline depth-0 mode.
-
-TEST(AsyncStageWriter, RunsJobsInSubmissionOrder) {
-  AsyncStageWriter writer(2);
-  std::vector<int> order;  // written only from writer jobs, read post-flush
-  for (int i = 0; i < 32; ++i) {
-    writer.submit([&order, i] { order.push_back(i); });
-  }
-  writer.flush();
-  ASSERT_EQ(order.size(), 32u);
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(order[i], i);
-  EXPECT_EQ(writer.stats().jobs, 32u);
-  EXPECT_EQ(writer.stats().inline_jobs, 0u);
-  EXPECT_EQ(writer.stats().flushes, 1u);
-  EXPECT_LE(writer.stats().queue_peak, 3u);  // depth 2 staged + 1 in flight
-}
-
-TEST(AsyncStageWriter, DepthZeroRunsInline) {
-  AsyncStageWriter writer(0);
-  int ran = 0;
-  writer.submit([&ran] { ++ran; });
-  EXPECT_EQ(ran, 1);  // before any flush: submit itself ran the job
-  writer.flush();
-  EXPECT_EQ(writer.stats().inline_jobs, 1u);
-}
-
-TEST(AsyncStageWriter, FlushRethrowsFirstJobError) {
-  AsyncStageWriter writer(2);
-  std::atomic<int> later{0};
-  writer.submit([] { throw std::runtime_error("boom"); });
-  writer.submit([&later] { ++later; });
-  EXPECT_THROW(writer.flush(), std::runtime_error);
-  EXPECT_EQ(later.load(), 1);  // independent jobs still ran
-  writer.flush();              // error consumed: the barrier is clean again
-}
-
-TEST(AsyncStageWriter, DestructorDrainsPendingJobs) {
-  std::vector<int> order;
-  {
-    AsyncStageWriter writer(4);
-    for (int i = 0; i < 8; ++i) {
-      writer.submit([&order, i] { order.push_back(i); });
-    }
-  }  // no flush: the destructor must run everything before joining
-  ASSERT_EQ(order.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end pipeline equivalence on the multilevel data path.
+// End-to-end equivalence on the multilevel data path.
 
 struct PathResult {
   std::vector<std::uint64_t> ids;
@@ -84,15 +30,11 @@ struct PathResult {
   std::uint64_t recovered_id = 0;
   std::vector<Bytes> recovered;
   std::uint32_t health_fp = 0;
-  PipelineStats pipeline;
 };
 
 struct PathOptions {
   unsigned pool_threads = 1;
-  std::size_t writer_depth = 2;
-  bool adaptive = false;
   bool with_delta = false;
-  bool with_dedup = false;
   bool with_faults = false;
 };
 
@@ -104,19 +46,12 @@ PathResult run_path(const PathOptions& opt) {
   mc.partner_every = 2;
   mc.io_every = 1;
   mc.io_chunk_bytes = 2048;
-  mc.io_writer_depth = opt.writer_depth;
   mc.pool = &pool;
-  if (opt.adaptive) {
-    mc.io_codec_adaptive = true;  // io_codec stays kNull: probe decides
-  } else {
-    mc.io_codec = compress::CodecId::kLz4Style;
-    mc.io_codec_level = 1;
-  }
+  mc.io_codec_adaptive = true;  // io_codec stays kNull: probe decides
   if (opt.with_delta) {
     mc.delta.enabled = true;
     mc.delta.chain_length = 3;
   }
-  if (opt.with_dedup) mc.delta.io_dedup = true;
   if (opt.with_faults) {
     auto plan = std::make_shared<faults::FaultPlan>(
         4242, faults::FaultRates{0.05, 0.03, 0.02, 0.02});
@@ -158,7 +93,6 @@ PathResult run_path(const PathOptions& opt) {
     out.recovered = rec->payloads;
   }
   out.health_fp = faults::health_fingerprint(manager.health());
-  out.pipeline = manager.pipeline();
   return out;
 }
 
@@ -171,30 +105,8 @@ void expect_equal(const PathResult& a, const PathResult& b,
   EXPECT_EQ(a.health_fp, b.health_fp) << what;
 }
 
-TEST(PipelinedCommit, WriterOnOffBitIdentical) {
-  // The async writer is pure overlap: depth 0 (inline) and depth 2
-  // (double-buffered) must produce identical stores, recovery and health,
-  // for every commit flavor, clean and faulted.
-  for (const bool faults : {false, true}) {
-    for (int flavor = 0; flavor < 3; ++flavor) {
-      PathOptions on;
-      on.with_faults = faults;
-      on.with_delta = flavor >= 1;
-      on.with_dedup = flavor == 2;
-      PathOptions off = on;
-      off.writer_depth = 0;
-      const PathResult a = run_path(on);
-      const PathResult b = run_path(off);
-      expect_equal(a, b, faults ? "faulted" : "clean");
-      // Depth 0 never starts the writer thread; all jobs counted inline.
-      EXPECT_EQ(b.pipeline.inline_jobs, b.pipeline.jobs);
-    }
-  }
-}
-
-TEST(PipelinedCommit, AdaptiveCodecThreadAndWriterInvariant) {
-  PathOptions base_opt;
-  base_opt.adaptive = true;
+TEST(PipelinedCommit, AdaptiveCodecThreadInvariant) {
+  const PathOptions base_opt;
   const PathResult base = run_path(base_opt);
   // The probe actually engaged: streams decode as chunked containers.
   ASSERT_FALSE(base.io_bytes.empty());
@@ -206,14 +118,10 @@ TEST(PipelinedCommit, AdaptiveCodecThreadAndWriterInvariant) {
     opt.pool_threads = threads;
     expect_equal(run_path(opt), base, "threads");
   }
-  PathOptions inline_opt = base_opt;
-  inline_opt.writer_depth = 0;
-  expect_equal(run_path(inline_opt), base, "writer off");
 }
 
 TEST(PipelinedCommit, AdaptiveSurvivesFaultsAcrossPools) {
   PathOptions opt;
-  opt.adaptive = true;
   opt.with_faults = true;
   opt.with_delta = true;
   const PathResult base = run_path(opt);
@@ -222,16 +130,6 @@ TEST(PipelinedCommit, AdaptiveSurvivesFaultsAcrossPools) {
     o.pool_threads = threads;
     expect_equal(run_path(o), base, "faulted threads");
   }
-}
-
-TEST(PipelinedCommit, PipelineStatsObserveTheWriter) {
-  PathOptions opt;  // defaults: static nlz4, writer depth 2
-  const PathResult r = run_path(opt);
-  // 6 commits x 4 ranks of IO puts rode the pipeline, one flush per
-  // commit; recover never uses the writer.
-  EXPECT_EQ(r.pipeline.jobs, 24u);
-  EXPECT_EQ(r.pipeline.flushes, 6u);
-  EXPECT_EQ(r.pipeline.inline_jobs, 0u);
 }
 
 }  // namespace

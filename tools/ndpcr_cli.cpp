@@ -42,7 +42,7 @@
 //       --racks <size>        rack structure (0 = none) with outages
 //       --rack-mttf-years <y> per-rack outage MTTF (default 250)
 //       --placement {ring|cross-rack}  partner placement
-//       --engine {auto|heap|calendar|superposition}
+//       --engine {auto|calendar|superposition}
 //       --energy {0|1}        per-phase energy accounting
 //       --replicas <n>        independent replicas on the engine pool
 //       --csv <file>          per-replica counters as CSV ("-" = stdout)
@@ -76,6 +76,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "cluster/failure_analysis.hpp"
@@ -470,9 +471,7 @@ int cmd_failures(const Options& opts) {
     return 2;
   }
   const std::string engine = opts.text("engine", "auto");
-  if (engine == "heap") {
-    cfg.engine = cluster::FailureEngine::kHeap;
-  } else if (engine == "calendar") {
+  if (engine == "calendar") {
     cfg.engine = cluster::FailureEngine::kCalendar;
   } else if (engine == "superposition") {
     cfg.engine = cluster::FailureEngine::kSuperposition;
@@ -740,9 +739,7 @@ void usage() {
   std::puts("see the comment block in tools/ndpcr_cli.cpp for options");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   if (argc < 2) {
     usage();
     return 2;
@@ -768,4 +765,16 @@ int main(int argc, char** argv) {
   if (command == "serve") return cmd_serve(opts);
   usage();
   return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A configuration the library rejects is a usage error, not a crash.
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "ndpcr: %s\n", e.what());
+    return 2;
+  }
 }
