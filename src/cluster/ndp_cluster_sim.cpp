@@ -1,14 +1,15 @@
 #include "cluster/ndp_cluster_sim.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <vector>
 
+#include "ckpt/store_writer.hpp"
 #include "ckpt/stores.hpp"
 #include "common/rng.hpp"
-#include "compress/chunked.hpp"
 #include "faults/faulty_stores.hpp"
 #include "ndp/agent.hpp"
 #include "obs/trace.hpp"
@@ -16,12 +17,35 @@
 
 namespace ndpcr::cluster {
 
+namespace {
+
+// Every bound is written so that NaN fails it: `!(x > 0)` rejects NaN
+// where `x <= 0` would let it through.
+bool positive(double x) { return std::isfinite(x) && x > 0; }
+bool non_negative(double x) { return std::isfinite(x) && x >= 0; }
+
+}  // namespace
+
 NdpClusterSim::NdpClusterSim(const NdpClusterConfig& config) : cfg_(config) {
-  if (cfg_.node_count == 0 || cfg_.total_steps == 0) {
-    throw std::invalid_argument("node_count and total_steps must be > 0");
+  if (cfg_.node_count == 0 || cfg_.total_steps == 0 ||
+      cfg_.steps_per_checkpoint == 0) {
+    throw std::invalid_argument(
+        "node_count, total_steps and steps_per_checkpoint must be > 0");
   }
-  if (cfg_.aggregate_io_bw <= 0 || cfg_.ndp_compress_bw <= 0) {
-    throw std::invalid_argument("bandwidths must be positive");
+  if (!positive(cfg_.aggregate_io_bw) || !positive(cfg_.ndp_compress_bw)) {
+    throw std::invalid_argument("bandwidths must be positive and finite");
+  }
+  if (!positive(cfg_.node_mttf) || !positive(cfg_.step_time)) {
+    throw std::invalid_argument(
+        "node_mttf and step_time must be positive and finite");
+  }
+  if (!non_negative(cfg_.local_commit_time) ||
+      !non_negative(cfg_.local_restore_time)) {
+    throw std::invalid_argument(
+        "local commit and restore times must be >= 0 and finite");
+  }
+  if (!(cfg_.p_local_recovery >= 0 && cfg_.p_local_recovery <= 1)) {
+    throw std::invalid_argument("p_local_recovery must be in [0, 1]");
   }
 }
 
@@ -70,21 +94,6 @@ NdpClusterResult NdpClusterSim::run() {
     ac.trace_track = 1 + 3 * r;  // track 0 is the simulation's own row
     agents.push_back(std::make_unique<ndp::NdpAgent>(ac, io));
   }
-  // Agents ship ChunkedCodec containers to IO (the raw image when the
-  // codec is null); unpack accordingly, treating anything corrupt as
-  // missing.
-  std::optional<compress::ChunkedCodec> codec;
-  if (cfg_.codec != compress::CodecId::kNull) {
-    codec.emplace(cfg_.codec, cfg_.codec_level);
-  }
-  auto unpack = [&](const Bytes& packed) -> std::optional<Bytes> {
-    if (!codec) return packed;
-    try {
-      return codec->decompress(packed);
-    } catch (const compress::CodecError&) {
-      return std::nullopt;
-    }
-  };
 
   const double system_mttf = cfg_.node_mttf / static_cast<double>(n);
   double now = 0.0;
@@ -133,20 +142,16 @@ NdpClusterResult NdpClusterSim::run() {
     for (std::uint32_t r = 0; r < n; ++r) {
       auto fallback = agents[r]->take_host_fallback();
       if (!fallback) continue;
+      // One durable-write primitive (ckpt/store_writer.hpp) under a
+      // 3-attempt budget; a permanent put error ends it early.
+      const auto digest = ckpt::digest_of(ByteSpan(fallback->compressed));
       bool landed = false;
       for (int attempt = 0; attempt < 3 && !landed; ++attempt) {
-        const auto status =
-            io.put(r, fallback->checkpoint_id, Bytes(fallback->compressed));
-        if (!status.ok()) {
-          if (status.error().permanent()) break;
-          continue;
-        }
-        const auto readback = io.get(r, fallback->checkpoint_id);
-        if (readback.ok() && *readback == fallback->compressed) {
-          landed = true;
-        } else if (readback.ok()) {
-          io.erase(r, fallback->checkpoint_id);
-        }
+        const ckpt::PutOutcome out = ckpt::verified_put_once(
+            io, r, fallback->checkpoint_id, Bytes(fallback->compressed),
+            digest, /*verify=*/true);
+        landed = out.ok;
+        if (out.put_permanent) break;
       }
       if (landed) {
         now += static_cast<double>(fallback->compressed.size()) /
@@ -164,6 +169,62 @@ NdpClusterResult NdpClusterSim::run() {
     }
   };
 
+  // Fetch a complete generation *before* restoring any rank: with a
+  // faulty store, restoring ranks one by one could leave the app half
+  // rolled back when a later rank's read fails. Each rank's image comes
+  // from its agent's NVM while it is still there, else from IO; reads
+  // retry transient errors, and a corrupt or unreadable copy fails the
+  // whole generation. `victim` (n for none) names the rank whose packed
+  // IO read times a node-loss restore.
+  struct Generation {
+    std::vector<Bytes> images;
+    std::size_t victim_packed = 0;  // compressed bytes read for victim
+  };
+  auto fetch_generation = [&](std::uint64_t target, std::uint32_t victim)
+      -> std::optional<Generation> {
+    Generation gen;
+    gen.images.resize(n);
+    for (std::uint32_t r = 0; r < n; ++r) {
+      if (auto local = agents[r]->restore_local(target)) {
+        gen.images[r] = std::move(*local);
+        continue;
+      }
+      auto packed = io.get(r, target);
+      for (int attempt = 1;
+           attempt < 4 && !packed.ok() && packed.error().transient();
+           ++attempt) {
+        packed = io.get(r, target);
+      }
+      if (!packed.ok()) return std::nullopt;
+      auto image = agents[r]->decode_io(*packed);
+      if (!image) return std::nullopt;
+      gen.images[r] = std::move(*image);
+      if (r == victim) gen.victim_packed = packed->size();
+    }
+    return gen;
+  };
+
+  // Roll every rank back to `gen`; returns the step they resume at.
+  auto restore_all = [&](const Generation& gen) {
+    std::uint64_t restored_step = 0;
+    for (std::uint32_t r = 0; r < n; ++r) {
+      ranks[r]->restore(gen.images[r]);
+      restored_step = ranks[r]->step_count();
+    }
+    result.steps_rerun += step - restored_step;
+    step = restored_step;
+    return restored_step;
+  };
+
+  auto scratch_restart = [&] {
+    ++result.scratch_restarts;
+    tracer.instant_at(now, "scratch_restart", "cluster", 0,
+                      {obs::u64("steps_lost", step)});
+    for (std::uint32_t r = 0; r < n; ++r) ranks[r] = make_rank(r);
+    result.steps_rerun += step;
+    step = 0;
+  };
+
   auto handle_failure = [&] {
     ++result.failures;
     next_failure = now + rng.exponential(system_mttf);
@@ -174,97 +235,35 @@ NdpClusterResult NdpClusterSim::run() {
 
     if (transient) {
       // NVM (and pipelines) survive; roll back to the newest committed
-      // generation, which every rank still holds locally.
+      // generation, which every rank still holds locally unless its
+      // buffer cycled past it (then its IO copy, if it made it there).
       if (ckpt_id == 0) {
-        ++result.scratch_restarts;
-        tracer.instant_at(now, "scratch_restart", "cluster", 0,
-                          {obs::u64("steps_lost", step)});
-        for (std::uint32_t r = 0; r < n; ++r) ranks[r] = make_rank(r);
-        result.steps_rerun += step;
-        step = 0;
+        scratch_restart();
         return;
       }
       now += cfg_.local_restore_time;
-      std::uint64_t restored_step = 0;
-      for (std::uint32_t r = 0; r < n; ++r) {
-        auto image = agents[r]->restore_local(ckpt_id);
-        if (!image) {
-          // Evicted locally (drain fell behind and the buffer cycled):
-          // fall back to the IO copy if it made it there.
-          const auto packed = io.get(r, ckpt_id);
-          if (!packed) {
-            image.reset();
-          } else {
-            image = unpack(*packed);
-          }
-        }
-        if (!image) {
-          // This generation is gone for rank r; a real system would walk
-          // back further - count it as an IO-era rollback below.
-          break;
-        }
-        ranks[r]->restore(*image);
-        restored_step = ranks[r]->step_count();
-        if (r == n - 1) {
-          ++result.local_recoveries;
-          result.steps_rerun += step - restored_step;
-          tracer.instant_at(now, "local_recovery", "cluster", 0,
-                            {obs::u64("id", ckpt_id),
-                             obs::u64("to_step", restored_step)});
-          step = restored_step;
-          return;
-        }
+      if (const auto gen = fetch_generation(ckpt_id, n)) {
+        const std::uint64_t restored_step = restore_all(*gen);
+        ++result.local_recoveries;
+        tracer.instant_at(now, "local_recovery", "cluster", 0,
+                          {obs::u64("id", ckpt_id),
+                           obs::u64("to_step", restored_step)});
+        return;
       }
-      // Fall through to an IO recovery if local restore failed mid-way.
+      // The generation is gone for some rank: fall through to an IO
+      // recovery.
     }
 
     // Node loss (or failed local recovery): the victim's NVM is gone;
-    // everyone rolls back to the newest generation fully on IO.
+    // everyone rolls back to the newest generation fully on IO, walking
+    // the target down past corrupt or unreadable copies.
     const auto victim = static_cast<std::uint32_t>(rng.next_below(n));
     agents[victim]->reset();
-
-    // Fetch a complete generation *before* restoring any rank: with a
-    // faulty store, restoring ranks one by one could leave the app half
-    // rolled back when a later rank's read fails. Reads retry transient
-    // errors; a corrupt or unreadable copy walks the target down.
-    struct Generation {
-      std::vector<Bytes> images;
-      std::size_t victim_packed = 0;  // compressed bytes read for victim
-    };
-    auto fetch_generation =
-        [&](std::uint64_t target) -> std::optional<Generation> {
-      Generation gen;
-      gen.images.resize(n);
-      for (std::uint32_t r = 0; r < n; ++r) {
-        if (auto local = agents[r]->restore_local(target)) {
-          gen.images[r] = std::move(*local);
-          continue;
-        }
-        auto packed = io.get(r, target);
-        for (int attempt = 1;
-             attempt < 4 && !packed.ok() && packed.error().transient();
-             ++attempt) {
-          packed = io.get(r, target);
-        }
-        if (!packed.ok()) return std::nullopt;
-        auto image = unpack(*packed);
-        if (!image) return std::nullopt;
-        gen.images[r] = std::move(*image);
-        if (r == victim) gen.victim_packed = packed->size();
-      }
-      return gen;
-    };
-
     std::uint64_t target = newest_common_on_io();
     std::optional<Generation> gen;
-    while (target > 0 && !(gen = fetch_generation(target))) --target;
+    while (target > 0 && !(gen = fetch_generation(target, victim))) --target;
     if (target == 0) {
-      ++result.scratch_restarts;
-      tracer.instant_at(now, "scratch_restart", "cluster", 0,
-                        {obs::u64("steps_lost", step)});
-      for (std::uint32_t r = 0; r < n; ++r) ranks[r] = make_rank(r);
-      result.steps_rerun += step;
-      step = 0;
+      scratch_restart();
       return;
     }
     // Coordinated restore time: the compressed read through the victim's
@@ -272,17 +271,11 @@ NdpClusterResult NdpClusterSim::run() {
     now += std::max(cfg_.local_restore_time,
                     static_cast<double>(gen->victim_packed) /
                         (cfg_.aggregate_io_bw / n));
-    std::uint64_t restored_step = 0;
-    for (std::uint32_t r = 0; r < n; ++r) {
-      ranks[r]->restore(gen->images[r]);
-      restored_step = ranks[r]->step_count();
-    }
+    const std::uint64_t restored_step = restore_all(*gen);
     ++result.io_recoveries;
-    result.steps_rerun += step - restored_step;
     tracer.instant_at(now, "io_recovery", "cluster", 0,
                       {obs::u64("id", target), obs::u64("victim", victim),
                        obs::u64("to_step", restored_step)});
-    step = restored_step;
   };
 
   while (step < cfg_.total_steps) {
@@ -320,6 +313,11 @@ NdpClusterResult NdpClusterSim::run() {
       // If the agent's buffer is wedged behind a locked drain, let the
       // drain finish first (the host stall the paper describes).
       while (!agents[r]->host_commit(ckpt_id, ranks[r]->checkpoint())) {
+        // Only a drain locks NVM entries: with none in flight the image
+        // can never fit, and waiting would spin forever.
+        if (!agents[r]->busy()) {
+          throw std::runtime_error("checkpoint image exceeds the agent NVM");
+        }
         agents[r]->sync_clock(now);
         const double drained = agents[r]->pump(cfg_.step_time);
         now += drained > 0 ? drained : cfg_.step_time;

@@ -44,8 +44,8 @@ struct NdpClusterConfig {
   compress::CodecId codec = compress::CodecId::kLz4Style;
   int codec_level = 1;
   // Drain pipeline chunk size (input bytes): chunk j+1 compresses while
-  // chunk j is on the IO wire, and the IO copy is a ChunkedCodec
-  // container keyed by this size.
+  // chunk j is on the IO wire. It also fixes the agents' IO format, which
+  // only the agents decode (NdpAgent::decode_io).
   std::size_t ndp_chunk_bytes = 32ull << 10;
   std::size_t nvm_capacity_bytes = 4ull << 20;
 

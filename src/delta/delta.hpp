@@ -47,9 +47,6 @@ struct DeltaScratch {
   std::vector<std::uint64_t> keys;
   std::vector<std::uint32_t> slots;
   std::size_t mask = 0;
-  // Staging buffer for callers that frame the delta (e.g. the NDP drain's
-  // wire frames); the codec itself does not touch it.
-  Bytes staging;
 
   // Size the index for `blocks` reference blocks and clear it.
   void reset(std::size_t blocks);

@@ -12,39 +12,17 @@
 namespace ndpcr::ndp {
 namespace {
 
-// Delta drain wire frame: magic(4) kind(1) base_id(8) payload.
-constexpr std::uint32_t kFrameMagic = 0x4E444652;  // "NDFR"
-constexpr std::size_t kFrameHeader = 4 + 1 + 8;
+// IO-store write failures: total put attempts per drain before the agent
+// gives up and hands the bytes back to the host path, and the virtual
+// backoff before the first retry (doubles per retry).
+constexpr std::uint32_t kDrainPutAttempts = 4;
+constexpr double kDrainRetryBackoff = 0.05;
+
+// Written so that NaN fails it: `!(x > 0)` rejects NaN where `x <= 0`
+// would let it through.
+bool positive(double x) { return std::isfinite(x) && x > 0; }
 
 }  // namespace
-
-Bytes NdpAgent::build_frame(ckpt::PayloadKind kind, std::uint64_t base_id,
-                            ByteSpan payload) {
-  Bytes out;
-  out.reserve(kFrameHeader + payload.size());
-  append_le<std::uint32_t>(out, kFrameMagic);
-  append_le<std::uint8_t>(out, static_cast<std::uint8_t>(kind));
-  append_le<std::uint64_t>(out, base_id);
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
-std::optional<NdpAgent::Frame> NdpAgent::parse_frame(ByteSpan raw) {
-  if (raw.size() < kFrameHeader ||
-      read_le<std::uint32_t>(raw, 0) != kFrameMagic) {
-    return std::nullopt;
-  }
-  const auto kind = read_le<std::uint8_t>(raw, 4);
-  if (kind > static_cast<std::uint8_t>(ckpt::PayloadKind::kDelta)) {
-    return std::nullopt;
-  }
-  Frame frame;
-  frame.kind = static_cast<ckpt::PayloadKind>(kind);
-  frame.base_id = read_le<std::uint64_t>(raw, 5);
-  const ByteSpan payload = raw.subspan(kFrameHeader);
-  frame.payload.assign(payload.begin(), payload.end());
-  return frame;
-}
 
 NdpAgent::NdpAgent(const AgentConfig& config, ckpt::KvStore& io_store)
     : cfg_(config),
@@ -52,23 +30,15 @@ NdpAgent::NdpAgent(const AgentConfig& config, ckpt::KvStore& io_store)
       uncompressed_(config.uncompressed_capacity),
       compressed_(config.compressed_capacity),
       trace_(config.trace ? config.trace : &obs::Tracer::null()) {
-  if (cfg_.compress_bw <= 0 || cfg_.io_bw <= 0) {
-    throw std::invalid_argument("agent bandwidths must be positive");
+  if (!positive(cfg_.compress_bw) || !positive(cfg_.io_bw)) {
+    throw std::invalid_argument(
+        "agent bandwidths must be positive and finite");
   }
   if (cfg_.chunk_bytes == 0) {
     throw std::invalid_argument("agent chunk_bytes must be positive");
   }
   if (cfg_.codec != compress::CodecId::kNull) {
     codec_.emplace(cfg_.codec, cfg_.codec_level, cfg_.chunk_bytes);
-  }
-  if (cfg_.delta_chain > 0) {
-    if (cfg_.delta_block_bytes == 0) {
-      throw std::invalid_argument("agent delta_block_bytes must be positive");
-    }
-    if (cfg_.delta_bw <= 0) {
-      throw std::invalid_argument("agent delta_bw must be positive");
-    }
-    delta_codec_.emplace(cfg_.delta_block_bytes);
   }
   if (trace_->enabled()) {
     const std::string base = "ndp r" + std::to_string(cfg_.rank);
@@ -113,7 +83,6 @@ void NdpAgent::start_drain_if_ready() {
   Drain drain;
   drain.checkpoint_id = id;
   drain.image_size = image->size();
-  drain.raw_bytes = image->size();
   drain.start_v = vclock_;
   // Lock the source so the circular buffer cannot reclaim it while the
   // chunk pipeline reads it (section 4.2.2).
@@ -123,34 +92,6 @@ void NdpAgent::start_drain_if_ready() {
     rb->instant_at(vclock_, "drain_start", "ndp", cfg_.trace_track,
                    {obs::u64("id", id),
                     obs::u64("bytes", drain.image_size)});
-  }
-
-  if (delta_codec_) {
-    // Delta drain mode: the pipeline ships a frame, delta-encoded against
-    // the last image that landed on IO when the chain allows it. The
-    // encode happens here (the bytes are needed to size the chunk
-    // pipeline); its virtual cost is the preprocess stage consumed before
-    // the first chunk compresses.
-    const bool as_delta = last_shipped_ && last_shipped_->id < id &&
-                          links_since_full_ < cfg_.delta_chain;
-    if (as_delta) {
-      const Bytes stream = delta_codec_->encode(
-          ByteSpan(last_shipped_->image), *image, delta_scratch_);
-      drain.frame =
-          build_frame(ckpt::PayloadKind::kDelta, last_shipped_->id, stream);
-      drain.is_delta = true;
-      ++stats_.delta_frames;
-      stats_.delta_input_bytes += image->size();
-      stats_.delta_frame_bytes += stream.size();
-    } else {
-      drain.frame = build_frame(ckpt::PayloadKind::kFull, 0, *image);
-      ++stats_.full_frames;
-    }
-    drain.framed = true;
-    drain.image_size = drain.frame.size();
-    drain.preprocess_remaining =
-        static_cast<double>(drain.raw_bytes) / cfg_.delta_bw;
-    drain.preprocess_start_v = vclock_;
   }
 
   if (codec_) {
@@ -167,8 +108,7 @@ void NdpAgent::start_drain_if_ready() {
   } else {
     // Uncompressed mode: a single raw "chunk", write stage only.
     drain.chunk_count = 1;
-    drain.chunks.assign(
-        1, drain.framed ? drain.frame : Bytes(image->begin(), image->end()));
+    drain.chunks.assign(1, Bytes(image->begin(), image->end()));
     drain.compressed_done = 1;
   }
   drain_ = std::move(drain);
@@ -177,41 +117,15 @@ void NdpAgent::start_drain_if_ready() {
 double NdpAgent::step_pipeline(double budget) {
   auto& d = *drain_;
   double used = 0.0;
-  // Delta preprocess stage: the hash-and-compare pass over the raw image
-  // runs to completion before the first chunk enters the codec - the
-  // frame's bytes are what the chunk pipeline consumes.
-  while (budget > 0.0 && d.preprocess_remaining > 0.0) {
-    const double step = std::min(budget, d.preprocess_remaining);
-    d.preprocess_remaining -= step;
-    vclock_ += step;
-    budget -= step;
-    used += step;
-    if (d.preprocess_remaining <= 0.0) {
-      if (obs::TraceBuffer* rb = trace_->root()) {
-        rb->span_at(d.preprocess_start_v, vclock_, "delta_encode",
-                    "ndp.delta", cfg_.trace_track + 1,
-                    {obs::u64("id", d.checkpoint_id),
-                     obs::u64("in_bytes", d.raw_bytes),
-                     obs::u64("frame_bytes", d.frame.size()),
-                     obs::u64("delta", d.is_delta ? 1 : 0)});
-      }
-    }
-  }
-  if (d.preprocess_remaining > 0.0) return used;
   while (budget > 0.0 && !d.assembled) {
     // Arm the compress stage: the next chunk's bytes are produced now,
     // when its stage begins - the drain's lock keeps the source span
-    // valid (delta mode compresses the frame instead) - and its virtual
-    // duration is the chunk's input size over the compression bandwidth.
+    // valid - and its virtual duration is the chunk's input size over the
+    // compression bandwidth.
     if (!d.compress_active && codec_ && d.compressed_done < d.chunk_count) {
-      if (d.framed) {
-        d.chunks[d.compressed_done] =
-            codec_->compress_chunk(ByteSpan(d.frame), d.compressed_done);
-      } else {
-        const auto image = uncompressed_.get(d.checkpoint_id);
-        d.chunks[d.compressed_done] =
-            codec_->compress_chunk(*image, d.compressed_done);
-      }
+      const auto image = uncompressed_.get(d.checkpoint_id);
+      d.chunks[d.compressed_done] =
+          codec_->compress_chunk(*image, d.compressed_done);
       const auto extent =
           codec_->chunk_extent(d.image_size, d.compressed_done);
       stats_.bytes_compressed += extent.second;
@@ -290,11 +204,8 @@ void NdpAgent::finish_drain() {
   const std::uint64_t id = d.checkpoint_id;
   // Stage the compressed image in the compressed partition (section 4.3's
   // second circular buffer) - best effort: a full partition only costs the
-  // fast-restore staging. Done once, before the IO write can fail. Delta
-  // frames are not staged: they are useless without their chain, and the
-  // partition exists for fast self-contained restores.
-  if (d.put_attempts == 0 && codec_ && !compressed_.contains(id) &&
-      !d.is_delta) {
+  // fast-restore staging. Done once, before the IO write can fail.
+  if (d.put_attempts == 0 && codec_ && !compressed_.contains(id)) {
     compressed_.put(id, d.compressed);
   }
   ++d.put_attempts;
@@ -329,16 +240,6 @@ void NdpAgent::finish_drain() {
     stats_.bytes_to_io += d.compressed.size();
     newest_on_io_ = id;
     ++stats_.drains_completed;
-    if (delta_codec_) {
-      // This image is now the chain's reference (captured before the
-      // unlock below; the entry is still resident).
-      if (const auto image = uncompressed_.get(id)) {
-        last_shipped_ = Shipped{id, Bytes(image->begin(), image->end())};
-      } else {
-        last_shipped_.reset();
-      }
-      links_since_full_ = d.is_delta ? links_since_full_ + 1 : 0;
-    }
     if (io_degraded_) {
       // The IO path works again: the drain "level" heals, exactly like a
       // multilevel level's probe succeeding.
@@ -360,13 +261,12 @@ void NdpAgent::finish_drain() {
     start_drain_if_ready();
     return;
   }
-  if (!permanent && d.put_attempts < cfg_.drain_put_attempts) {
+  if (!permanent && d.put_attempts < kDrainPutAttempts) {
     // Transient failure: back off (virtual time - the pump re-drives the
     // retry once it has elapsed) and keep the drain alive.
     ++stats_.drain_put_retries;
     const double backoff =
-        cfg_.drain_retry_backoff *
-        std::pow(2.0, static_cast<double>(d.put_attempts - 1));
+        kDrainRetryBackoff * std::pow(2.0, static_cast<double>(d.put_attempts - 1));
     stats_.retry_backoff_seconds += backoff;
     d.remaining_seconds = backoff;
     if (rb) {
@@ -378,13 +278,10 @@ void NdpAgent::finish_drain() {
     return;
   }
   // Permanent outage or retries exhausted: hand the compressed image back
-  // to the host write path and move on to the next checkpoint. The delta
-  // chain cannot continue over a frame IO never saw: restart at a full.
+  // to the host write path and move on to the next checkpoint.
   ++stats_.drain_put_failures;
   ++stats_.host_fallbacks;
   io_degraded_ = true;
-  last_shipped_.reset();
-  links_since_full_ = 0;
   if (rb) {
     rb->span_at(d.start_v, vclock_, "drain_failed", "ndp", cfg_.trace_track,
                 {obs::u64("id", id),
@@ -443,10 +340,6 @@ void NdpAgent::reset() {
   fallback_.reset();
   uncompressed_.clear();
   compressed_.clear();
-  // Node loss drops the delta reference with the NVM: the next drain
-  // ships a full frame.
-  last_shipped_.reset();
-  links_since_full_ = 0;
 }
 
 std::optional<NdpAgent::HostFallback> NdpAgent::take_host_fallback() {
@@ -480,23 +373,21 @@ std::optional<Bytes> NdpAgent::restore_local(
   if (const auto raw = uncompressed_.get(checkpoint_id)) {
     return Bytes(raw->begin(), raw->end());
   }
-  if (codec_) {
-    if (const auto packed = compressed_.get(checkpoint_id)) {
-      try {
-        Bytes raw = codec_->decompress(*packed);
-        if (cfg_.delta_chain == 0) return raw;
-        // Delta mode stages full frames only: unwrap to the image.
-        auto frame = parse_frame(ByteSpan(raw));
-        if (frame && frame->kind == ckpt::PayloadKind::kFull) {
-          return std::move(frame->payload);
-        }
-        return std::nullopt;
-      } catch (const compress::CodecError&) {
-        return std::nullopt;  // corrupt staging copy: caller falls to IO
-      }
-    }
+  // Only a compressing drain stages here; a corrupt staging copy decodes
+  // to nullopt and the caller falls to IO.
+  if (const auto packed = compressed_.get(checkpoint_id)) {
+    return decode_io(*packed);
   }
   return std::nullopt;
+}
+
+std::optional<Bytes> NdpAgent::decode_io(ByteSpan stored) const {
+  if (!codec_) return Bytes(stored.begin(), stored.end());
+  try {
+    return codec_->decompress(stored);
+  } catch (const compress::CodecError&) {
+    return std::nullopt;
+  }
 }
 
 }  // namespace ndpcr::ndp

@@ -20,7 +20,8 @@
 //     W_j = max(C_j, W_{j-1}) + w_j instead of a single max(C, W)
 //     (overlap = false serializes the stages: total = sum c + sum w),
 //   * ships the IO copy as a ChunkedCodec container (the same
-//     thread-count-invariant format the multilevel IO path uses),
+//     thread-count-invariant format the multilevel IO path uses), and
+//     is the one reader of that format (decode_io),
 //   * pauses while the host owns the NVM (the host_write_pause() window
 //     of section 4.2.1) and during recovery (section 4.2.3),
 //   * retries failed IO writes with virtual exponential backoff and, when
@@ -38,13 +39,11 @@
 #include <optional>
 #include <vector>
 
-#include "ckpt/image.hpp"
 #include "ckpt/multilevel.hpp"
 #include "ckpt/nvm_store.hpp"
 #include "ckpt/stores.hpp"
 #include "compress/chunked.hpp"
 #include "compress/codec.hpp"
-#include "delta/delta.hpp"
 
 namespace ndpcr::obs {
 class Tracer;
@@ -67,26 +66,6 @@ struct AgentConfig {
   // The IO copy is a ChunkedCodec container, so the chunk size fixes the
   // stored bytes - it is a format knob, not just a timing knob.
   std::size_t chunk_bytes = 256ull << 10;
-  // IO-store write failures: total put attempts per drain before the
-  // agent gives up and hands the bytes back to the host path, and the
-  // virtual backoff before the first retry (doubles per retry).
-  std::uint32_t drain_put_attempts = 4;
-  double drain_retry_backoff = 0.05;
-
-  // Incremental drain mode (docs/DELTA.md): with delta_chain > 0 the
-  // agent wraps every shipped image in a self-describing "NDFR" frame and
-  // delta-encodes it against the last image it successfully shipped - the
-  // paper's "compare data for consecutive checkpoints" NDP extension. Up
-  // to delta_chain delta frames ride between full frames; fallbacks and
-  // resets restart the chain at a full. The encode is a preprocess
-  // pipeline stage charged at delta_bw (a hash-and-compare pass over the
-  // image) before chunk compression begins, so the composed pipeline is
-  // delta -> codec -> wire. 0 keeps the classic raw-container drain -
-  // consumers of the IO store see byte-identical entries.
-  std::uint32_t delta_chain = 0;
-  std::size_t delta_block_bytes = 4096;
-  double delta_bw = 2e9;  // bytes/s through the delta preprocess stage
-
   // Optional tracer (docs/OBSERVABILITY.md). The agent emits on the
   // virtual clock: a span per drain and per pipeline stage (compress vs
   // wire, so the overlap is visible in Perfetto), plus retry/fallback
@@ -117,12 +96,6 @@ struct AgentStats {
   std::uint64_t io_quarantined = 0;      // torn IO entries erased
   std::uint64_t host_fallbacks = 0;      // HostFallback handoffs staged
   std::uint64_t io_repairs = 0;          // degraded -> healthy transitions
-  // Delta drain mode (delta_chain > 0): frames built by kind, raw bytes
-  // fed to the delta encoder, and delta-stream bytes it produced.
-  std::uint64_t full_frames = 0;
-  std::uint64_t delta_frames = 0;
-  std::uint64_t delta_input_bytes = 0;
-  std::uint64_t delta_frame_bytes = 0;
 };
 
 class NdpAgent {
@@ -149,9 +122,15 @@ class NdpAgent {
   [[nodiscard]] std::optional<std::uint64_t> newest_on_io() const;
 
   // Restore path: newest checkpoint available locally (uncompressed
-  // partition first, then the compressed partition through the codec).
+  // partition first, then the compressed partition through decode_io).
   [[nodiscard]] std::optional<Bytes> restore_local(
       std::uint64_t checkpoint_id) const;
+
+  // The image a drained entry holds. The agent is the one owner of its
+  // drain format: it decodes with the codec it drained with (so with the
+  // chunk size it wrote), and a kNull drain's bytes pass through as they
+  // are. Nullopt when the bytes do not decode (a corrupt copy).
+  [[nodiscard]] std::optional<Bytes> decode_io(ByteSpan stored) const;
 
   // A drain whose IO writes failed permanently (or exhausted their
   // retries): the compressed image the host should write through its own
@@ -162,21 +141,6 @@ class NdpAgent {
     Bytes compressed;
   };
   [[nodiscard]] std::optional<HostFallback> take_host_fallback();
-
-  // Delta drain wire frame (delta_chain > 0): what a decompressed IO
-  // entry holds. A kFull frame's payload is the raw image; a kDelta
-  // frame's payload is a delta stream against the payload of the frame
-  // shipped as `base_id`. Static so IO-side consumers can decode without
-  // an agent instance.
-  struct Frame {
-    ckpt::PayloadKind kind = ckpt::PayloadKind::kFull;
-    std::uint64_t base_id = 0;
-    Bytes payload;
-  };
-  static Bytes build_frame(ckpt::PayloadKind kind, std::uint64_t base_id,
-                           ByteSpan payload);
-  // Nullopt on bad magic or truncation.
-  static std::optional<Frame> parse_frame(ByteSpan raw);
 
   // Align the agent's virtual clock with the caller's simulation time
   // (monotone: never moves backwards). Only affects trace timestamps.
@@ -199,17 +163,7 @@ class NdpAgent {
  private:
   struct Drain {
     std::uint64_t checkpoint_id = 0;
-    // Bytes entering the chunk pipeline: the raw image size classically,
-    // the frame size in delta mode.
     std::size_t image_size = 0;
-    std::size_t raw_bytes = 0;  // the image's true size (trace/stats)
-    // Delta mode: the pipeline compresses this frame instead of reading
-    // the NVM span, after a preprocess stage models the encode cost.
-    Bytes frame;
-    bool framed = false;
-    bool is_delta = false;
-    double preprocess_remaining = 0.0;
-    double preprocess_start_v = 0.0;
     // Two-stage chunk pipeline. chunks[j] is produced lazily when chunk
     // j's compress stage begins (the source NVM entry is locked for the
     // whole drain, so the span stays valid).
@@ -248,18 +202,6 @@ class NdpAgent {
   std::optional<std::uint64_t> pending_;  // newest committed, not drained
   std::optional<std::uint64_t> newest_on_io_;
   std::optional<HostFallback> fallback_;
-  // Delta drain chain state (cfg_.delta_chain > 0): the last image that
-  // fully landed on IO (the next delta's reference), and the delta frames
-  // shipped since the last full. A fallback or reset clears both, so the
-  // chain restarts at a full frame.
-  std::optional<delta::DeltaCodec> delta_codec_;
-  delta::DeltaScratch delta_scratch_;
-  struct Shipped {
-    std::uint64_t id = 0;
-    Bytes image;
-  };
-  std::optional<Shipped> last_shipped_;
-  std::uint32_t links_since_full_ = 0;
   AgentStats stats_;
   // Never null: cfg.trace or the shared disabled Tracer::null().
   obs::Tracer* trace_;

@@ -1,10 +1,9 @@
 // Golden bit-identity tests for the incremental-checkpointing wire
-// formats (docs/DELTA.md). Four formats are compatibility surfaces:
+// formats (docs/DELTA.md). Three formats are compatibility surfaces:
 //
 //   NDDL  delta::DeltaCodec streams     (block deltas between payloads)
 //   NDRD  ckpt::RegionRegistry deltas   (dirty-region capture payloads)
 //   NDRC  ckpt::DedupIndex recipes      (block refs for deduped images)
-//   NDFR  ndp::NdpAgent drain frames    (full/delta framing on the wire)
 //
 // plus the NDCI image header's kind/base_id fields and the CDC chunker
 // whose boundaries decide block identity for dedup. Every CRC below is
@@ -15,7 +14,7 @@
 // Deliberate revision (docs/DELTA.md, "Format notes"): delta::block_hash
 // moved from byte-serial FNV-1a to XXH64. The values derived from it -
 // NDDL reference digests, NDRD base digests and NDRC recipe keys - were
-// re-pinned then; the NDFR frame, NDCI header and CDC pins did not move.
+// re-pinned then; the NDCI header and CDC pins did not move.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,7 +26,6 @@
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "delta/delta.hpp"
-#include "ndp/agent.hpp"
 
 namespace ndpcr {
 namespace {
@@ -118,23 +116,6 @@ TEST(DeltaGolden, ImageHeaderCarriesKindAndBase) {
   const auto parsed = ckpt::CheckpointImage::parse(framed);
   EXPECT_EQ(parsed.meta().kind, ckpt::PayloadKind::kDelta);
   EXPECT_EQ(parsed.meta().base_id, 8u);
-}
-
-TEST(DeltaGolden, AgentFrameBytesArePinned) {
-  const Bytes payload = mixed_payload(1024, 55);
-  const Bytes full =
-      ndp::NdpAgent::build_frame(ckpt::PayloadKind::kFull, 0, payload);
-  const Bytes delta =
-      ndp::NdpAgent::build_frame(ckpt::PayloadKind::kDelta, 17, payload);
-  EXPECT_EQ(full.size(), payload.size() + 13);
-  EXPECT_EQ(Crc32::compute(full), 0xe2a29fb4u);
-  EXPECT_EQ(Crc32::compute(delta), 0x6a0bb1acu);
-
-  const auto parsed = ndp::NdpAgent::parse_frame(delta);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->kind, ckpt::PayloadKind::kDelta);
-  EXPECT_EQ(parsed->base_id, 17u);
-  EXPECT_EQ(parsed->payload, payload);
 }
 
 }  // namespace

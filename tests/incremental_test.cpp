@@ -8,11 +8,10 @@
 #include "ckpt/multilevel.hpp"
 #include "common/rng.hpp"
 #include "delta/delta.hpp"
-#include "ndp/agent.hpp"
 
 // Integrated incremental-checkpointing tests (docs/DELTA.md): delta
-// chains and block dedup on the real commit path, chain-aware recovery,
-// and the NDP agent's delta drain mode.
+// chains and block dedup on the real commit path, and chain-aware
+// recovery.
 
 namespace ndpcr::ckpt {
 namespace {
@@ -247,57 +246,6 @@ TEST(Incremental, DedupAdmitReplayIsIdempotent) {
   EXPECT_EQ(index.stored_bytes(), 0u);
   EXPECT_EQ(index.logical_bytes(), 0u);
   EXPECT_TRUE(index.release(0, 1).empty());
-}
-
-TEST(Incremental, AgentDeltaDrainShipsFramesAndReconstructs) {
-  ckpt::KvStore io;
-  ndp::AgentConfig cfg;
-  cfg.codec = compress::CodecId::kNull;  // raw frames on the wire
-  cfg.delta_chain = 3;
-  cfg.delta_block_bytes = 256;
-  cfg.io_bw = 1e9;
-  cfg.rank = 0;
-
-  ndp::NdpAgent agent(cfg, io);
-  std::map<std::uint64_t, Bytes> images;
-  Bytes image = random_bytes(16 * 1024, 61);
-  for (std::uint64_t id = 1; id <= 5; ++id) {
-    image[id * 100] ^= std::byte{0x5A};  // sparse mutation
-    images[id] = image;
-    ASSERT_TRUE(agent.host_commit(id, image));
-    while (agent.busy()) agent.pump(10.0);
-  }
-  EXPECT_EQ(agent.newest_on_io().value(), 5u);
-  // Chain cadence with delta_chain = 3: F D D D F.
-  EXPECT_EQ(agent.stats().full_frames, 2u);
-  EXPECT_EQ(agent.stats().delta_frames, 3u);
-  // The deltas keep the wire traffic far below the 5x raw image volume.
-  EXPECT_LT(agent.stats().bytes_to_io, 3 * images[1].size());
-
-  // Reconstruct id 5 from the IO store alone by walking its frame chain.
-  std::map<std::uint64_t, Bytes> resolved;
-  for (std::uint64_t id = 1; id <= 5; ++id) {
-    const auto raw = io.get(cfg.rank, id);
-    ASSERT_TRUE(raw.ok());
-    const auto frame = ndp::NdpAgent::parse_frame(ByteSpan(*raw));
-    ASSERT_TRUE(frame.has_value());
-    if (frame->kind == PayloadKind::kFull) {
-      resolved[id] = frame->payload;
-    } else {
-      ASSERT_TRUE(resolved.count(frame->base_id));
-      const delta::DeltaCodec codec(
-          delta::DeltaCodec::stream_block_size(frame->payload));
-      resolved[id] =
-          codec.decode(ByteSpan(resolved[frame->base_id]), frame->payload);
-    }
-    EXPECT_EQ(resolved[id], images[id]);
-  }
-
-  // A reset drops the chain reference: the next drain is a full frame.
-  agent.reset();
-  ASSERT_TRUE(agent.host_commit(6, image));
-  while (agent.busy()) agent.pump(10.0);
-  EXPECT_EQ(agent.stats().full_frames, 3u);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.hpp"
 #include "compress/chunked.hpp"
 #include "ndp/agent.hpp"
@@ -208,6 +210,8 @@ TEST(NdpAgent, UncompressedModeStreamsRawImage) {
   const double consumed = agent.pump(1e9);
   EXPECT_NEAR(consumed, static_cast<double>(image.size()) / cfg.io_bw, 1e-9);
   EXPECT_EQ(io.get(0, 1).value(), image);
+  // The raw image is its own IO format: decode_io passes it through.
+  EXPECT_EQ(agent.decode_io(io.get(0, 1).value()).value(), image);
 }
 
 TEST(NdpAgent, PumpIdleConsumesNothing) {
@@ -217,10 +221,60 @@ TEST(NdpAgent, PumpIdleConsumesNothing) {
   EXPECT_DOUBLE_EQ(agent.stats().busy_seconds, 0.0);
 }
 
+TEST(NdpAgent, DecodeIoReadsWhatTheAgentShipped) {
+  ckpt::KvStore io;
+  AgentConfig cfg = test_config();
+  cfg.chunk_bytes = 32 * 1024;  // not the codec default: several chunks
+  NdpAgent agent(cfg, io);
+  const Bytes image = compressible_image(200 * 1024, 13);
+  ASSERT_TRUE(agent.host_commit(1, image));
+  agent.pump(1e9);
+  const auto packed = io.get(0, 1);
+  ASSERT_TRUE(packed.ok());
+  EXPECT_EQ(agent.decode_io(*packed).value(), image);
+  // A codec at its default chunk size rejects the container's chunk
+  // count: only the agent that wrote it knows the format.
+  const compress::ChunkedCodec foreign(cfg.codec, cfg.codec_level);
+  EXPECT_THROW((void)foreign.decompress(*packed), compress::CodecError);
+
+  // Corrupt bytes decode to nullopt, not to a throw.
+  Bytes torn(*packed);
+  torn.resize(torn.size() / 2);
+  EXPECT_FALSE(agent.decode_io(torn).has_value());
+  EXPECT_FALSE(agent.decode_io(Bytes(7, std::byte{0x5A})).has_value());
+
+  // The compressed-partition restore runs through the same decode.
+  cfg.uncompressed_capacity = 250 * 1024;
+  ckpt::KvStore io2;
+  NdpAgent staged(cfg, io2);
+  ASSERT_TRUE(staged.host_commit(1, image));
+  staged.pump(1e9);
+  ASSERT_TRUE(staged.host_commit(2, compressible_image(200 * 1024, 14)));
+  ASSERT_FALSE(staged.uncompressed_partition().contains(1));
+  ASSERT_TRUE(staged.compressed_partition().contains(1));
+  EXPECT_EQ(staged.restore_local(1).value(), image);
+}
+
 TEST(NdpAgent, InvalidConfigThrows) {
   ckpt::KvStore io;
   AgentConfig cfg = test_config();
   cfg.io_bw = 0;
+  EXPECT_THROW(NdpAgent(cfg, io), std::invalid_argument);
+
+  // A NaN bandwidth used to leave a drain busy forever while pump()
+  // reported the whole budget consumed. Constructed only, never pumped.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -1.0, nan, inf}) {
+    cfg = test_config();
+    cfg.compress_bw = bad;
+    EXPECT_THROW(NdpAgent(cfg, io), std::invalid_argument) << bad;
+    cfg = test_config();
+    cfg.io_bw = bad;
+    EXPECT_THROW(NdpAgent(cfg, io), std::invalid_argument) << bad;
+  }
+  cfg = test_config();
+  cfg.chunk_bytes = 0;
   EXPECT_THROW(NdpAgent(cfg, io), std::invalid_argument);
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cluster/ndp_cluster_sim.hpp"
+#include "sim/timeline.hpp"
 
 namespace ndpcr::cluster {
 namespace {
@@ -37,7 +40,84 @@ TEST(NdpClusterSim, RecoveryMixFollowsPLocal) {
   cfg.p_local_recovery = 0.0;
   const auto all_io = NdpClusterSim(cfg).run();
   EXPECT_EQ(all_io.local_recoveries, 0u);
-  EXPECT_GT(all_io.io_recoveries + all_io.scratch_restarts, 0u);
+  EXPECT_GT(all_io.io_recoveries, 0u);
+}
+
+// A node loss restores every rank from the agents' drained IO copies.
+// The sim reads those through NdpAgent::decode_io, so the chunk size the
+// agents wrote with (ndp_chunk_bytes, not the codec default) decodes.
+TEST(NdpClusterSim, NodeLossRestoresFromIo) {
+  auto cfg = small_config();
+  cfg.p_local_recovery = 0.0;
+  const auto r = NdpClusterSim(cfg).run();
+  EXPECT_GT(r.failures, 0u);
+  EXPECT_GT(r.io_recoveries, 0u);
+  EXPECT_EQ(r.scratch_restarts, 0u);
+  EXPECT_TRUE(r.state_verified);
+}
+
+// A flaky PFS: drains retry, then hand their bytes back to the host,
+// whose verified write lands or drops each one.
+TEST(NdpClusterSim, IoFaultsFallBackThroughHostWrites) {
+  auto cfg = small_config();
+  cfg.io_fault_rates.transient = 0.3;
+  cfg.io_fault_rates.torn = 0.1;
+  cfg.io_fault_rates.bitflip = 0.1;
+  const auto a = NdpClusterSim(cfg).run();
+  EXPECT_GT(a.host_fallbacks, 0u);
+  EXPECT_GT(a.drain_put_retries, 0u);
+  EXPECT_EQ(a.host_fallback_writes + a.host_fallback_drops, a.host_fallbacks);
+  EXPECT_TRUE(a.state_verified);
+
+  const auto b = NdpClusterSim(cfg).run();
+  EXPECT_EQ(a.failures, b.failures);
+  EXPECT_EQ(a.io_recoveries, b.io_recoveries);
+  EXPECT_EQ(a.steps_rerun, b.steps_rerun);
+  EXPECT_DOUBLE_EQ(a.virtual_seconds, b.virtual_seconds);
+  EXPECT_EQ(a.drain_put_retries, b.drain_put_retries);
+  EXPECT_EQ(a.drain_put_failures, b.drain_put_failures);
+  EXPECT_EQ(a.host_fallback_writes, b.host_fallback_writes);
+  EXPECT_EQ(a.host_fallback_drops, b.host_fallback_drops);
+  EXPECT_EQ(a.io_put_attempts, b.io_put_attempts);
+  EXPECT_EQ(a.io_verify_failures, b.io_verify_failures);
+  EXPECT_EQ(a.io_quarantined, b.io_quarantined);
+  EXPECT_EQ(a.host_fallbacks, b.host_fallbacks);
+}
+
+// One grid point of bench/ablation_fullstack_validation (MTTF 1500 s,
+// P(local) 85%), scaled down: a quarter of the bytes and bandwidths, so
+// transfers take about as long, and 1500 steps instead of 4000. The
+// byte-moving cluster and the timeline model, given the same parameters,
+// must agree within 2 points of progress rate.
+TEST(NdpClusterSim, FullStackMatchesTimelineModel) {
+  NdpClusterConfig fc;
+  fc.node_count = 4;
+  fc.state_bytes_per_rank = 32 * 1024;
+  fc.total_steps = 1500;
+  fc.steps_per_checkpoint = 10;
+  fc.ndp_compress_bw = 128e3;
+  fc.aggregate_io_bw = 4 * 16e3;
+  fc.codec = compress::CodecId::kLz4Style;
+  fc.node_mttf = 1500.0;
+  fc.p_local_recovery = 0.85;
+  const auto full = NdpClusterSim(fc).run();
+  EXPECT_TRUE(full.state_verified);
+
+  const double image_bytes = static_cast<double>(fc.state_bytes_per_rank);
+  sim::TimelineConfig tc;
+  tc.strategy = sim::Strategy::kLocalIoNdp;
+  tc.mtti = fc.node_mttf / fc.node_count;
+  tc.checkpoint_bytes = image_bytes;
+  tc.local_bw = image_bytes / fc.local_commit_time;
+  tc.io_bw = fc.aggregate_io_bw / fc.node_count;
+  tc.local_interval =
+      static_cast<double>(fc.steps_per_checkpoint) * fc.step_time;
+  tc.compression_factor = 0.5;  // lz4-class, as in the bench
+  tc.ndp_compress_bw = fc.ndp_compress_bw;
+  tc.p_local_recovery = fc.p_local_recovery;
+  tc.total_work = 20000.0;
+  const auto model = sim::TimelineSimulator::run_trials(tc, 5, 3);
+  EXPECT_NEAR(full.progress_rate(), model.progress_rate(), 0.02);
 }
 
 TEST(NdpClusterSim, NoFailuresIsPureComputePlusCommits) {
@@ -80,6 +160,56 @@ TEST(NdpClusterSim, InvalidConfigThrows) {
   cfg = small_config();
   cfg.aggregate_io_bw = 0;
   EXPECT_THROW(NdpClusterSim{cfg}, std::invalid_argument);
+
+  // Each of these used to make run() spin forever or fail silently; they
+  // are only constructed here, never run.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -5.0, nan, inf}) {
+    cfg = small_config();
+    cfg.node_mttf = bad;
+    EXPECT_THROW(NdpClusterSim{cfg}, std::invalid_argument) << bad;
+    cfg = small_config();
+    cfg.step_time = bad;
+    EXPECT_THROW(NdpClusterSim{cfg}, std::invalid_argument) << bad;
+    cfg = small_config();
+    cfg.aggregate_io_bw = bad;
+    EXPECT_THROW(NdpClusterSim{cfg}, std::invalid_argument) << bad;
+    cfg = small_config();
+    cfg.ndp_compress_bw = bad;
+    EXPECT_THROW(NdpClusterSim{cfg}, std::invalid_argument) << bad;
+  }
+  for (const double bad : {-0.5, nan, inf}) {
+    cfg = small_config();
+    cfg.local_commit_time = bad;
+    EXPECT_THROW(NdpClusterSim{cfg}, std::invalid_argument) << bad;
+    cfg = small_config();
+    cfg.local_restore_time = bad;
+    EXPECT_THROW(NdpClusterSim{cfg}, std::invalid_argument) << bad;
+  }
+  for (const double bad : {-0.1, 1.5, nan}) {
+    cfg = small_config();
+    cfg.p_local_recovery = bad;
+    EXPECT_THROW(NdpClusterSim{cfg}, std::invalid_argument) << bad;
+  }
+  cfg = small_config();
+  cfg.steps_per_checkpoint = 0;
+  EXPECT_THROW(NdpClusterSim{cfg}, std::invalid_argument);
+  // The bounds are inclusive where the value is meaningful.
+  cfg = small_config();
+  cfg.local_commit_time = 0.0;
+  cfg.local_restore_time = 0.0;
+  cfg.p_local_recovery = 1.0;
+  EXPECT_NO_THROW(NdpClusterSim{cfg});
+  cfg.p_local_recovery = 0.0;
+  EXPECT_NO_THROW(NdpClusterSim{cfg});
+}
+
+// An image that can never fit the agent's NVM is an error, not a wait.
+TEST(NdpClusterSim, OversizedImageThrows) {
+  auto cfg = small_config();
+  cfg.nvm_capacity_bytes = cfg.state_bytes_per_rank / 2;
+  EXPECT_THROW(NdpClusterSim(cfg).run(), std::runtime_error);
 }
 
 }  // namespace
