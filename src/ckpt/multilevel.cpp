@@ -223,8 +223,7 @@ MultilevelManager::MultilevelManager(const MultilevelConfig& config)
         throw std::invalid_argument("nvm_factory returned null");
       }
     } else {
-      local_.push_back(std::make_shared<NvmStore>(
-          config.nvm_capacity_bytes, config.delta.nvm_dedup_block_bytes));
+      local_.push_back(std::make_shared<NvmStore>(config.nvm_capacity_bytes));
     }
   }
   local_write_ops_.assign(config.node_count, 0);

@@ -137,9 +137,8 @@ struct HealthReport {
 // Incremental-checkpointing policy for the commit path (docs/DELTA.md).
 // With `enabled`, commits after the first write delta images against the
 // previous committed checkpoint's payload; every `chain_length`-th link
-// forces a full image so recovery chains stay bounded. Dedup layers
-// content-addressed block stores under the IO level (CDC recipes) and the
-// local NVM (fixed-block capacity accounting).
+// forces a full image so recovery chains stay bounded. Dedup layers a
+// content-addressed block store under the IO level (CDC recipes).
 struct DeltaPolicy {
   bool enabled = false;
   // Maximum delta links between full anchors (0 behaves like disabled:
@@ -150,15 +149,13 @@ struct DeltaPolicy {
   // recipes + content-addressed blocks in the same KvStore.
   bool io_dedup = false;
   delta::CdcParams cdc;
-  // Fixed-block dedup accounting inside each local NVM store (0 = off).
-  std::size_t nvm_dedup_block_bytes = 0;
 };
 
 // Byte ledger of one commit-path stage: the bytes the manager's own
 // passes touched, by kind. Pure functions of the payload sizes and the
 // fault schedule - no clocks - so tests can pin touches per payload byte
-// as a regression gate that cannot flake. Work inside a device (NvmStore
-// dedup accounting) and inside a codec (compression) is not counted.
+// as a regression gate that cannot flake. Work inside a device or inside
+// a codec (compression) is not counted.
 struct ByteLedger {
   std::uint64_t copied = 0;    // staging copies, buffers handed to stores
   std::uint64_t crc = 0;       // NDCI headers, write digests, verify reads
@@ -286,10 +283,9 @@ struct MultilevelConfig {
       store_factory;
 
   // Factory for the per-rank local NVM devices. Null builds fresh stores
-  // from nvm_capacity_bytes / delta.nvm_dedup_block_bytes. The crash
-  // simulator hands the *same* NvmStore objects to the dying manager and
-  // the restart manager, so local state survives a simulated process
-  // death the way a real NVDIMM survives one.
+  // from nvm_capacity_bytes. The crash simulator hands the *same* NvmStore
+  // objects to the dying manager and the restart manager, so local state
+  // survives a simulated process death the way a real NVDIMM survives one.
   std::function<std::shared_ptr<NvmStore>(std::uint32_t rank)> nvm_factory;
 
   // Restart mode: the stores the factories hand over may already hold a

@@ -9,18 +9,9 @@
 // Section 4.3's two-partition layout (uncompressed / compressed circular
 // buffers) is realized by instantiating two NvmStores over the device's
 // capacity split.
-//
-// Optional block dedup (docs/DELTA.md): with a nonzero dedup block size,
-// capacity accounting charges each checkpoint only for the fixed-size
-// blocks no resident checkpoint already holds - consecutive checkpoints of
-// the same rank share most of their bytes, so the same NVM budget retains
-// a longer history. Entries stay materialized (get() still returns a
-// stable span of the full image); the dedup models the device's space
-// accounting, and `used_bytes() <= logical_bytes()` exposes the savings.
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -32,10 +23,7 @@ namespace ndpcr::ckpt {
 
 class NvmStore {
  public:
-  // `dedup_block_bytes` of 0 disables dedup accounting (every checkpoint
-  // is charged its full size, the classic circular buffer).
-  explicit NvmStore(std::size_t capacity_bytes,
-                    std::size_t dedup_block_bytes = 0);
+  explicit NvmStore(std::size_t capacity_bytes);
 
   // Append a checkpoint. Evicts the oldest *unlocked* checkpoints (FIFO)
   // until the new one fits. Returns false (and stores nothing) if it
@@ -80,14 +68,6 @@ class NvmStore {
 
   [[nodiscard]] std::size_t capacity_bytes() const { return capacity_; }
   [[nodiscard]] std::size_t used_bytes() const { return used_; }
-  // Sum of resident checkpoint sizes (== used_bytes() without dedup).
-  [[nodiscard]] std::size_t logical_bytes() const { return logical_; }
-  [[nodiscard]] std::size_t dedup_saved_bytes() const {
-    return logical_ - used_;
-  }
-  [[nodiscard]] std::size_t dedup_block_bytes() const {
-    return dedup_block_;
-  }
   [[nodiscard]] std::size_t count() const { return entries_.size(); }
   [[nodiscard]] std::uint64_t eviction_count() const { return evictions_; }
 
@@ -96,31 +76,13 @@ class NvmStore {
     std::uint64_t id;
     Bytes data;
     int lock_count = 0;
-    std::size_t charged = 0;  // capacity bytes this entry accounts for
-    std::vector<std::uint64_t> block_keys;  // dedup refs (empty w/o dedup)
   };
-  struct BlockInfo {
-    std::uint32_t size = 0;
-    std::size_t refs = 0;
-  };
-
-  // Capacity this data would cost against the *current* block pool, plus
-  // the probed key list (intra-image duplicates count once).
-  std::size_t unique_cost(ByteSpan data,
-                          std::vector<std::uint64_t>* keys_out) const;
-  void admit_blocks(const Entry& entry);
-  void release_entry(const Entry& entry);
 
   std::size_t capacity_;
-  std::size_t dedup_block_;
   MutationGate gate_;
   std::size_t used_ = 0;
-  std::size_t logical_ = 0;
   std::uint64_t evictions_ = 0;
   std::deque<Entry> entries_;  // FIFO order, oldest first
-  // Content-addressed block refcounts; identity is (hash, size) with
-  // linear key probing on collisions.
-  std::map<std::uint64_t, BlockInfo> blocks_;
 };
 
 }  // namespace ndpcr::ckpt

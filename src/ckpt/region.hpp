@@ -5,38 +5,18 @@
 // moral equivalent of BLCR walking a process's address space); capture()
 // snapshots them into an image payload and restore() copies a payload back.
 //
-// Incremental capture (docs/DELTA.md): each region carries a dirty flag
-// and a content hash of its last captured state. Applications that know
-// what they touched call mark_dirty(); the hash-sweep tracking mode (the
-// default) additionally rehashes every unmarked region with
-// delta::block_hash, so a forgotten mark costs a hash pass, never a lost
-// update. capture_delta() serializes only the dirty regions; apply_delta()
-// folds such a payload into the previous full payload, verifying a digest
-// of the base so a delta can never be applied against the wrong snapshot.
+// Incremental checkpointing happens below this layer, on whole payloads
+// (delta::DeltaCodec chains, docs/DELTA.md): capture() is a plain copy.
 
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "ckpt/image.hpp"
 #include "common/bytes.hpp"
 
 namespace ndpcr::ckpt {
-
-// How capture_delta() decides which regions changed.
-enum class DirtyTracking {
-  kExplicit,   // trust mark_dirty() alone
-  kHashSweep,  // mark_dirty() plus a content-hash sweep of unmarked regions
-};
-
-struct DeltaCaptureStats {
-  std::size_t regions_total = 0;
-  std::size_t regions_included = 0;
-  std::size_t included_bytes = 0;  // region bytes serialized
-  std::size_t skipped_bytes = 0;   // region bytes elided as clean
-};
 
 class RegionRegistry {
  public:
@@ -60,36 +40,12 @@ class RegionRegistry {
                          });
   }
 
-  // Snapshot all regions into a payload. Refreshes every region's content
-  // hash and clears the dirty flags: this payload is the new delta base.
-  [[nodiscard]] Bytes capture();
-
-  // Serialize only the regions considered dirty under the tracking mode
-  // (all regions count as dirty before the first capture). The payload
-  // embeds a digest of the base state so apply_delta() can verify it is
-  // folded into the right full payload. Clears the included regions'
-  // dirty flags and advances their hashes.
-  [[nodiscard]] Bytes capture_delta(DeltaCaptureStats* stats = nullptr);
-
-  // Fold a capture_delta() payload into the previous full payload,
-  // producing the new full payload. Throws ImageError on layout or digest
-  // mismatch (wrong base, reordered or resized regions).
-  [[nodiscard]] static Bytes apply_delta(ByteSpan base_payload,
-                                         ByteSpan delta_payload);
-
-  // Whether a payload came from capture() (full) or capture_delta().
-  [[nodiscard]] static bool is_delta_payload(ByteSpan payload);
+  // Snapshot all regions into a payload.
+  [[nodiscard]] Bytes capture() const;
 
   // Copy a captured payload back into the registered regions. Throws
   // ImageError if the payload does not match the registered layout.
   void restore(ByteSpan payload) const;
-
-  // Declare a region changed since the last capture. Throws ImageError
-  // for unknown names.
-  void mark_dirty(std::string_view name);
-
-  void set_tracking(DirtyTracking mode) { tracking_ = mode; }
-  [[nodiscard]] DirtyTracking tracking() const { return tracking_; }
 
   [[nodiscard]] std::size_t total_bytes() const;
   [[nodiscard]] std::size_t region_count() const { return regions_.size(); }
@@ -106,8 +62,6 @@ class RegionRegistry {
     // Null for raw registrations; vector registrations use it to follow
     // reallocations and detect resizes.
     std::function<LiveExtent()> live;
-    bool dirty = true;            // everything is dirty until captured
-    std::uint64_t content_hash = 0;  // hash of the last captured state
   };
 
   void register_region_impl(std::string name, void* data, std::size_t size,
@@ -116,13 +70,8 @@ class RegionRegistry {
   // exists); throws ImageError if the live size differs from the
   // registered size.
   static void* current_extent(const Region& region);
-  // Order-sensitive fold of the regions' content hashes: the delta
-  // payload's base digest.
-  [[nodiscard]] std::uint64_t base_digest() const;
 
   std::vector<Region> regions_;
-  DirtyTracking tracking_ = DirtyTracking::kHashSweep;
-  bool has_base_ = false;  // capture() has established a delta base
 };
 
 }  // namespace ndpcr::ckpt

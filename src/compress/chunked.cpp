@@ -126,7 +126,9 @@ Bytes ChunkedCodec::decompress(ByteSpan framed, exec::TaskPool* pool) const {
   std::size_t offset = kHeaderSize + std::size_t{chunks} * 8;
   for (std::uint32_t i = 0; i < chunks; ++i) {
     const auto size = read_le<std::uint64_t>(framed, kHeaderSize + i * 8);
-    if (offset + size > framed.size()) {
+    // offset <= framed.size() holds here, so the subtraction cannot wrap
+    // (`offset + size` could, for a size near 2^64).
+    if (size > framed.size() - offset) {
       throw CodecError("chunked stream truncated");
     }
     extents[i] = {offset, size};

@@ -113,8 +113,8 @@ namespace {
 // multiply-rotate lanes over 32-byte stripes, then a length-mixed tail
 // and a final avalanche. Independent lanes keep the multiplier
 // pipelined, so the hash runs near memory speed; a byte-serial hash is
-// bound by one multiply latency per byte, and capture hashes every
-// region on the checkpoint critical path.
+// bound by one multiply latency per byte, and delta encodes hash every
+// block of the reference on the commit path.
 constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
 constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
 constexpr std::uint64_t kP3 = 0x165667B19E3779F9ull;
@@ -358,94 +358,6 @@ Bytes DeltaCodec::decode(ByteSpan reference, ByteSpan delta) const {
     throw DeltaError("trailing bytes in delta stream");
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-
-DedupStore::DedupStore(std::size_t block_size) : block_size_(block_size) {
-  if (block_size == 0) {
-    throw DeltaError("dedup block size must be positive");
-  }
-}
-
-DedupPutStats DedupStore::put(std::uint32_t rank,
-                              std::uint64_t checkpoint_id, ByteSpan image) {
-  DedupPutStats stats;
-  stats.raw_bytes = image.size();
-
-  Recipe recipe;
-  recipe.image_size = image.size();
-  recipe.block_keys.reserve(image.size() / block_size_ + 1);
-
-  for (std::size_t pos = 0; pos < image.size(); pos += block_size_) {
-    const std::size_t len = std::min(block_size_, image.size() - pos);
-    const ByteSpan block = image.subspan(pos, len);
-    // Content-addressed key with linear probing on (vanishingly rare)
-    // hash collisions: the stored bytes are always compared before reuse.
-    std::uint64_t key = block_hash(block);
-    while (true) {
-      auto it = blocks_.find(key);
-      if (it == blocks_.end()) {
-        Block entry;
-        entry.data.assign(block.begin(), block.end());
-        entry.refs = 1;
-        stored_block_bytes_ += len;
-        stats.new_block_bytes += len;
-        blocks_.emplace(key, std::move(entry));
-        break;
-      }
-      if (spans_equal(ByteSpan(it->second.data), block)) {
-        ++it->second.refs;
-        break;
-      }
-      ++key;  // collision: probe the next slot
-    }
-    recipe.block_keys.push_back(key);
-  }
-  stats.recipe_bytes = recipe.block_keys.size() * sizeof(std::uint64_t);
-  logical_bytes_ += image.size();
-
-  const auto map_key = std::make_pair(rank, checkpoint_id);
-  if (recipes_.count(map_key) > 0) {
-    erase(rank, checkpoint_id);  // re-put replaces the previous image
-  }
-  recipes_.emplace(map_key, std::move(recipe));
-  return stats;
-}
-
-std::optional<Bytes> DedupStore::get(std::uint32_t rank,
-                                     std::uint64_t checkpoint_id) const {
-  const auto it = recipes_.find(std::make_pair(rank, checkpoint_id));
-  if (it == recipes_.end()) return std::nullopt;
-  Bytes out;
-  out.reserve(it->second.image_size);
-  for (const auto key : it->second.block_keys) {
-    const auto block = blocks_.find(key);
-    if (block == blocks_.end()) {
-      throw DeltaError("dedup store corruption: missing block");
-    }
-    out.insert(out.end(), block->second.data.begin(),
-               block->second.data.end());
-  }
-  if (out.size() != it->second.image_size) {
-    throw DeltaError("dedup store corruption: size mismatch");
-  }
-  return out;
-}
-
-void DedupStore::erase(std::uint32_t rank, std::uint64_t checkpoint_id) {
-  const auto it = recipes_.find(std::make_pair(rank, checkpoint_id));
-  if (it == recipes_.end()) return;
-  for (const auto key : it->second.block_keys) {
-    auto block = blocks_.find(key);
-    if (block == blocks_.end()) continue;
-    if (--block->second.refs == 0) {
-      stored_block_bytes_ -= block->second.data.size();
-      blocks_.erase(block);
-    }
-  }
-  logical_bytes_ -= it->second.image_size;
-  recipes_.erase(it);
 }
 
 }  // namespace ndpcr::delta

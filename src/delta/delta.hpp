@@ -13,10 +13,8 @@
 // e.g. ngzip over the literals-heavy delta stream).
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 
 #include "common/bytes.hpp"
@@ -32,7 +30,7 @@ class DeltaError : public std::runtime_error {
 // function of the bytes with little-endian loads, so it is identical on
 // every host and at any input alignment. Collisions are guarded by a
 // full byte comparison before any block is reused. The value is part of
-// the NDDL/NDRD/NDRC formats (docs/DELTA.md, "Format notes").
+// the NDDL/NDRC formats (docs/DELTA.md, "Format notes").
 std::uint64_t block_hash(ByteSpan block);
 
 // Reusable encoder workspace. Encoding indexes every reference block in a
@@ -163,65 +161,6 @@ class DeltaCodec {
 
  private:
   std::size_t block_size_;
-};
-
-// ---------------------------------------------------------------------------
-// Content-addressed deduplicating store across ranks and checkpoints
-// (the [23, 24] direction): blocks shared between neighboring ranks'
-// checkpoints (halo regions, constant tables, index structures) are
-// stored once, with per-image recipes.
-
-struct DedupPutStats {
-  std::size_t raw_bytes = 0;
-  std::size_t new_block_bytes = 0;  // unique payload added by this image
-  std::size_t recipe_bytes = 0;
-};
-
-class DedupStore {
- public:
-  explicit DedupStore(std::size_t block_size = 4096);
-
-  DedupPutStats put(std::uint32_t rank, std::uint64_t checkpoint_id,
-                    ByteSpan image);
-
-  // Reassemble an image. Returns nullopt for unknown keys; throws
-  // DeltaError if a referenced block has been evicted (store corruption).
-  [[nodiscard]] std::optional<Bytes> get(std::uint32_t rank,
-                                         std::uint64_t checkpoint_id) const;
-
-  // Drop an image and release its block references (blocks are
-  // refcounted; shared blocks survive).
-  void erase(std::uint32_t rank, std::uint64_t checkpoint_id);
-
-  [[nodiscard]] std::size_t stored_block_bytes() const {
-    return stored_block_bytes_;
-  }
-  [[nodiscard]] std::size_t logical_bytes() const { return logical_bytes_; }
-  [[nodiscard]] std::size_t unique_blocks() const { return blocks_.size(); }
-
-  // Aggregate dedup factor: 1 - physical/logical.
-  [[nodiscard]] double dedup_factor() const {
-    return logical_bytes_ == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(stored_block_bytes_) /
-                           static_cast<double>(logical_bytes_);
-  }
-
- private:
-  struct Block {
-    Bytes data;
-    std::size_t refs = 0;
-  };
-  struct Recipe {
-    std::vector<std::uint64_t> block_keys;
-    std::size_t image_size = 0;
-  };
-
-  std::size_t block_size_;
-  std::size_t stored_block_bytes_ = 0;
-  std::size_t logical_bytes_ = 0;
-  std::map<std::uint64_t, Block> blocks_;  // key: content hash (validated)
-  std::map<std::pair<std::uint32_t, std::uint64_t>, Recipe> recipes_;
 };
 
 }  // namespace ndpcr::delta

@@ -146,8 +146,8 @@ CrashSimulator::CrashSimulator(const CrashSimConfig& config)
   local_.reserve(config.node_count);
   partner_.reserve(config.node_count);
   for (std::uint32_t r = 0; r < config.node_count; ++r) {
-    local_.push_back(std::make_shared<ckpt::NvmStore>(
-        config.nvm_capacity_bytes, config.nvm_dedup_block_bytes));
+    local_.push_back(
+        std::make_shared<ckpt::NvmStore>(config.nvm_capacity_bytes));
     if (plan_) {
       partner_.push_back(
           std::make_unique<FaultyKvStore>(plan_, partner_target(r)));
@@ -221,7 +221,6 @@ void CrashSimulator::attach(ckpt::MultilevelConfig& config) const {
         "manager/simulator node_count mismatch");
   }
   config.nvm_capacity_bytes = config_.nvm_capacity_bytes;
-  config.delta.nvm_dedup_block_bytes = config_.nvm_dedup_block_bytes;
   config.nvm_factory = [this](std::uint32_t rank) {
     return local_.at(rank);
   };

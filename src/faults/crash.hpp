@@ -64,7 +64,6 @@ std::string describe(const CrashPoint& point);
 struct CrashSimConfig {
   std::uint32_t node_count = 1;
   std::size_t nvm_capacity_bytes = 64ull << 20;
-  std::size_t nvm_dedup_block_bytes = 0;
   // Seeded IO-fault schedule layered *under* the crash gates (the same
   // FaultyKvStore decorators the chaos harness uses), so crash points can
   // land inside retry/quarantine sequences. Zero rates = clean devices.

@@ -94,10 +94,6 @@ class CgKernel final : public ProxyKernel {
     for (std::size_t i = 0; i < n_; ++i) p_[i] = r_[i] + beta * p_[i];
     s_.rho = rho_next;
     ++s_.iteration;
-    registry_.mark_dirty("cg.x");
-    registry_.mark_dirty("cg.r");
-    registry_.mark_dirty("cg.p");
-    registry_.mark_dirty("cg.scalars");
   }
 
   [[nodiscard]] std::uint64_t iteration() const override {
@@ -192,8 +188,6 @@ class MgKernel final : public ProxyKernel {
     smooth(2);
     s_.residual = residual_norm();
     ++s_.iteration;
-    registry_.mark_dirty("mg.u");
-    registry_.mark_dirty("mg.scalars");
   }
 
   [[nodiscard]] std::uint64_t iteration() const override {
@@ -299,8 +293,6 @@ class FtKernel final : public ProxyKernel {
     // a deterministic stride of modes.
     s_.checksum_re = probe_re();
     ++s_.iteration;
-    registry_.mark_dirty("ft.spectrum");
-    registry_.mark_dirty("ft.scalars");
   }
 
   [[nodiscard]] std::uint64_t iteration() const override {

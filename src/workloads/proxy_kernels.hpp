@@ -56,8 +56,8 @@ class ProxyKernel {
   // fails this before any fingerprint comparison runs.
   [[nodiscard]] virtual bool verify() const = 0;
 
-  // Order-sensitive digest over every registered region's bytes. Pure -
-  // unlike RegionRegistry::capture() it does not advance dirty tracking.
+  // Order-sensitive digest over every registered region's bytes, read in
+  // place: no RegionRegistry::capture() copy.
   [[nodiscard]] virtual std::uint64_t fingerprint() const = 0;
 
   // The regions that constitute the restartable state. capture() feeds

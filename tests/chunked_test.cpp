@@ -94,6 +94,29 @@ TEST(Chunked, RejectsCorruptStreams) {
   EXPECT_THROW((void)other.decompress(packed), CodecError);
 }
 
+TEST(Chunked, SizeTableEntryCannotWrapTheBound) {
+  // Regression: the size-table bound was `offset + size > framed.size()`.
+  // A first entry of 2^64 - 2 wrapped the running offset from 34 (18 B
+  // header + 2-entry table) to 32, the second entry then closed the
+  // stream exactly, and decode was handed a span far past the buffer.
+  const ChunkedCodec codec(CodecId::kLz4Style, 1, 4096);
+  const Bytes data = test_data(8192, 17);
+  const Bytes packed = codec.compress(data);
+  ASSERT_EQ(read_le<std::uint32_t>(packed, 6), 2u);
+
+  Bytes forged(packed.begin(), packed.begin() + 18);
+  append_le<std::uint64_t>(forged, ~std::uint64_t{0} - 1);
+  append_le<std::uint64_t>(forged, packed.size() - 32);
+  forged.insert(forged.end(), packed.begin() + 34, packed.end());
+  ASSERT_EQ(forged.size(), packed.size());
+  try {
+    (void)codec.decompress(forged);
+    FAIL() << "forged size table decoded";
+  } catch (const CodecError& e) {
+    EXPECT_STREQ(e.what(), "chunked stream truncated");
+  }
+}
+
 TEST(Chunked, ExceptionFromWorkerPropagates) {
   const ChunkedCodec codec(CodecId::kDeflateStyle, 1, 64);
   const Bytes data = test_data(4096, 15);

@@ -130,86 +130,10 @@ TEST(Region, ResizedVectorIsDetectedNotSilentlyRead) {
   field.resize(16);
   EXPECT_THROW((void)reg.capture(), ImageError);
   EXPECT_THROW(reg.restore(snap), ImageError);
-  EXPECT_THROW((void)reg.capture_delta(), ImageError);
 
   field.resize(8);  // back to the registered size: usable again
   reg.restore(snap);
   EXPECT_EQ(field[3], 1.0);
-}
-
-TEST(Region, DeltaCaptureFoldsIntoBase) {
-  std::vector<double> hot(64, 1.0);
-  std::vector<std::int32_t> cold(256, 9);
-  RegionRegistry reg;
-  reg.register_vector("hot", hot);
-  reg.register_vector("cold", cold);
-
-  const Bytes base = reg.capture();
-  hot[5] = 2.5;  // only `hot` changes
-
-  DeltaCaptureStats stats;
-  const Bytes delta = reg.capture_delta(&stats);
-  EXPECT_TRUE(RegionRegistry::is_delta_payload(delta));
-  EXPECT_FALSE(RegionRegistry::is_delta_payload(base));
-  EXPECT_EQ(stats.regions_total, 2u);
-  EXPECT_EQ(stats.regions_included, 1u);  // hash sweep caught the change
-  EXPECT_EQ(stats.included_bytes, 64 * sizeof(double));
-  EXPECT_EQ(stats.skipped_bytes, 256 * sizeof(std::int32_t));
-  EXPECT_LT(delta.size(), base.size());
-
-  const Bytes folded = RegionRegistry::apply_delta(base, delta);
-  hot.assign(64, 0.0);
-  cold.assign(256, 0);
-  reg.restore(folded);
-  EXPECT_EQ(hot[5], 2.5);
-  EXPECT_EQ(hot[6], 1.0);
-  EXPECT_EQ(cold[100], 9);
-}
-
-TEST(Region, ExplicitTrackingTrustsMarks) {
-  std::vector<double> a(16, 1.0);
-  std::vector<double> b(16, 2.0);
-  RegionRegistry reg;
-  reg.set_tracking(DirtyTracking::kExplicit);
-  reg.register_vector("a", a);
-  reg.register_vector("b", b);
-  (void)reg.capture();
-
-  a[0] = -1.0;
-  reg.mark_dirty("a");
-  b[0] = -2.0;  // changed but never marked: elided by design
-  DeltaCaptureStats stats;
-  (void)reg.capture_delta(&stats);
-  EXPECT_EQ(stats.regions_included, 1u);
-  EXPECT_THROW(reg.mark_dirty("nope"), ImageError);
-}
-
-TEST(Region, DeltaAgainstWrongBaseRejected) {
-  std::vector<double> v(32, 1.0);
-  RegionRegistry reg;
-  reg.register_vector("v", v);
-  const Bytes base = reg.capture();
-  v[1] = 7.0;
-  const Bytes delta = reg.capture_delta();
-
-  // A payload captured from different contents is not this delta's base.
-  std::vector<double> other(32, 3.0);
-  RegionRegistry reg2;
-  reg2.register_vector("v", other);
-  const Bytes wrong_base = reg2.capture();
-  EXPECT_THROW((void)RegionRegistry::apply_delta(wrong_base, delta),
-               ImageError);
-  // And the true base folds fine.
-  const Bytes folded = RegionRegistry::apply_delta(base, delta);
-  reg.restore(folded);
-  EXPECT_EQ(v[1], 7.0);
-}
-
-TEST(Region, DeltaBeforeFirstCaptureThrows) {
-  std::vector<double> v(4);
-  RegionRegistry reg;
-  reg.register_vector("v", v);
-  EXPECT_THROW((void)reg.capture_delta(), ImageError);
 }
 
 TEST(Image, KindAndBaseIdRoundTrip) {
@@ -229,41 +153,6 @@ TEST(Image, KindAndBaseIdRoundTrip) {
   const Bytes full =
       CheckpointImage::build(CheckpointMeta{}, payload_of("s"));
   EXPECT_EQ(CheckpointImage::peek_meta(full).kind, PayloadKind::kFull);
-}
-
-TEST(NvmStore, DedupChargesUniqueBlocksOnly) {
-  NvmStore store(1024, /*dedup_block_bytes=*/64);
-  const Bytes same(256, std::byte{0x7});  // 4 identical 64B blocks
-  ASSERT_TRUE(store.put(1, same));
-  EXPECT_EQ(store.used_bytes(), 64u);   // intra-image dedup
-  EXPECT_EQ(store.logical_bytes(), 256u);
-
-  ASSERT_TRUE(store.put(2, same));  // cross-checkpoint dedup: free
-  EXPECT_EQ(store.used_bytes(), 64u);
-  EXPECT_EQ(store.logical_bytes(), 512u);
-  EXPECT_EQ(store.dedup_saved_bytes(), 448u);
-
-  store.erase(1);
-  EXPECT_EQ(store.used_bytes(), 64u);  // block still referenced by id 2
-  store.erase(2);
-  EXPECT_EQ(store.used_bytes(), 0u);
-  EXPECT_EQ(store.logical_bytes(), 0u);
-}
-
-TEST(NvmStore, DedupExtendsRetainedHistory) {
-  // Mostly-shared checkpoints: with dedup the same capacity retains more
-  // of them than their logical sizes would allow.
-  NvmStore store(4096, /*dedup_block_bytes=*/256);
-  Bytes data(2048, std::byte{0x11});
-  for (std::uint64_t id = 1; id <= 6; ++id) {
-    data[0] = static_cast<std::byte>(id);  // one block differs per commit
-    ASSERT_TRUE(store.put(id, data));
-  }
-  // 6 * 2048 logical bytes live in 4096 physical.
-  EXPECT_EQ(store.count(), 6u);
-  EXPECT_EQ(store.eviction_count(), 0u);
-  EXPECT_GT(store.logical_bytes(), store.capacity_bytes());
-  EXPECT_LE(store.used_bytes(), store.capacity_bytes());
 }
 
 TEST(NvmStore, FifoEviction) {
@@ -349,34 +238,8 @@ TEST(NvmStore, ExactCapacityFillRefundAndReuse) {
   EXPECT_EQ(store.eviction_count(), 1u);
   store.erase(2);
   EXPECT_EQ(store.used_bytes(), 0u);
-  EXPECT_EQ(store.logical_bytes(), 0u);
   ASSERT_TRUE(store.put(3, Bytes(100)));
   EXPECT_EQ(store.used_bytes(), 100u);
-}
-
-TEST(NvmStore, DedupExactCapacityRefundOnLastRefDrop) {
-  // Dedup accounting at the same boundary: a fully shared second
-  // checkpoint fits even with the device exactly full (it charges
-  // nothing), dropping one referent refunds nothing, dropping the last
-  // referent refunds everything, and the refunded space admits an
-  // exact-fit insert of fresh content.
-  NvmStore store(128, /*dedup_block_bytes=*/64);
-  Bytes shared(128, std::byte{0xAA});
-  shared[64] = std::byte{0xBB};  // two distinct 64B blocks
-  ASSERT_TRUE(store.put(1, shared));
-  EXPECT_EQ(store.used_bytes(), 128u);  // exactly at capacity
-  ASSERT_TRUE(store.put(2, shared));    // all blocks resident: cost 0
-  EXPECT_EQ(store.used_bytes(), 128u);
-  EXPECT_EQ(store.logical_bytes(), 256u);
-  store.erase(1);
-  EXPECT_EQ(store.used_bytes(), 128u);  // id 2 still references them
-  store.erase(2);                       // last-ref drop
-  EXPECT_EQ(store.used_bytes(), 0u);
-  EXPECT_EQ(store.logical_bytes(), 0u);
-  Bytes fresh(128, std::byte{0x11});
-  fresh[64] = std::byte{0x22};
-  ASSERT_TRUE(store.put(3, fresh));
-  EXPECT_EQ(store.used_bytes(), 128u);
 }
 
 TEST(KvStore, PutGetNewest) {

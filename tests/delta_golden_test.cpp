@@ -1,20 +1,21 @@
 // Golden bit-identity tests for the incremental-checkpointing wire
-// formats (docs/DELTA.md). Three formats are compatibility surfaces:
+// formats (docs/DELTA.md). Two formats are compatibility surfaces:
 //
 //   NDDL  delta::DeltaCodec streams     (block deltas between payloads)
-//   NDRD  ckpt::RegionRegistry deltas   (dirty-region capture payloads)
 //   NDRC  ckpt::DedupIndex recipes      (block refs for deduped images)
 //
-// plus the NDCI image header's kind/base_id fields and the CDC chunker
-// whose boundaries decide block identity for dedup. Every CRC below is
-// pinned from the implementation that introduced the format; a change
-// here means stored checkpoints written by older builds stop restoring
-// and is a bug unless the format is deliberately revved.
+// plus the NDCI image header's kind/base_id fields, the CDC chunker
+// whose boundaries decide block identity for dedup, and the region
+// payload ckpt::RegionRegistry::capture() emits (what deltas are cut
+// from). Every CRC below is pinned from the implementation that
+// introduced the format; a change here means stored checkpoints written
+// by older builds stop restoring and is a bug unless the format is
+// deliberately revved.
 //
 // Deliberate revision (docs/DELTA.md, "Format notes"): delta::block_hash
 // moved from byte-serial FNV-1a to XXH64. The values derived from it -
-// NDDL reference digests, NDRD base digests and NDRC recipe keys - were
-// re-pinned then; the NDCI header and CDC pins did not move.
+// NDDL reference digests and NDRC recipe keys - were re-pinned then; the
+// NDCI header and CDC pins did not move.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -54,7 +55,7 @@ TEST(DeltaGolden, DeltaStreamBytesArePinned) {
   EXPECT_EQ(codec.decode(ByteSpan(base), ByteSpan(stream)), target);
 }
 
-TEST(DeltaGolden, RegionDeltaPayloadIsPinned) {
+TEST(DeltaGolden, RegionPayloadIsPinned) {
   std::vector<std::uint64_t> hot(256);
   std::vector<std::uint64_t> cold(512);
   for (std::size_t i = 0; i < hot.size(); ++i) hot[i] = i * 3;
@@ -64,13 +65,17 @@ TEST(DeltaGolden, RegionDeltaPayloadIsPinned) {
   reg.register_vector("hot", hot);
   reg.register_vector("cold", cold);
   const Bytes full = reg.capture();
-  hot[10] = 0xDEAD;
-  const Bytes delta = reg.capture_delta();
-  ASSERT_TRUE(ckpt::RegionRegistry::is_delta_payload(delta));
-  EXPECT_EQ(Crc32::compute(delta), 0xfc96e634u);
-  // The golden payload still folds into the base it was cut against.
-  const Bytes folded = ckpt::RegionRegistry::apply_delta(full, delta);
-  EXPECT_EQ(folded, reg.capture());
+  EXPECT_EQ(full.size(), 6179u);
+  EXPECT_EQ(Crc32::compute(full), 0xc1de5f2eu);
+
+  // The pinned payload restores the regions it was captured from.
+  const std::vector<std::uint64_t> hot_before = hot;
+  const std::vector<std::uint64_t> cold_before = cold;
+  hot.assign(hot.size(), 0);
+  cold.assign(cold.size(), 0);
+  reg.restore(full);
+  EXPECT_EQ(hot, hot_before);
+  EXPECT_EQ(cold, cold_before);
 }
 
 TEST(DeltaGolden, DedupRecipeBytesArePinned) {

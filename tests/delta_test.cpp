@@ -226,66 +226,6 @@ TEST(DeltaCodec, ConsecutiveMiniAppCheckpointsAreHighlyRedundant) {
   EXPECT_EQ(codec.decode(first, delta), second);
 }
 
-TEST(DedupStore, SharedBlocksStoredOnce) {
-  DedupStore store(1024);
-  const Bytes image = random_bytes(16 * 1024, 13);
-  const auto s1 = store.put(0, 1, image);
-  EXPECT_EQ(s1.new_block_bytes, image.size());
-  // Identical image from a neighboring rank: zero new payload.
-  const auto s2 = store.put(1, 1, image);
-  EXPECT_EQ(s2.new_block_bytes, 0u);
-  EXPECT_EQ(store.unique_blocks(), 16u);
-  EXPECT_EQ(store.logical_bytes(), 2 * image.size());
-  EXPECT_NEAR(store.dedup_factor(), 0.5, 1e-9);
-  EXPECT_EQ(store.get(0, 1).value(), image);
-  EXPECT_EQ(store.get(1, 1).value(), image);
-}
-
-TEST(DedupStore, RefcountingSurvivesErase) {
-  DedupStore store(1024);
-  const Bytes image = random_bytes(8 * 1024, 14);
-  store.put(0, 1, image);
-  store.put(1, 1, image);
-  store.erase(0, 1);
-  EXPECT_FALSE(store.get(0, 1).has_value());
-  EXPECT_EQ(store.get(1, 1).value(), image);  // blocks still alive
-  store.erase(1, 1);
-  EXPECT_EQ(store.unique_blocks(), 0u);
-  EXPECT_EQ(store.stored_block_bytes(), 0u);
-  store.erase(5, 5);  // unknown: no-op
-}
-
-TEST(DedupStore, PartialOverlapAccounted) {
-  DedupStore store(1024);
-  Bytes a = random_bytes(8 * 1024, 15);
-  Bytes b = a;
-  // Rewrite half the blocks of b.
-  for (std::size_t i = 0; i < 4 * 1024; ++i) b[i] ^= std::byte{0x5A};
-  store.put(0, 1, a);
-  const auto stats = store.put(0, 2, b);
-  EXPECT_EQ(stats.new_block_bytes, 4 * 1024u);
-  EXPECT_EQ(store.get(0, 1).value(), a);
-  EXPECT_EQ(store.get(0, 2).value(), b);
-}
-
-TEST(DedupStore, TailBlocksAndOddSizes) {
-  DedupStore store(1000);
-  const Bytes image = random_bytes(2500, 16);  // 2 full blocks + 500 tail
-  store.put(3, 7, image);
-  EXPECT_EQ(store.get(3, 7).value(), image);
-  EXPECT_EQ(store.unique_blocks(), 3u);
-}
-
-TEST(DedupStore, RePutReplaces) {
-  DedupStore store(1024);
-  const Bytes v1 = random_bytes(4096, 17);
-  const Bytes v2 = random_bytes(4096, 18);
-  store.put(0, 1, v1);
-  store.put(0, 1, v2);
-  EXPECT_EQ(store.get(0, 1).value(), v2);
-  EXPECT_EQ(store.logical_bytes(), v2.size());
-}
-
 TEST(DeltaScratch, ScratchEncodeIsBitIdenticalToPlain) {
   DeltaCodec codec(1024);
   DeltaScratch scratch;

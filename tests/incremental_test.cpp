@@ -70,7 +70,6 @@ MultilevelConfig incremental_config(std::uint32_t ranks) {
   mc.delta.block_bytes = 256;
   mc.delta.io_dedup = true;
   mc.delta.cdc = {256, 512, 1024};
-  mc.delta.nvm_dedup_block_bytes = 256;
   return mc;
 }
 
