@@ -6,10 +6,12 @@
 //                     columns against the pre-overhaul kernels, plus nlz4
 //                     on proxy-kernel captures (the incompressible images
 //                     a checkpoint service's tenants write)
-//   chunked_compress  ChunkedCodec across TaskPool sizes on one payload,
-//                     plain and accelerated: pool-scheduled compress_chunk
-//                     + assemble, and decompress on the pool
-//   commit / recover  MultilevelManager wall throughput across pool sizes
+//   chunked_compress  ChunkedCodec across TaskPool sizes, plain and
+//                     accelerated: one container per pool task over eight
+//                     slices of one payload (the commit path's per-rank
+//                     schedule), and each decompressed on the pool
+//   commit / recover  MultilevelManager wall throughput across pool sizes;
+//                     commit rows carry the minor page faults per commit
 //   drain             NdpAgent chunk pipeline: wall throughput at
 //                     unbounded virtual bandwidth, plus the virtual-time
 //                     overlap win at paper-like bandwidths
@@ -31,12 +33,13 @@
 //                     one thread: the region capture, XOR parity encode
 //                     and rebuild, and a local + XOR commit with and
 //                     without write verify. Each row is the median of
-//                     interleaved repeats with its min and IQR; the `_ref`
-//                     row re-runs the byte-serial padded-copy XOR the
-//                     encode replaced on the same bytes
+//                     interleaved repeats with its min and IQR, plus its
+//                     median minor page faults per call; the `_ref` row
+//                     re-runs the byte-serial padded-copy XOR the encode
+//                     replaced on the same bytes
 //
-// codec_kernels, chunked_compress, commit and host_stall time each row as
-// the median of interleaved repeats and carry its min and IQR
+// codec_kernels, chunked_compress, commit, recover and host_stall time
+// each row as the median of interleaved repeats and carry its min and IQR
 // (median_*/min_*/iqr_* columns; tools/bench_diff treats a median move
 // inside the IQR as noise). The other sections time each row once.
 //
@@ -44,6 +47,9 @@
 //   --csv PATH    structured output (default BENCH_datapath.json)
 //   --trace PATH  write the traced commit loop's Chrome trace JSON
 
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -139,15 +145,37 @@ std::uint32_t crc32_bytewise(const Bytes& data) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-// The commit path's compression schedule: one compress_chunk task per
-// chunk on `pool`, assembled in index order (compress()'s bytes).
-Bytes pool_compress(const compress::ChunkedCodec& codec, ByteSpan data,
-                    exec::TaskPool& pool) {
-  return codec.assemble(
-      data.size(), pool.parallel_map(codec.chunk_count(data.size()),
-                                     [&](std::size_t i) {
-                                       return codec.compress_chunk(data, i);
-                                     }));
+// The commit path's compression schedule: one container per pool task
+// (a rank's stream each), every one written in place by compress().
+std::vector<Bytes> pool_compress(const compress::ChunkedCodec& codec,
+                                 const std::vector<ByteSpan>& inputs,
+                                 exec::TaskPool& pool) {
+  return pool.parallel_map(inputs.size(), [&](std::size_t i) {
+    return codec.compress(inputs[i]);
+  });
+}
+
+// This process's minor page faults so far (getrusage).
+std::uint64_t minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<std::uint64_t>(ru.ru_minflt);
+}
+
+// `fn`, recording the minor page faults of every call into `samples`.
+std::function<void()> counting_faults(std::function<void()> fn,
+                                      std::vector<double>& samples) {
+  return [fn = std::move(fn), &samples] {
+    const std::uint64_t before = minor_faults();
+    fn();
+    samples.push_back(static_cast<double>(minor_faults() - before));
+  };
+}
+
+std::string median_of(std::vector<double> samples) {
+  if (samples.empty()) return "-";
+  std::sort(samples.begin(), samples.end());
+  return fmt(samples[samples.size() / 2], 0);
 }
 
 }  // namespace
@@ -306,6 +334,12 @@ int main(int argc, char** argv) {
   {
     const std::size_t bytes = smoke ? (512ull << 10) : (8ull << 20);
     const Bytes data = mixed_payload(bytes, seed + 1);
+    constexpr std::size_t kSlices = 8;  // one container per "rank"
+    std::vector<ByteSpan> slices;
+    for (std::size_t i = 0; i < kSlices; ++i) {
+      slices.push_back(
+          ByteSpan(data).subspan(i * bytes / kSlices, bytes / kSlices));
+    }
     // Pre-overhaul single-thread chunked nlz4 on the reference host:
     // compress 55.3 MiB/s (committed BENCH_datapath.json), decompress
     // 453.1 MiB/s (same payload through the old whole-stream kernel).
@@ -317,8 +351,8 @@ int main(int argc, char** argv) {
       unsigned threads;
       std::unique_ptr<compress::ChunkedCodec> codec;
       std::unique_ptr<exec::TaskPool> pool;
-      Bytes packed;
-      Bytes back;
+      std::vector<Bytes> packed;
+      std::vector<Bytes> back;
     };
     std::vector<Cfg> cfgs;
     for (const bool accel : {false, true}) {
@@ -334,11 +368,14 @@ int main(int argc, char** argv) {
     std::vector<std::function<void()>> comp_fns;
     std::vector<std::function<void()>> decomp_fns;
     for (Cfg& cfg : cfgs) {
-      comp_fns.push_back([&cfg, &data] {
-        cfg.packed = pool_compress(*cfg.codec, data, *cfg.pool);
+      comp_fns.push_back([&cfg, &slices] {
+        cfg.packed = pool_compress(*cfg.codec, slices, *cfg.pool);
       });
       decomp_fns.push_back([&cfg] {
-        cfg.back = cfg.codec->decompress(cfg.packed, cfg.pool.get());
+        cfg.back.resize(cfg.packed.size());
+        for (std::size_t i = 0; i < cfg.packed.size(); ++i) {
+          cfg.back[i] = cfg.codec->decompress(cfg.packed[i], cfg.pool.get());
+        }
       });
     }
     const std::vector<bench::Timing> comp_t =
@@ -354,9 +391,14 @@ int main(int argc, char** argv) {
     const double mib = static_cast<double>(bytes) / (1024.0 * 1024.0);
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
       const Cfg& cfg = cfgs[i];
-      if (cfg.back != data) {
-        std::fprintf(stderr, "FAIL: chunked round-trip\n");
-        return 1;
+      std::size_t packed_bytes = 0;
+      for (std::size_t k = 0; k < kSlices; ++k) {
+        packed_bytes += cfg.packed[k].size();
+        if (!std::equal(cfg.back[k].begin(), cfg.back[k].end(),
+                        slices[k].begin(), slices[k].end())) {
+          std::fprintf(stderr, "FAIL: chunked round-trip\n");
+          return 1;
+        }
       }
       const double comp = mib / comp_t[i].median;
       const double decomp = mib / decomp_t[i].median;
@@ -364,8 +406,7 @@ int main(int argc, char** argv) {
           "nlz4", cfg.accel ? "accel" : "plain", std::to_string(cfg.threads),
           fmt(comp, 1), fmt(comp / kCompBase), fmt(decomp, 1),
           fmt(decomp / kDecompBase),
-          fmt(static_cast<double>(cfg.packed.size()) /
-                  static_cast<double>(bytes),
+          fmt(static_cast<double>(packed_bytes) / static_cast<double>(bytes),
               3)};
       add_timing_cells(row, comp_t[i]);
       add_timing_cells(row, decomp_t[i]);
@@ -377,8 +418,8 @@ int main(int argc, char** argv) {
   // --- multilevel commit / recover across pool sizes ------------------
   {
     // At each pool size the null- and nlz4-IO managers commit in
-    // interleaved repeats (one full commit per sample); each then
-    // recovers once. One manager serves every sample, so after the
+    // interleaved repeats (one full commit per sample), then recover in
+    // interleaved repeats. One manager serves every sample, so after the
     // first two commits its stores hold only the generations retention
     // keeps and each commit writes into recycled buffers - the steady
     // state of a long run.
@@ -404,6 +445,7 @@ int main(int argc, char** argv) {
       exec::TaskPool pool(threads);
       std::vector<std::unique_ptr<ckpt::MultilevelManager>> managers;
       std::vector<std::function<void()>> fns;
+      std::vector<std::vector<double>> faults(io_codecs.size());
       for (const auto& [name, id] : io_codecs) {
         ckpt::MultilevelConfig mc;
         mc.node_count = ranks;
@@ -415,40 +457,51 @@ int main(int argc, char** argv) {
         mc.io_chunk_bytes = 64ull << 10;
         mc.pool = &pool;
         managers.push_back(std::make_unique<ckpt::MultilevelManager>(mc));
-        fns.push_back([m = managers.back().get(), &views] {
-          (void)m->commit(views);
-        });
+        fns.push_back(counting_faults(
+            [m = managers.back().get(), &views] { (void)m->commit(views); },
+            faults[fns.size()]));
       }
       const std::vector<bench::Timing> t =
           bench::measure_interleaved(reps, fns);
+      std::vector<std::optional<ckpt::MultilevelManager::Recovery>>
+          recovery(io_codecs.size());
+      std::vector<std::function<void()>> recover_fns;
+      for (std::size_t c = 0; c < io_codecs.size(); ++c) {
+        recover_fns.push_back(
+            [&, c] { recovery[c] = managers[c]->recover(); });
+      }
+      const std::vector<bench::Timing> rt =
+          bench::measure_interleaved(reps, recover_fns);
       for (std::size_t c = 0; c < io_codecs.size(); ++c) {
         if (threads == 1) base_s[c] = t[c].median;
         std::vector<std::string> row = {
             io_codecs[c].first, std::to_string(threads),
             fmt(total_gib / t[c].median, 3), fmt(base_s[c] / t[c].median)};
         add_timing_cells(row, t[c]);
+        row.push_back(median_of(faults[c]));
         row.push_back(std::to_string(reps));
         commit_rows[c].push_back(std::move(row));
 
-        std::optional<ckpt::MultilevelManager::Recovery> recovery;
-        const double recover_s =
-            seconds_of([&] { recovery = managers[c]->recover(); });
-        if (!recovery || recovery->payloads != payloads) {
+        if (!recovery[c] || recovery[c]->payloads != payloads) {
           std::fprintf(stderr, "FAIL: recover mismatch\n");
           return 1;
         }
-        recover_rows[c].push_back({io_codecs[c].first,
-                                   std::to_string(threads),
-                                   fmt(total_gib / recover_s, 3)});
+        std::vector<std::string> rrow = {io_codecs[c].first,
+                                         std::to_string(threads),
+                                         fmt(total_gib / rt[c].median, 3)};
+        add_timing_cells(rrow, rt[c]);
+        rrow.push_back(std::to_string(reps));
+        recover_rows[c].push_back(std::move(rrow));
       }
     }
     out.add_section("commit", {"codec", "pool_threads", "gib_per_s",
                                "speedup", "median_ms", "min_ms", "iqr_ms",
-                               "reps"});
+                               "minflt", "reps"});
     for (auto& rows : commit_rows) {
       for (auto& row : rows) out.add_row(std::move(row));
     }
-    out.add_section("recover", {"codec", "pool_threads", "gib_per_s"});
+    out.add_section("recover", {"codec", "pool_threads", "gib_per_s",
+                                "median_ms", "min_ms", "iqr_ms", "reps"});
     for (auto& rows : recover_rows) {
       for (auto& row : rows) out.add_row(std::move(row));
     }
@@ -741,16 +794,20 @@ int main(int argc, char** argv) {
         {"commit_local_xor", [&] { (void)unverified->commit(views); }},
     };
     std::vector<std::function<void()>> fns;
-    for (const auto& row : rows) fns.push_back(row.second);
+    std::vector<std::vector<double>> faults(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      fns.push_back(counting_faults(rows[i].second, faults[i]));
+    }
     const std::vector<bench::Timing> t = bench::measure_interleaved(reps, fns);
     const double gib =
         static_cast<double>(per_rank) * ranks / (1024.0 * 1024.0 * 1024.0);
     out.add_section("host_stall", {"row", "median_ms", "min_ms", "iqr_ms",
-                                   "gib_per_s", "reps"});
+                                   "gib_per_s", "minflt", "reps"});
     for (std::size_t i = 0; i < rows.size(); ++i) {
       out.add_row({rows[i].first, fmt(t[i].median * 1e3, 3),
                    fmt(t[i].min * 1e3, 3), fmt(t[i].iqr * 1e3, 3),
-                   fmt(gib / t[i].median, 2), std::to_string(reps)});
+                   fmt(gib / t[i].median, 2), median_of(faults[i]),
+                   std::to_string(reps)});
     }
     if (sink == 42) std::fprintf(stderr, "\n");  // keep the results live
   }

@@ -1,5 +1,7 @@
 #include "ckpt/image.hpp"
 
+#include <utility>
+
 #include "common/crc32.hpp"
 
 namespace ndpcr::ckpt {
@@ -95,7 +97,14 @@ CheckpointImage CheckpointImage::parse(ByteSpan raw) {
   if (image_crc(raw.subspan(0, kCrcOffset), payload) != expected_crc) {
     throw ImageError("checkpoint image CRC mismatch");
   }
-  image.payload_.assign(payload.begin(), payload.end());
+  image.payload_ = payload;
+  return image;
+}
+
+CheckpointImage CheckpointImage::parse(Bytes&& raw) {
+  CheckpointImage image = parse(ByteSpan(raw));
+  // Moving the vector keeps its heap buffer, so the span stays valid.
+  image.owned_ = std::move(raw);
   return image;
 }
 

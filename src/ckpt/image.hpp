@@ -47,8 +47,12 @@ class CheckpointImage {
                      std::uint32_t* framed_crc = nullptr);
 
   // Parse and validate a framed image. Throws ImageError on bad magic,
-  // truncation, or CRC mismatch.
+  // truncation, or CRC mismatch. The span form borrows: payload() points
+  // into `raw`, which must outlive the image (recovery reads local NVM
+  // entries in place this way). The Bytes&& form owns the framed bytes,
+  // and payload() stays valid when the image is moved.
   static CheckpointImage parse(ByteSpan raw);
+  static CheckpointImage parse(Bytes&& raw);
 
   // Cheap metadata-only parse (header fields, no CRC validation of the
   // payload). Throws on bad magic/truncation.
@@ -59,12 +63,22 @@ class CheckpointImage {
   // length). Throws on bad magic/truncation.
   static std::size_t framed_size(ByteSpan raw);
 
+  // Move-only: a copy of an owning image would point into the source's
+  // buffer.
+  CheckpointImage(CheckpointImage&&) noexcept = default;
+  CheckpointImage& operator=(CheckpointImage&&) noexcept = default;
+  CheckpointImage(const CheckpointImage&) = delete;
+  CheckpointImage& operator=(const CheckpointImage&) = delete;
+
   [[nodiscard]] const CheckpointMeta& meta() const { return meta_; }
   [[nodiscard]] ByteSpan payload() const { return payload_; }
 
  private:
+  CheckpointImage() = default;
+
   CheckpointMeta meta_;
-  Bytes payload_;
+  Bytes owned_;        // the framed bytes, for parse(Bytes&&); else empty
+  ByteSpan payload_;   // into owned_ or the borrowed span
 };
 
 }  // namespace ndpcr::ckpt

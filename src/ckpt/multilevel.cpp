@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "ckpt/store_writer.hpp"
 #include "exec/task_pool.hpp"
@@ -57,11 +58,13 @@ void merge_level(LevelHealth& into, const LevelHealth& delta) {
 }
 
 // Parse + CRC-check raw image bytes; the image iff they are rank/id's
-// checkpoint. Pure - safe from any task.
+// checkpoint. A ByteSpan is borrowed, Bytes&& owned (CheckpointImage::parse).
+// Pure - safe from any task.
+template <typename Raw>
 std::optional<CheckpointImage> parse_image(std::uint32_t rank,
-                                           std::uint64_t id, ByteSpan raw) {
+                                           std::uint64_t id, Raw&& raw) {
   try {
-    CheckpointImage image = CheckpointImage::parse(raw);
+    CheckpointImage image = CheckpointImage::parse(std::forward<Raw>(raw));
     if (image.meta().rank != rank || image.meta().checkpoint_id != id) {
       return std::nullopt;
     }
@@ -504,8 +507,8 @@ class LocalNvmLevel final : public KvStore {
   std::uint64_t& write_ops_;
 };
 
-// Put source for bytes other levels still read (a rank's image): every
-// attempt hands the store its own copy.
+// Put source for bytes the caller still reads after the put (a dedup
+// recipe the index admits): every attempt hands the store its own copy.
 auto copy_of(const Bytes& source, ByteLedger& ledger) {
   return [&source, &ledger](std::uint32_t /*attempt*/) {
     ledger.copied += source.size();
@@ -645,8 +648,9 @@ std::optional<Bytes> MultilevelManager::checked_get(const KvStore& store,
   return std::nullopt;
 }
 
-bool MultilevelManager::commit_local(std::uint64_t id,
-                                     const std::vector<Bytes>& images,
+bool MultilevelManager::commit_local(std::uint64_t id, bool as_delta,
+                                     const std::vector<ByteSpan>& payloads,
+                                     std::vector<Bytes>& images,
                                      const std::vector<EntryDigest>& digests) {
   obs::TraceBuffer* rb = trace_->root();
   obs::TraceBuffer::Span phase;
@@ -659,26 +663,34 @@ bool MultilevelManager::commit_local(std::uint64_t id,
   std::vector<ByteLedger> ledgers(config_.node_count);
   std::vector<char> ok(config_.node_count, 1);
   std::vector<obs::TraceBuffer> tbs = trace_->task_buffers(config_.node_count);
+  // Sizes come from the digests: the images move into the NVM below.
   std::size_t image_bytes = 0;
-  for (const Bytes& image : images) image_bytes += image.size();
+  for (const EntryDigest& d : digests) image_bytes += d.size;
   for_tasks(config_.node_count, [&](std::size_t rank) {
+    const auto r = static_cast<std::uint32_t>(rank);
     TraceCtx tc;
-    if (!tbs.empty()) {
-      tc = {&tbs[rank], 1 + static_cast<std::uint32_t>(rank), "ckpt.local"};
-    }
+    if (!tbs.empty()) tc = {&tbs[rank], 1 + r, "ckpt.local"};
     obs::TraceBuffer::Span write;
     if (tc.buf) {
       write = tc.buf->span("nvm_write", "ckpt.local", tc.track,
                            {obs::u64("rank", rank),
-                            obs::u64("bytes", images[rank].size())});
+                            obs::u64("bytes", digests[rank].size)});
     }
     LocalNvmLevel level(*local_[rank], config_.local_write_hook,
                         local_write_ops_[rank]);
+    // The local level is the image's last reader, so attempt 0 hands the
+    // built image over; a retry (torn or failed write) rebuilds the same
+    // bytes from the caller's payload - prev_payload_ is still this
+    // delta's reference until commit() refreshes it.
+    const auto bytes = [&](std::uint32_t attempt) -> Bytes {
+      if (attempt == 0) return std::move(images[rank]);
+      std::uint32_t framed_crc = 0;
+      return build_image(r, id, as_delta, payloads[rank], ledgers[rank],
+                         framed_crc, nullptr);
+    };
     // A local write that never verifies leaves the rank without a local
     // copy of this id; partner/io still cover it.
-    ok[rank] = checked_put(level, deltas[rank], ledgers[rank],
-                           static_cast<std::uint32_t>(rank), id,
-                           copy_of(images[rank], ledgers[rank]),
+    ok[rank] = checked_put(level, deltas[rank], ledgers[rank], r, id, bytes,
                            digests[rank], false, tc)
                    ? 1
                    : 0;
@@ -689,7 +701,7 @@ bool MultilevelManager::commit_local(std::uint64_t id,
     merge_level(health_.local, deltas[rank]);
     data_stats_.local += ledgers[rank];
     if (ok[rank]) {
-      data_stats_.local_bytes_written += images[rank].size();
+      data_stats_.local_bytes_written += digests[rank].size;
     } else {
       health_.local.state = LevelState::kDegraded;
       complete = false;
@@ -909,25 +921,32 @@ bool MultilevelManager::commit_io(std::uint64_t id,
     settle_level(health, level_ok, rb, "ckpt.io", id);
     return level_ok;
   }
-  // One per-rank body for the healthy and the degraded level, run in
-  // rank order on the committing thread so the shared fault-scheduled IO
-  // device sees one fixed op sequence. Rank r's chunks compress as one
-  // task-pool batch, then its put runs here. A probe stops at the first
-  // rank that fails.
-  bool level_ok = true;
-  ByteLedger& ledger = data_stats_.io;
-  for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
-    const compress::ChunkedCodec* codec = io_codec_ ? &*io_codec_ : nullptr;
-    if (!codec && config_.io_codec_adaptive) {
+  // Stream build: one pool task per rank runs the adaptive probe, writes
+  // the chunked container in place and digests it, into per-rank slots.
+  // The puts below then run in rank order on the committing thread, so
+  // the shared fault-scheduled IO device sees one fixed op sequence.
+  const std::uint32_t n = config_.node_count;
+  std::vector<const compress::ChunkedCodec*> codecs(
+      n, io_codec_ ? &*io_codec_ : nullptr);
+  std::vector<Bytes> packed(n);
+  std::vector<EntryDigest> expected(digests);
+  std::vector<ByteLedger> ledgers(n);
+  std::vector<obs::TraceBuffer> tbs = trace_->task_buffers(n);
+  std::size_t image_bytes = 0;
+  for (const Bytes& image : images) image_bytes += image.size();
+  for_tasks(n, [&](std::size_t rank) {
+    obs::TraceBuffer* tb = tbs.empty() ? nullptr : &tbs[rank];
+    const auto track = 1 + static_cast<std::uint32_t>(rank);
+    if (!codecs[rank] && config_.io_codec_adaptive) {
       // Online selection: probe this rank's bytes and pick the candidate
       // codec. The stream records the choice in its container header, so
       // recovery is self-describing (decode_io_stream).
       compress::ProbeStats ps;
       const compress::CodecChoice choice =
           compress::choose_codec(ByteSpan(images[rank]), &ps);
-      codec = codec_for(choice);
-      if (rb) {
-        rb->instant("codec_choice", "ckpt.io", 0,
+      codecs[rank] = codec_for(choice);
+      if (tb) {
+        tb->instant("codec_choice", "ckpt.io", track,
                     {obs::u64("rank", rank),
                      obs::u64("codec", static_cast<std::uint64_t>(choice.id)),
                      obs::u64("accel", choice.accelerate ? 1 : 0),
@@ -939,53 +958,46 @@ bool MultilevelManager::commit_io(std::uint64_t id,
                                   ps.match_fraction * 1000.0))});
       }
     }
-    Bytes packed;
-    if (codec) {
-      const std::size_t n = codec->chunk_count(images[rank].size());
-      std::vector<Bytes> chunks(n);
-      obs::TraceBuffer::Span cspan;
-      if (rb) {
-        cspan = rb->span("io_compress", "ckpt.io", 0,
-                         {obs::u64("id", id), obs::u64("rank", rank),
-                          obs::u64("chunks", n)});
-      }
-      std::vector<obs::TraceBuffer> ctbs = trace_->task_buffers(n);
-      for_tasks(
-          n,
-          [&](std::size_t c) {
-            chunks[c] = codec->compress_chunk(images[rank], c);
-            if (!ctbs.empty()) {
-              ctbs[c].instant("compress_chunk", "ckpt.io", 1 + rank,
-                              {obs::u64("rank", rank), obs::u64("chunk", c),
-                               obs::u64("out_bytes", chunks[c].size())});
-            }
-          },
-          images[rank].size());
-      trace_->splice(ctbs);
-      packed = codec->assemble(images[rank].size(), chunks, 0, n);
+    const compress::ChunkedCodec* codec = codecs[rank];
+    if (!codec) return;  // stored raw: the image's own digest applies
+    obs::TraceBuffer::Span cspan;
+    if (tb) {
+      cspan = tb->span("io_compress", "ckpt.io", track,
+                       {obs::u64("id", id), obs::u64("rank", rank),
+                        obs::u64("chunks",
+                                 codec->chunk_count(images[rank].size()))});
     }
-    const std::size_t size = codec ? packed.size() : images[rank].size();
-    const EntryDigest expected =
-        codec ? digest_counted(packed, ledger) : digests[rank];
+    packed[rank] = codec->compress(images[rank]);
+    expected[rank] = digest_counted(packed[rank], ledgers[rank]);
+  }, image_bytes);
+  trace_->splice(tbs);
+  bool level_ok = true;
+  ByteLedger& ledger = data_stats_.io;
+  for (std::uint32_t rank = 0; rank < n; ++rank) {
+    ledger += ledgers[rank];
+    const compress::ChunkedCodec* codec = codecs[rank];
+    const std::size_t size = expected[rank].size;
     const TraceCtx tc{rb, 1 + rank, "ckpt.io"};
     if (rb) {
       rb->instant("io_put", "ckpt.io", tc.track,
                   {obs::u64("rank", rank), obs::u64("bytes", size)});
     }
     // Attempt 0 hands the compressed stream over as is; a retry
-    // recompresses from the caller's image.
+    // recompresses from the caller's image. A raw image is still read by
+    // the local level, so every attempt gets its own copy.
     const auto bytes = [&](std::uint32_t attempt) -> Bytes {
       if (!codec) {
         ledger.copied += images[rank].size();
         return images[rank];
       }
-      return attempt == 0 ? std::move(packed) : codec->compress(images[rank]);
+      return attempt == 0 ? std::move(packed[rank])
+                          : codec->compress(images[rank]);
     };
     // A per-rank delta keeps the backoff sum's floating-point reduction
     // order: rank by rank, as every other level merges its deltas.
     LevelHealth delta;
-    const bool ok =
-        checked_put(*io_, delta, ledger, rank, id, bytes, expected, probe, tc);
+    const bool ok = checked_put(*io_, delta, ledger, rank, id, bytes,
+                                expected[rank], probe, tc);
     merge_level(health, delta);
     if (ok) {
       data_stats_.io_bytes_written += size;
@@ -998,6 +1010,40 @@ bool MultilevelManager::commit_io(std::uint64_t id,
   if (rb) settle = rb->span("io_settle", "ckpt.io", 0, {obs::u64("id", id)});
   settle_level(health, level_ok, rb, "ckpt.io", id);
   return level_ok;
+}
+
+Bytes MultilevelManager::build_image(std::uint32_t rank, std::uint64_t id,
+                                     bool as_delta, ByteSpan payload,
+                                     ByteLedger& ledger,
+                                     std::uint32_t& framed_crc,
+                                     delta::DeltaStats* dstats) const {
+  CheckpointMeta meta;
+  meta.app_id = config_.app_id;
+  meta.rank = rank;
+  meta.checkpoint_id = id;
+  Bytes image;
+  std::size_t body = payload.size();
+  if (as_delta) {
+    meta.kind = PayloadKind::kDelta;
+    meta.base_id = id - 1;
+    delta::DeltaStats stats;
+    auto scratch = delta_scratch_.acquire();
+    const Bytes stream = delta_codec_->encode(
+        ByteSpan(prev_payload_[rank]), payload, *scratch, &stats);
+    ledger.hashed += stats.hashed_bytes;
+    ledger.compared += stats.compared_bytes;
+    ledger.copied += stream.size();  // literals into the stream
+    body = stream.size();
+    image = CheckpointImage::build(meta, stream, &framed_crc);
+    if (dstats) *dstats = stats;
+  } else {
+    image = CheckpointImage::build(meta, payload, &framed_crc);
+  }
+  // build(): the body is copied once and CRC'd once; the NDCI header CRC
+  // and the write digest both derive from that one pass.
+  ledger.copied += body;
+  ledger.crc += body;
+  return image;
 }
 
 std::uint64_t MultilevelManager::commit(
@@ -1049,33 +1095,11 @@ std::uint64_t MultilevelManager::commit(
     std::vector<obs::TraceBuffer> tbs =
         trace_->task_buffers(config_.node_count);
     for_tasks(config_.node_count, [&](std::size_t rank) {
-      CheckpointMeta meta;
-      meta.app_id = config_.app_id;
-      meta.rank = static_cast<std::uint32_t>(rank);
-      meta.checkpoint_id = id;
-      ByteLedger& ledger = build_ledgers[rank];
-      std::size_t body = payloads[rank].size();
       std::uint32_t framed_crc = 0;
-      if (as_delta) {
-        meta.kind = PayloadKind::kDelta;
-        meta.base_id = id - 1;
-        auto scratch = delta_scratch_.acquire();
-        const Bytes stream = delta_codec_->encode(
-            ByteSpan(prev_payload_[rank]), payloads[rank], *scratch,
-            &dstats[rank]);
-        ledger.hashed += dstats[rank].hashed_bytes;
-        ledger.compared += dstats[rank].compared_bytes;
-        ledger.copied += stream.size();  // literals into the stream
-        body = stream.size();
-        images[rank] = CheckpointImage::build(meta, stream, &framed_crc);
-      } else {
-        images[rank] =
-            CheckpointImage::build(meta, payloads[rank], &framed_crc);
-      }
-      // build(): the body is copied once and CRC'd once; the NDCI header
-      // CRC and the write digest both derive from that one pass.
-      ledger.copied += body;
-      ledger.crc += body;
+      images[rank] = build_image(static_cast<std::uint32_t>(rank), id,
+                                 as_delta, payloads[rank],
+                                 build_ledgers[rank], framed_crc,
+                                 as_delta ? &dstats[rank] : nullptr);
       digests[rank] = EntryDigest{framed_crc, images[rank].size()};
       if (!tbs.empty()) {
         tbs[rank].instant("image", "ckpt",
@@ -1115,7 +1139,7 @@ std::uint64_t MultilevelManager::commit(
     gen.complete[slot(RecoveryLevel::kIo)] = commit_io(id, images, digests);
   }
   gen.complete[slot(RecoveryLevel::kLocal)] =
-      commit_local(id, images, digests);
+      commit_local(id, as_delta, payloads, images, digests);
   if (health_.any_degraded()) {
     ++health_.degraded_commits;
     if (rb) rb->instant("commit_degraded", "ckpt", 0, {obs::u64("id", id)});
@@ -1170,7 +1194,7 @@ std::optional<CheckpointImage> MultilevelManager::fetch_partner(
   } catch (const ImageError&) {
     return std::nullopt;
   }
-  return parse_image(rank, id, rebuilt);
+  return parse_image(rank, id, std::move(rebuilt));
 }
 
 void MultilevelManager::fail_node(std::uint32_t rank) {
@@ -1206,7 +1230,7 @@ std::optional<CheckpointImage> MultilevelManager::fetch_local(
     std::uint32_t rank, std::uint64_t id) const {
   const auto span = local_[rank]->get(id);
   if (!span) return std::nullopt;
-  return parse_image(rank, id, *span);
+  return parse_image(rank, id, ByteSpan(*span));
 }
 
 std::optional<Bytes> MultilevelManager::decode_io_entry(Bytes stored) const {
@@ -1248,8 +1272,8 @@ std::optional<CheckpointImage> MultilevelManager::try_remote_rank(
     auto stored = checked_get(*io_, health_.io, rank, id,
                               {trace_->root(), 0, "ckpt.io"});
     if (!stored) break;
-    if (const auto raw = decode_io_entry(std::move(*stored))) {
-      if (auto image = parse_image(rank, id, *raw)) {
+    if (auto raw = decode_io_entry(std::move(*stored))) {
+      if (auto image = parse_image(rank, id, std::move(*raw))) {
         level_out = RecoveryLevel::kIo;
         return image;
       }
@@ -1263,11 +1287,13 @@ std::optional<Bytes> MultilevelManager::resolve_payload(
     RecoveryLevel& level_out, std::size_t& links_out) const {
   level_out = RecoveryLevel::kLocal;
   links_out = 0;
-  // Walk base_id links back to the full anchor, collecting delta streams
+  // Walk base_id links back to the full anchor, keeping the delta images
   // newest-first. Every link is fetched independently (local first, then
   // partner/io unless `local_only`), so a single damaged link only fails
-  // this id - the caller then tries an older checkpoint.
-  std::vector<Bytes> links;
+  // this id - the caller then tries an older checkpoint. Local images
+  // borrow their NVM entries and remote ones own their bytes, so the
+  // anchor's payload is the one copy made: into `base`.
+  std::vector<CheckpointImage> links;
   Bytes base;
   RecoveryLevel deepest = RecoveryLevel::kLocal;
   std::uint64_t cur = id;
@@ -1286,7 +1312,7 @@ std::optional<Bytes> MultilevelManager::resolve_payload(
     // is damage (peek'd headers are CRC-covered, but stay defensive).
     const std::uint64_t base_id = image->meta().base_id;
     if (base_id == 0 || base_id >= cur) return std::nullopt;
-    links.emplace_back(image->payload().begin(), image->payload().end());
+    links.push_back(std::move(*image));
     cur = base_id;
   }
   // Replay forward, oldest link first. Each stream carries its block size
@@ -1294,9 +1320,10 @@ std::optional<Bytes> MultilevelManager::resolve_payload(
   // throws instead of reconstructing garbage.
   try {
     for (std::size_t i = links.size(); i-- > 0;) {
+      const ByteSpan stream = links[i].payload();
       const delta::DeltaCodec codec(
-          delta::DeltaCodec::stream_block_size(links[i]));
-      base = codec.decode(ByteSpan(base), ByteSpan(links[i]));
+          delta::DeltaCodec::stream_block_size(stream));
+      base = codec.decode(ByteSpan(base), stream);
     }
   } catch (const delta::DeltaError&) {
     return std::nullopt;

@@ -463,16 +463,30 @@ class MultilevelManager {
                    std::uint32_t rank, std::uint64_t id,
                    const PutBytes& bytes, const EntryDigest& expected,
                    bool probe, TraceCtx tc = TraceCtx());
+  // Rank `rank`'s framed image of checkpoint `id` from its payload: a
+  // delta stream against prev_payload_ when `as_delta`, else the payload
+  // itself. Charges its byte passes to `ledger` and leaves the write
+  // digest's CRC in `framed_crc`. Pure per rank: safe from any task.
+  [[nodiscard]] Bytes build_image(std::uint32_t rank, std::uint64_t id,
+                                  bool as_delta, ByteSpan payload,
+                                  ByteLedger& ledger,
+                                  std::uint32_t& framed_crc,
+                                  delta::DeltaStats* dstats) const;
   // Each level's commit returns whether the generation is complete there:
   // every rank (local, IO) or every group (partner) verified.
-  bool commit_local(std::uint64_t id, const std::vector<Bytes>& images,
+  // commit_local runs last and moves each image into its NVM; a retry
+  // rebuilds it from `payloads` (build_image), so `images` is spent.
+  bool commit_local(std::uint64_t id, bool as_delta,
+                    const std::vector<ByteSpan>& payloads,
+                    std::vector<Bytes>& images,
                     const std::vector<EntryDigest>& digests);
   bool commit_partner(std::uint64_t id, const std::vector<Bytes>& images,
                       const std::vector<EntryDigest>& digests);
-  // Serialize/compress each rank's image and put it, in rank order, on
-  // the committing thread; then settle the level. A degraded level runs
-  // the same per-rank body as a probe that stops at the first failing
-  // rank. The dedup path writes recipes plus new blocks instead.
+  // Build every rank's IO stream as one pool task per rank (adaptive
+  // probe, chunked container, digest), then put them in rank order on the
+  // committing thread and settle the level. A degraded level runs the
+  // same puts as a probe that stops at the first failing rank. The dedup
+  // path writes recipes plus new blocks instead.
   bool commit_io(std::uint64_t id, const std::vector<Bytes>& images,
                  const std::vector<EntryDigest>& digests);
   // Retention (DESIGN.md section 5): what one generation left on the

@@ -14,11 +14,16 @@
 // compressed output is bit-identical however the chunks are scheduled -
 // parallelism is an execution detail, not a format detail.
 //
+// The container has one writer. begin() lays down the header and a
+// zeroed size table; append_chunk() compresses chunk j straight onto the
+// end of the container and patches entry j. compress() is begin() then
+// every append_chunk() in index order, so no chunk stream is ever staged
+// in a buffer of its own and copied again.
+//
 // The codec schedules nothing itself: the caller's exec::TaskPool does.
-//   - compress() is a serial loop. Callers that own an executor schedule
-//     chunk tasks through the chunk-level interface: chunk_count() +
-//     compress_chunk() per index, then assemble() in index order.
-//     MultilevelManager::commit and NdpAgent's drain compress this way.
+//   - compress() is a serial loop. MultilevelManager's IO leg runs one
+//     compress() per rank as a pool task; NdpAgent's drain calls
+//     append_chunk() as each chunk's compress stage arms.
 //   - decompress(framed, pool) decodes chunks on `pool`, or inline when
 //     `pool` is null or the caller is already a pool worker (which
 //     rejects nested parallelism).
@@ -27,7 +32,6 @@
 #include <memory>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "compress/codec.hpp"
 #include "compress/scratch.hpp"
@@ -53,22 +57,28 @@ class ChunkedCodec {
   [[nodiscard]] Bytes decompress(ByteSpan framed,
                                  exec::TaskPool* pool = nullptr) const;
 
-  // --- chunk-level interface (caller-scheduled parallelism) ---
+  // --- incremental writer ---
 
   // Number of chunks an input of `input_size` bytes splits into.
   [[nodiscard]] std::size_t chunk_count(std::size_t input_size) const;
   // Input byte range {offset, length} of chunk `index`.
   [[nodiscard]] std::pair<std::size_t, std::size_t> chunk_extent(
       std::size_t input_size, std::size_t index) const;
-  // Compress chunk `index` of the full payload `input`. Pure: safe to call
-  // concurrently for distinct indices.
-  [[nodiscard]] Bytes compress_chunk(ByteSpan input, std::size_t index) const;
-  // Build the container from per-chunk streams produced by compress_chunk,
-  // in index order. Bit-identical to compress(input).
-  [[nodiscard]] Bytes assemble(std::size_t original_size,
-                               const std::vector<Bytes>& chunks,
-                               std::size_t first = 0,
-                               std::size_t count = SIZE_MAX) const;
+  // Replace `out` with the start of a container for an input of
+  // `input_size` bytes: the header and a zeroed size table, with room
+  // reserved for the chunk streams.
+  void begin(Bytes& out, std::size_t input_size) const;
+  // Compress chunk `index` of `input` onto the end of the container `out`
+  // (begun for input.size()) and record its stream size in the table.
+  // Chunks go in index order (CodecError otherwise); once the last is
+  // appended, `out` is bit-identical to compress(input). Safe to call
+  // concurrently on distinct containers.
+  void append_chunk(Bytes& out, ByteSpan input, std::size_t index) const;
+  // The stream size the size table records for chunk `index` (0 while the
+  // chunk is not yet appended). CodecError when `container` is too short
+  // to hold that entry.
+  [[nodiscard]] static std::size_t chunk_stream_size(ByteSpan container,
+                                                     std::size_t index);
   // Container bytes that are not chunk payload (header + size table).
   [[nodiscard]] static std::size_t header_bytes(std::size_t chunk_count);
 

@@ -53,13 +53,18 @@ Bytes Codec::compress(ByteSpan input) const {
 Bytes Codec::compress(ByteSpan input, CodecScratch& scratch) const {
   Bytes out;
   out.reserve(kFrameHeaderSize + input.size() / 2);
+  compress_append(input, out, scratch);
+  return out;
+}
+
+void Codec::compress_append(ByteSpan input, Bytes& out,
+                            CodecScratch& scratch) const {
   out.push_back(static_cast<std::byte>('N'));
   out.push_back(static_cast<std::byte>(id()));
   out.push_back(static_cast<std::byte>(level()));
   append_le<std::uint64_t>(out, input.size());
   append_le<std::uint32_t>(out, Crc32::compute(input));
   compress_payload(input, out, scratch);
-  return out;
 }
 
 Bytes Codec::decompress(ByteSpan framed) const {

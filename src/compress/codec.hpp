@@ -59,6 +59,12 @@ class Codec {
   // allocates a transient workspace.
   [[nodiscard]] Bytes compress(ByteSpan input) const;
   [[nodiscard]] Bytes compress(ByteSpan input, CodecScratch& scratch) const;
+  // Append form: write the framed stream onto the end of `out`, leaving
+  // its existing bytes alone (ChunkedCodec builds its container this way,
+  // one chunk stream after another). The stream bytes are the same the
+  // returning overloads produce.
+  void compress_append(ByteSpan input, Bytes& out,
+                       CodecScratch& scratch) const;
 
   // Decompress a framed stream produced by the same codec type. Throws
   // CodecError on malformed input, codec mismatch, or CRC failure.
@@ -81,9 +87,11 @@ class Codec {
                                    std::size_t compressed);
 
  protected:
-  // Codec payload hooks implemented by each codec. decompress_payload
-  // writes at most `original_size` bytes into `dst` and returns the number
-  // written; the caller sized and validated `dst` and verifies the CRC.
+  // Codec payload hooks implemented by each codec. compress_payload
+  // appends to `out`, which may already hold other bytes.
+  // decompress_payload writes at most `original_size` bytes into `dst`
+  // and returns the number written; the caller sized and validated `dst`
+  // and verifies the CRC.
   virtual void compress_payload(ByteSpan input, Bytes& out,
                                 CodecScratch& scratch) const = 0;
   virtual std::size_t decompress_payload(ByteSpan payload, std::byte* dst,

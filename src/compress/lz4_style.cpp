@@ -79,7 +79,10 @@ void Lz4StyleCodec::compress_payload(ByteSpan input, Bytes& out,
                                      CodecScratch& scratch) const {
   // Byte-oriented format: incompressible input expands slightly (token +
   // length bytes per sequence), so reserve a whisker over the input size.
-  out.reserve(out.size() + input.size() + input.size() / 16 + 16);
+  // Growth is at least geometric: a chunked container appends one stream
+  // per chunk, and exact-size growth would copy it once per chunk.
+  const std::size_t need = out.size() + input.size() + input.size() / 16 + 16;
+  if (need > out.capacity()) out.reserve(std::max(need, 2 * out.size()));
   MatchFinder finder(input, kWindow, kMinMatch, /*max_match=*/65535,
                      chain_depth_for_level(level_), scratch.match_head,
                      scratch.match_prev);

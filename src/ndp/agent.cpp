@@ -96,11 +96,10 @@ void NdpAgent::start_drain_if_ready() {
 
   if (codec_) {
     drain.chunk_count = codec_->chunk_count(drain.image_size);
-    drain.chunks.resize(drain.chunk_count);
+    codec_->begin(drain.compressed, drain.image_size);
     if (drain.chunk_count == 0) {
       // Empty image: nothing to pipeline, just the container header on
       // the wire.
-      drain.compressed = codec_->compress(*image);
       drain.assembled = true;
       drain.remaining_seconds =
           static_cast<double>(drain.compressed.size()) / cfg_.io_bw;
@@ -108,10 +107,16 @@ void NdpAgent::start_drain_if_ready() {
   } else {
     // Uncompressed mode: a single raw "chunk", write stage only.
     drain.chunk_count = 1;
-    drain.chunks.assign(1, Bytes(image->begin(), image->end()));
+    drain.compressed.assign(image->begin(), image->end());
     drain.compressed_done = 1;
   }
   drain_ = std::move(drain);
+}
+
+std::size_t NdpAgent::chunk_stream_bytes(std::size_t j) const {
+  const Bytes& container = drain_->compressed;
+  return codec_ ? compress::ChunkedCodec::chunk_stream_size(container, j)
+                : container.size();
 }
 
 double NdpAgent::step_pipeline(double budget) {
@@ -124,8 +129,7 @@ double NdpAgent::step_pipeline(double budget) {
     // compression bandwidth.
     if (!d.compress_active && codec_ && d.compressed_done < d.chunk_count) {
       const auto image = uncompressed_.get(d.checkpoint_id);
-      d.chunks[d.compressed_done] =
-          codec_->compress_chunk(*image, d.compressed_done);
+      codec_->append_chunk(d.compressed, *image, d.compressed_done);
       const auto extent =
           codec_->chunk_extent(d.image_size, d.compressed_done);
       stats_.bytes_compressed += extent.second;
@@ -143,7 +147,7 @@ double NdpAgent::step_pipeline(double budget) {
             ? d.compressed_done
             : 0;
     if (!d.write_active && d.write_front < writable) {
-      double bytes = static_cast<double>(d.chunks[d.write_front].size());
+      double bytes = static_cast<double>(chunk_stream_bytes(d.write_front));
       if (d.write_front == 0 && codec_) {
         bytes += static_cast<double>(
             compress::ChunkedCodec::header_bytes(d.chunk_count));
@@ -153,9 +157,8 @@ double NdpAgent::step_pipeline(double budget) {
       d.write_start_v = vclock_;
     }
     if (!d.compress_active && !d.write_active) {
-      // Every chunk compressed and written: the pipeline is dry.
-      d.compressed = codec_ ? codec_->assemble(d.image_size, d.chunks)
-                            : std::move(d.chunks[0]);
+      // Every chunk compressed and written: the pipeline is dry and the
+      // container complete.
       d.assembled = true;
       break;
     }
@@ -175,7 +178,7 @@ double NdpAgent::step_pipeline(double budget) {
                       "ndp.compress", cfg_.trace_track + 1,
                       {obs::u64("chunk", d.compressed_done),
                        obs::u64("out_bytes",
-                                d.chunks[d.compressed_done].size())});
+                                chunk_stream_bytes(d.compressed_done))});
         }
         ++d.compressed_done;
       }
@@ -188,7 +191,7 @@ double NdpAgent::step_pipeline(double budget) {
           rb->span_at(d.write_start_v, vclock_, "write_chunk", "ndp.wire",
                       cfg_.trace_track + 2,
                       {obs::u64("chunk", d.write_front),
-                       obs::u64("bytes", d.chunks[d.write_front].size())});
+                       obs::u64("bytes", chunk_stream_bytes(d.write_front))});
         }
         ++d.write_front;
       }

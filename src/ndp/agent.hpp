@@ -164,11 +164,11 @@ class NdpAgent {
   struct Drain {
     std::uint64_t checkpoint_id = 0;
     std::size_t image_size = 0;
-    // Two-stage chunk pipeline. chunks[j] is produced lazily when chunk
-    // j's compress stage begins (the source NVM entry is locked for the
-    // whole drain, so the span stays valid).
+    // Two-stage chunk pipeline. Chunk j's stream is appended to
+    // `compressed` when its compress stage begins (the source NVM entry
+    // is locked for the whole drain, so the span stays valid); the wire
+    // stage reads its size from the container's size table.
     std::size_t chunk_count = 0;
-    std::vector<Bytes> chunks;
     std::size_t compressed_done = 0;  // chunks out of the compress stage
     std::size_t write_front = 0;      // chunks off the IO wire
     double compress_remaining = 0.0;
@@ -176,7 +176,8 @@ class NdpAgent {
     bool compress_active = false;
     bool write_active = false;
     bool assembled = false;  // pipeline drained; `compressed` is final
-    Bytes compressed;        // the container the IO store receives
+    // The container the IO store receives (the raw image when kNull).
+    Bytes compressed;
     double remaining_seconds = 0.0;  // put retry backoff countdown
     bool locked = false;
     std::uint32_t put_attempts = 0;  // IO writes tried for this drain
@@ -187,6 +188,9 @@ class NdpAgent {
   };
 
   void start_drain_if_ready();
+  // Size of the drain's chunk j stream: its container size-table entry
+  // (the raw image when uncompressed).
+  [[nodiscard]] std::size_t chunk_stream_bytes(std::size_t j) const;
   // Advance the chunk pipeline by up to `budget` seconds; returns the
   // time consumed. Sets drain_->assembled when the last write lands.
   double step_pipeline(double budget);

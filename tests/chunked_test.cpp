@@ -16,15 +16,14 @@ Bytes test_data(std::size_t size, std::uint64_t seed) {
   return data;
 }
 
-// Caller-scheduled compression: one compress_chunk task per chunk on
-// `pool`, assembled in index order.
-Bytes pool_compress(const ChunkedCodec& codec, ByteSpan data,
-                    exec::TaskPool& pool) {
-  return codec.assemble(
-      data.size(), pool.parallel_map(codec.chunk_count(data.size()),
-                                     [&](std::size_t i) {
-                                       return codec.compress_chunk(data, i);
-                                     }));
+// The commit path's schedule: one container per pool task (a rank's
+// stream each), every one written through begin() + append_chunk().
+std::vector<Bytes> pool_compress(const ChunkedCodec& codec,
+                                 const std::vector<Bytes>& inputs,
+                                 exec::TaskPool& pool) {
+  return pool.parallel_map(inputs.size(), [&](std::size_t i) {
+    return codec.compress(inputs[i]);
+  });
 }
 
 TEST(Chunked, RoundTripsAcrossChunkBoundaries) {
@@ -37,17 +36,22 @@ TEST(Chunked, RoundTripsAcrossChunkBoundaries) {
 }
 
 TEST(Chunked, OutputIndependentOfThreadCount) {
-  // Parallelism is an execution detail: chunks compressed as pool tasks
-  // assemble to compress()'s bytes, and decompress on any pool (or none)
-  // returns the input.
+  // Parallelism is an execution detail: containers compressed as
+  // concurrent pool tasks hold compress()'s bytes, and decompress on any
+  // pool (or none) returns the input.
   const Bytes data = test_data(200000, 7);
+  const std::vector<Bytes> inputs = {data, test_data(70000, 8), Bytes{},
+                                     test_data(16384, 9)};
   const ChunkedCodec codec(CodecId::kLz4Style, 1, 16384);
   const Bytes reference = codec.compress(data);
   EXPECT_EQ(codec.decompress(reference), data);
   for (unsigned threads : {1u, 2u, 8u}) {
     exec::TaskPool pool(threads);
-    EXPECT_EQ(pool_compress(codec, data, pool), reference)
-        << "threads=" << threads;
+    const std::vector<Bytes> packed = pool_compress(codec, inputs, pool);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      EXPECT_EQ(packed[i], codec.compress(inputs[i]))
+          << "threads=" << threads << " input=" << i;
+    }
     EXPECT_EQ(codec.decompress(reference, &pool), data)
         << "threads=" << threads;
   }
@@ -133,33 +137,53 @@ TEST(Chunked, InvalidConfigThrows) {
 }
 
 TEST(Chunked, ChunkLevelInterfaceMatchesCompressBitExact) {
-  // Caller-scheduled parallelism: per-chunk streams assembled in index
-  // order must be the same bytes compress() produces.
+  // The incremental writer: begin() lays down the header and a zeroed
+  // size table, each append_chunk() lands one stream at the end and
+  // patches its entry, and the finished container is compress()'s bytes.
   const ChunkedCodec codec(CodecId::kDeflateStyle, 1, 10000);
   for (std::size_t size : {0u, 1u, 10000u, 35000u}) {
     const Bytes data = test_data(size, size + 21);
     const std::size_t k = codec.chunk_count(size);
     EXPECT_EQ(k, (size + 9999) / 10000);
-    std::vector<Bytes> chunks(k);
+    Bytes container = test_data(5, 1);  // begin() replaces old contents
+    codec.begin(container, size);
+    EXPECT_EQ(container.size(), ChunkedCodec::header_bytes(k));
     std::size_t covered = 0;
     for (std::size_t j = 0; j < k; ++j) {
       const auto [offset, length] = codec.chunk_extent(size, j);
       EXPECT_EQ(offset, covered);
       covered += length;
-      chunks[j] = codec.compress_chunk(data, j);
+      EXPECT_EQ(ChunkedCodec::chunk_stream_size(container, j), 0u);
+      const std::size_t before = container.size();
+      codec.append_chunk(container, data, j);
+      EXPECT_EQ(ChunkedCodec::chunk_stream_size(container, j),
+                container.size() - before);
     }
     EXPECT_EQ(covered, size);
-    const Bytes assembled = codec.assemble(size, chunks);
-    EXPECT_EQ(assembled, codec.compress(data)) << "size=" << size;
-    EXPECT_EQ(ChunkedCodec::header_bytes(k) +
-                  [&] {
-                    std::size_t payload = 0;
-                    for (const auto& c : chunks) payload += c.size();
-                    return payload;
-                  }(),
-              assembled.size());
+    EXPECT_EQ(container, codec.compress(data)) << "size=" << size;
   }
   EXPECT_THROW((void)codec.chunk_extent(10000, 1), CodecError);
+}
+
+TEST(Chunked, AppendOutOfOrderThrows) {
+  // A chunk lands only right after its predecessor, once, into a
+  // container begun for the same input size.
+  const ChunkedCodec codec(CodecId::kLz4Style, 1, 10000);
+  const Bytes data = test_data(25000, 3);
+  Bytes container;
+  codec.begin(container, data.size());
+  EXPECT_THROW(codec.append_chunk(container, data, 1), CodecError);
+  codec.append_chunk(container, data, 0);
+  EXPECT_THROW(codec.append_chunk(container, data, 0), CodecError);
+  EXPECT_THROW(codec.append_chunk(container, ByteSpan(data).first(15000), 1),
+               CodecError);
+  codec.append_chunk(container, data, 1);
+  codec.append_chunk(container, data, 2);
+  EXPECT_EQ(container, codec.compress(data));
+  EXPECT_THROW(codec.append_chunk(container, data, 3), CodecError);
+  EXPECT_THROW((void)ChunkedCodec::chunk_stream_size(
+                   ByteSpan(container).first(20), 1),
+               CodecError);
 }
 
 TEST(Chunked, CompressInsidePoolWorkerRunsInlineAndMatches) {
@@ -171,8 +195,6 @@ TEST(Chunked, CompressInsidePoolWorkerRunsInlineAndMatches) {
   const Bytes outside = codec.compress(data);
   for (unsigned threads : {1u, 2u, 8u}) {
     exec::TaskPool pool(threads);
-    EXPECT_EQ(pool_compress(codec, data, pool), outside)
-        << "threads=" << threads;
     std::vector<Bytes> inside(3);
     pool.parallel_for(inside.size(), [&](std::size_t i) {
       inside[i] = codec.compress(data);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -31,6 +33,35 @@ TEST(Image, BuildParseRoundTrip) {
   EXPECT_EQ(image.meta().checkpoint_id, 99u);
   EXPECT_EQ(image.meta().step, 12u);
   EXPECT_EQ(Bytes(image.payload().begin(), image.payload().end()), payload);
+}
+
+TEST(Image, ParseBorrowsASpanAndOwnsMovedBytes) {
+  // parse(ByteSpan) validates in place: the payload points into the raw
+  // bytes. parse(Bytes&&) takes the buffer over without copying it, and
+  // its payload stays valid across moves of the image (under ASan, a
+  // payload left pointing at a freed buffer fails here).
+  const Bytes payload = payload_of("state that must not be copied");
+  Bytes raw = CheckpointImage::build(
+      CheckpointMeta{.app_id = 1, .rank = 0, .checkpoint_id = 5}, payload);
+  const std::size_t header = raw.size() - payload.size();
+  const std::byte* const buffer = raw.data();
+  {
+    const CheckpointImage borrowed = CheckpointImage::parse(ByteSpan(raw));
+    EXPECT_EQ(borrowed.payload().data(), buffer + header);
+    EXPECT_EQ(borrowed.payload().size(), payload.size());
+  }
+  std::optional<CheckpointImage> owned;
+  {
+    CheckpointImage parsed = CheckpointImage::parse(std::move(raw));
+    EXPECT_EQ(parsed.payload().data(), buffer + header);
+    owned.emplace(std::move(parsed));
+  }
+  const CheckpointImage moved = std::move(*owned);
+  owned.reset();
+  EXPECT_EQ(moved.meta().checkpoint_id, 5u);
+  EXPECT_EQ(moved.payload().data(), buffer + header);
+  EXPECT_EQ(Bytes(moved.payload().begin(), moved.payload().end()), payload);
+  EXPECT_THROW(CheckpointImage::parse(Bytes{}), ImageError);
 }
 
 TEST(Image, PeekMetaWithoutFullValidation) {
@@ -779,11 +810,12 @@ TEST(Multilevel, ByteLedgerPinsTouchesPerPayloadByte) {
   // 8 ranks x 1 MiB through local NVM + XOR partners (groups of 4), with
   // write verify. Per payload byte: image build copies once and CRCs
   // once (the NDCI header CRC and the write digest both derive from that
-  // pass via Crc32::combine); local copies once and CRCs the stored
-  // entry once; the partner level copies each group's first image, folds
-  // the other three (0.25 + 0.75) and CRCs each parity twice (digest,
-  // verify read: 2 x 0.25). The readback-compare path touched 6.75 bytes
-  // per payload byte, the two-pass image build 6.5.
+  // pass via Crc32::combine); local takes the built image over without a
+  // copy and CRCs the stored entry once; the partner level copies each
+  // group's first image, folds the other three (0.25 + 0.75) and CRCs
+  // each parity twice (digest, verify read: 2 x 0.25). The
+  // readback-compare path touched 6.75 bytes per payload byte, the
+  // two-pass image build 6.5, the copying local write 5.5.
   auto cfg = small_config(8);
   cfg.nvm_capacity_bytes = 4 << 20;
   cfg.io_every = 0;
@@ -799,12 +831,13 @@ TEST(Multilevel, ByteLedgerPinsTouchesPerPayloadByte) {
   const std::uint64_t payload = 8ull << 20;
   EXPECT_EQ(d.image.copied, payload);
   EXPECT_EQ(d.image.compared + d.image.hashed + d.image.xored, 0u);
-  EXPECT_EQ(d.local.crc, d.local.copied);
+  EXPECT_EQ(d.local.copied, 0u);
+  EXPECT_EQ(d.local.crc, d.local_bytes_written);
   EXPECT_EQ(d.partner.xored, 3 * d.partner.copied);
   EXPECT_EQ(d.partner.compared + d.local.compared, 0u);
   EXPECT_EQ(d.image.crc, payload);
-  EXPECT_NEAR(d.touches_per_payload_byte(), 5.5, 1e-3);
-  EXPECT_LT(d.touches_per_payload_byte(), 6.5);
+  EXPECT_NEAR(d.touches_per_payload_byte(), 4.5, 1e-3);
+  EXPECT_LT(d.touches_per_payload_byte(), 5.5);
 
   obs::MetricsRegistry metrics;
   record_data_path(metrics, d, "ckpt.data");
@@ -815,6 +848,63 @@ TEST(Multilevel, ByteLedgerPinsTouchesPerPayloadByte) {
   EXPECT_DOUBLE_EQ(
       metrics.gauge("ckpt.data.ledger.touches_per_payload_byte").value(),
       d.touches_per_payload_byte());
+}
+
+TEST(Multilevel, LocalRetryRebuildsTheImageItHandedOver) {
+  // The local level moves each built image into its NVM on attempt 0. A
+  // hook that tears every rank's first write of a commit forces a retry,
+  // which must rebuild the image from the caller's payload - a delta
+  // against the previous commit for delta commits - and leave the NVM
+  // byte-identical to a fault-free manager's. A retry that reused the
+  // moved-from buffer would write nothing verifiable.
+  for (const bool delta : {false, true}) {
+    SCOPED_TRACE(delta ? "delta" : "full");
+    auto cfg = small_config(4);
+    cfg.io_every = 0;
+    cfg.delta.enabled = delta;
+    cfg.delta.block_bytes = 64;
+    MultilevelManager clean(cfg);
+    auto torn_cfg = cfg;
+    // Each commit writes every rank twice (torn, then the retry), so the
+    // even write-op indices are the first attempts.
+    torn_cfg.local_write_hook = [](std::uint32_t, std::uint64_t op,
+                                   Bytes& image) {
+      if (op % 2 == 0) image.resize(image.size() / 2);
+    };
+    MultilevelManager torn(torn_cfg);
+    std::vector<Bytes> payloads(4, Bytes(1000));
+    constexpr int kCommits = 3;
+    for (int c = 0; c < kCommits; ++c) {
+      for (std::uint32_t r = 0; r < 4; ++r) {
+        payloads[r][(c * 131 + r * 17) % 1000] =
+            static_cast<std::byte>(c + 1);
+      }
+      const std::uint64_t id = clean.commit(views(payloads));
+      ASSERT_EQ(torn.commit(views(payloads)), id);
+      for (std::uint32_t r = 0; r < 4; ++r) {
+        const auto want = clean.local_store(r).get(id);
+        const auto got = torn.local_store(r).get(id);
+        ASSERT_TRUE(want && got) << "commit " << c << " rank " << r;
+        EXPECT_TRUE(std::equal(want->begin(), want->end(), got->begin(),
+                               got->end()))
+            << "commit " << c << " rank " << r;
+      }
+    }
+    const LevelHealth& local = torn.health().local;
+    EXPECT_EQ(local.put_retries, 4u * kCommits);
+    EXPECT_EQ(local.verify_failures, 4u * kCommits);
+    EXPECT_EQ(local.put_failures, 0u);
+    EXPECT_FALSE(local.degraded());
+    EXPECT_EQ(clean.data_path().commits_delta, delta ? 2u : 0u);
+    // A first attempt copies nothing; each retry pays its rebuild.
+    EXPECT_EQ(clean.data_path().local.copied, 0u);
+    EXPECT_GT(torn.data_path().local.copied, 0u);
+    EXPECT_EQ(torn.data_path().local_bytes_written,
+              clean.data_path().local_bytes_written);
+    const auto rec = torn.recover();
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->payloads, payloads);
+  }
 }
 
 // Partner space that fails a transient put once per host, then refuses

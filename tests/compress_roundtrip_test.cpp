@@ -72,6 +72,15 @@ void expect_roundtrip(const Codec& codec, ByteSpan input,
   const Bytes back = codec.decompress(packed, scratch);
   ASSERT_EQ(back.size(), input.size());
   EXPECT_TRUE(std::equal(back.begin(), back.end(), input.begin()));
+  // The append form writes the same stream after whatever the buffer
+  // already holds, and leaves those bytes alone.
+  const Bytes prefix = {std::byte{0xA5}, std::byte{0x5A}, std::byte{0x01}};
+  Bytes appended = prefix;
+  codec.compress_append(input, appended, scratch);
+  ASSERT_EQ(appended.size(), prefix.size() + packed.size());
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), appended.begin()));
+  EXPECT_TRUE(std::equal(packed.begin(), packed.end(),
+                         appended.begin() + prefix.size()));
 }
 
 TEST(CompressRoundTrip, EveryCodecEveryLevelSeededPayloads) {
@@ -259,9 +268,9 @@ TEST(CompressRoundTrip, Lz4HigherLevelsStillProbeEveryByte) {
 }
 
 TEST(CompressRoundTrip, ChunkedAcceleratedRoundTripsAcrossThreadCounts) {
-  // Thread count is an execution detail even in accelerated mode: chunks
-  // compressed as pool tasks assemble to compress()'s bytes, and decode
-  // on any pool (or none) round-trips.
+  // Thread count is an execution detail even in accelerated mode:
+  // containers compressed as concurrent pool tasks hold compress()'s
+  // bytes, and decode on any pool (or none) round-trips.
   const Bytes input = fuzz_payload(200 * 1024, 77);
   const ChunkedCodec cc(CodecId::kLz4Style, 1, 16 * 1024, 1,
                         /*accelerate=*/true);
@@ -269,12 +278,11 @@ TEST(CompressRoundTrip, ChunkedAcceleratedRoundTripsAcrossThreadCounts) {
   EXPECT_EQ(cc.decompress(reference), input);
   for (unsigned threads : {1u, 2u, 8u}) {
     exec::TaskPool pool(threads);
-    const std::vector<Bytes> chunks =
-        pool.parallel_map(cc.chunk_count(input.size()), [&](std::size_t i) {
-          return cc.compress_chunk(input, i);
-        });
-    EXPECT_EQ(cc.assemble(input.size(), chunks), reference)
-        << "threads=" << threads;
+    const std::vector<Bytes> packed =
+        pool.parallel_map(4, [&](std::size_t) { return cc.compress(input); });
+    for (const Bytes& p : packed) {
+      EXPECT_EQ(p, reference) << "threads=" << threads;
+    }
     EXPECT_EQ(cc.decompress(reference, &pool), input)
         << "threads=" << threads;
   }

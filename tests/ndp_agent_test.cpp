@@ -25,6 +25,7 @@ double pipeline_model_seconds(const compress::ChunkedCodec& codec,
                               const Bytes& image, double compress_bw,
                               double io_bw, bool overlap) {
   const std::size_t k = codec.chunk_count(image.size());
+  const Bytes container = codec.compress(image);
   double compress_front = 0.0;
   double write_front = 0.0;
   double total = 0.0;
@@ -32,8 +33,8 @@ double pipeline_model_seconds(const compress::ChunkedCodec& codec,
     const double c =
         static_cast<double>(codec.chunk_extent(image.size(), j).second) /
         compress_bw;
-    double bytes =
-        static_cast<double>(codec.compress_chunk(image, j).size());
+    double bytes = static_cast<double>(
+        compress::ChunkedCodec::chunk_stream_size(container, j));
     if (j == 0) {
       bytes += static_cast<double>(compress::ChunkedCodec::header_bytes(k));
     }
