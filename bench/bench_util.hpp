@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <functional>
 #include <map>
 #include <string>
@@ -99,13 +100,24 @@ struct BenchArgs {
   }
 };
 
-// Wall-time summary of one measured row: median, fastest and the
-// interquartile spread over its repeats, in seconds.
+// Time summary of one measured row: the median, fastest and
+// interquartile spread of its wall time, and the median process CPU
+// time (all threads), over its repeats, in seconds. CPU well above wall
+// means the pool ran in parallel; well below, the host took the core.
 struct Timing {
   double median = 0.0;
   double min = 0.0;
   double iqr = 0.0;
+  double cpu = 0.0;
 };
+
+// Process CPU seconds consumed so far, summed over every thread.
+inline double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
 
 // Time every row `reps` times, interleaved (round r runs row 0, 1, ...
 // before round r + 1), so a drift in the shared host's speed spreads
@@ -113,24 +125,31 @@ struct Timing {
 // Timing per row.
 inline std::vector<Timing> measure_interleaved(
     int reps, const std::vector<std::function<void()>>& rows) {
-  std::vector<std::vector<double>> samples(rows.size());
+  std::vector<std::vector<double>> walls(rows.size());
+  std::vector<std::vector<double>> cpus(rows.size());
   for (int r = 0; r < reps; ++r) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
+      const double c0 = process_cpu_seconds();
       const auto t0 = std::chrono::steady_clock::now();
       rows[i]();
-      samples[i].push_back(std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count());
+      walls[i].push_back(std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count());
+      cpus[i].push_back(process_cpu_seconds() - c0);
     }
   }
+  const auto at = [](const std::vector<double>& s, double q) {
+    return s[static_cast<std::size_t>(q * static_cast<double>(s.size() - 1) +
+                                      0.5)];
+  };
   std::vector<Timing> out;
-  for (auto& s : samples) {
-    std::sort(s.begin(), s.end());
-    const auto at = [&](double q) {
-      return s[static_cast<std::size_t>(q * static_cast<double>(s.size() - 1) +
-                                        0.5)];
-    };
-    out.push_back({at(0.5), s.front(), at(0.75) - at(0.25)});
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::vector<double>& w = walls[i];
+    std::vector<double>& c = cpus[i];
+    std::sort(w.begin(), w.end());
+    std::sort(c.begin(), c.end());
+    out.push_back({at(w, 0.5), w.front(), at(w, 0.75) - at(w, 0.25),
+                   at(c, 0.5)});
   }
   return out;
 }

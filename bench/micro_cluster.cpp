@@ -8,7 +8,9 @@
 //   scenario         the widened scenario space at 100k nodes through
 //                    the calendar engine: Weibull inter-arrivals,
 //                    cascades, rack outages under both partner
-//                    placements
+//                    placements, plus perfbench failure_sim's query
+//                    (20k nodes, all three at once); medians of
+//                    interleaved repeats with IQR and CPU time
 //   replicates       run_failure_replicates serial vs the engine pool
 //                    (honest ~1x on a single-core host), with the
 //                    pool-invariant aggregate printed from each leg
@@ -28,6 +30,7 @@
 #include <functional>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -222,41 +225,65 @@ int main(int argc, char** argv) {
   }
 
   // ---- scenario: the widened space at scale ---------------------------
+  // Every row is timed as the median of interleaved repeats, with its IQR
+  // and the median process CPU time next to the wall time.
   {
     report.add_section("scenario",
                        {"scenario", "failures", "p_local", "p_cascade",
-                        "rack_outages", "wall_s", "fails_per_s"});
+                        "rack_outages", "median_ms", "iqr_ms", "cpu_ms",
+                        "fails_per_s", "reps"});
     const std::uint32_t nodes = smoke ? 1'000 : 100'000;
     const std::uint64_t fails = smoke ? 10'000 : 100'000;
-    auto add = [&](const char* name, FailureAnalysisConfig cfg) {
-      FailureAnalysisResult r;
-      const double wall = best_seconds(trials, [&] {
-        r = analyze_failures(cfg);
-      });
-      report.add_row({name, std::to_string(r.failures),
-                      fmt("%.4f", r.p_local()), fmt("%.4f", r.p_cascade()),
-                      std::to_string(r.rack_outages), fmt("%.4f", wall),
-                      fmt("%.0f", static_cast<double>(r.failures) / wall)});
-    };
-    add("exponential", base_config(nodes, fails, seed));
+    std::vector<std::pair<const char*, FailureAnalysisConfig>> rows;
+    rows.emplace_back("exponential", base_config(nodes, fails, seed));
     {
       auto cfg = base_config(nodes, fails, seed);
       cfg.distribution = FailureDistribution::kWeibull;
       cfg.weibull_shape = 0.7;
-      add("weibull_0.7", cfg);
+      rows.emplace_back("weibull_0.7", cfg);
     }
     {
       auto cfg = base_config(nodes, fails, seed);
       cfg.cascade.probability = 0.1;
-      add("cascade_0.1", cfg);
+      rows.emplace_back("cascade_0.1", cfg);
     }
     {
       auto cfg = base_config(nodes, fails, seed);
       cfg.racks.rack_size = 64;
       cfg.racks.outage_mttf = 50.0 * kMttf;
-      add("racks_ring", cfg);
+      rows.emplace_back("racks_ring", cfg);
       cfg.placement = PartnerPlacement::kCrossRack;
-      add("racks_cross", cfg);
+      rows.emplace_back("racks_cross", cfg);
+    }
+    {
+      // perfbench failure_sim's query shape: Weibull renewals with
+      // cascades and rack outages, all at once.
+      auto cfg = base_config(smoke ? 10'000 : 20'000,
+                             smoke ? 5'000 : 300'000, seed);
+      cfg.distribution = FailureDistribution::kWeibull;
+      cfg.weibull_shape = 0.7;
+      cfg.cascade.probability = 0.05;
+      cfg.racks.rack_size = 32;
+      cfg.racks.outage_mttf = 10.0 * 365.25 * 86400;
+      rows.emplace_back("failure_sim_20k", cfg);
+    }
+    const int reps = smoke ? 1 : 5 * trials;
+    std::vector<FailureAnalysisResult> results(rows.size());
+    std::vector<std::function<void()>> fns;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      fns.push_back([&, i] { results[i] = analyze_failures(rows[i].second); });
+    }
+    const std::vector<bench::Timing> t = bench::measure_interleaved(reps, fns);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const FailureAnalysisResult& r = results[i];
+      report.add_row({rows[i].first, std::to_string(r.failures),
+                      fmt("%.4f", r.p_local()), fmt("%.4f", r.p_cascade()),
+                      std::to_string(r.rack_outages),
+                      fmt("%.3f", t[i].median * 1e3),
+                      fmt("%.3f", t[i].iqr * 1e3), fmt("%.3f", t[i].cpu * 1e3),
+                      fmt("%.0f", static_cast<double>(r.failures) /
+                                      t[i].median),
+                      std::to_string(reps)});
     }
   }
 

@@ -921,21 +921,20 @@ bool MultilevelManager::commit_io(std::uint64_t id,
     settle_level(health, level_ok, rb, "ckpt.io", id);
     return level_ok;
   }
-  // Stream build: one pool task per rank runs the adaptive probe, writes
-  // the chunked container in place and digests it, into per-rank slots.
-  // The puts below then run in rank order on the committing thread, so
-  // the shared fault-scheduled IO device sees one fixed op sequence.
+  // Stream build: one task per rank runs the adaptive probe, writes the
+  // chunked container in place and digests it, into per-rank slots. The
+  // puts below then run in rank order on the committing thread, so the
+  // shared fault-scheduled IO device sees one fixed op sequence. A probe
+  // stops at its first failed put, so it builds each rank's container
+  // in the put loop instead: a still-down level costs one container, not
+  // node_count of them.
   const std::uint32_t n = config_.node_count;
   std::vector<const compress::ChunkedCodec*> codecs(
       n, io_codec_ ? &*io_codec_ : nullptr);
   std::vector<Bytes> packed(n);
   std::vector<EntryDigest> expected(digests);
   std::vector<ByteLedger> ledgers(n);
-  std::vector<obs::TraceBuffer> tbs = trace_->task_buffers(n);
-  std::size_t image_bytes = 0;
-  for (const Bytes& image : images) image_bytes += image.size();
-  for_tasks(n, [&](std::size_t rank) {
-    obs::TraceBuffer* tb = tbs.empty() ? nullptr : &tbs[rank];
+  const auto build = [&](std::size_t rank, obs::TraceBuffer* tb) {
     const auto track = 1 + static_cast<std::uint32_t>(rank);
     if (!codecs[rank] && config_.io_codec_adaptive) {
       // Online selection: probe this rank's bytes and pick the candidate
@@ -969,11 +968,20 @@ bool MultilevelManager::commit_io(std::uint64_t id,
     }
     packed[rank] = codec->compress(images[rank]);
     expected[rank] = digest_counted(packed[rank], ledgers[rank]);
-  }, image_bytes);
-  trace_->splice(tbs);
+  };
+  if (!probe) {
+    std::vector<obs::TraceBuffer> tbs = trace_->task_buffers(n);
+    std::size_t image_bytes = 0;
+    for (const Bytes& image : images) image_bytes += image.size();
+    for_tasks(n, [&](std::size_t rank) {
+      build(rank, tbs.empty() ? nullptr : &tbs[rank]);
+    }, image_bytes);
+    trace_->splice(tbs);
+  }
   bool level_ok = true;
   ByteLedger& ledger = data_stats_.io;
   for (std::uint32_t rank = 0; rank < n; ++rank) {
+    if (probe) build(rank, rb);
     ledger += ledgers[rank];
     const compress::ChunkedCodec* codec = codecs[rank];
     const std::size_t size = expected[rank].size;

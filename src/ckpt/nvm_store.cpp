@@ -9,25 +9,26 @@ namespace ndpcr::ckpt {
 
 NvmStore::NvmStore(std::size_t capacity_bytes) : capacity_(capacity_bytes) {}
 
-bool NvmStore::put(std::uint64_t checkpoint_id, Bytes data) {
+bool NvmStore::put(std::uint64_t checkpoint_id, Bytes&& data) {
+  std::size_t size = data.size();
   if (gate_) {
     const MutationDecision d =
-        gate_({MutationOp::kPut, 0, checkpoint_id, data.size()});
+        gate_({MutationOp::kPut, 0, checkpoint_id, size});
     if (d.drop) return true;  // the dead device reports success
-    if (d.torn && d.keep_bytes < data.size()) data.resize(d.keep_bytes);
+    if (d.torn) size = std::min(size, d.keep_bytes);
   }
   if (!entries_.empty() && checkpoint_id <= entries_.back().id) {
     throw std::logic_error("checkpoint ids must be strictly increasing");
   }
   // An oversized checkpoint is rejected before anything is evicted.
-  if (data.size() > capacity_) return false;
+  if (size > capacity_) return false;
 
   // Evict oldest unlocked entries until the new checkpoint fits. Locked
   // entries block eviction of everything behind them too - a circular
   // buffer cannot reclaim around a pinned region - which matches the
   // paper's description of the NDP pausing new local writes if it falls
   // too far behind.
-  while (used_ + data.size() > capacity_) {
+  while (used_ + size > capacity_) {
     if (entries_.empty() || entries_.front().lock_count > 0) {
       return false;
     }
@@ -35,7 +36,8 @@ bool NvmStore::put(std::uint64_t checkpoint_id, Bytes data) {
     entries_.pop_front();
     ++evictions_;
   }
-  used_ += data.size();
+  data.resize(size);
+  used_ += size;
   entries_.push_back(Entry{checkpoint_id, std::move(data), 0});
   return true;
 }

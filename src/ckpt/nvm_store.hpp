@@ -25,11 +25,13 @@ class NvmStore {
  public:
   explicit NvmStore(std::size_t capacity_bytes);
 
-  // Append a checkpoint. Evicts the oldest *unlocked* checkpoints (FIFO)
-  // until the new one fits. Returns false (and stores nothing) if it
+  // Append a checkpoint, taking `data` over. Evicts the oldest *unlocked*
+  // checkpoints (FIFO) until the new one fits. Returns false if it
   // cannot fit even after evicting everything evictable - locked entries
-  // are never evicted. Ids must be strictly increasing.
-  bool put(std::uint64_t checkpoint_id, Bytes data);
+  // are never evicted; it then stores nothing and leaves `data`
+  // untouched, so a caller can keep the bytes a full device refused. Ids
+  // must be strictly increasing.
+  bool put(std::uint64_t checkpoint_id, Bytes&& data);
 
   // Access a stored checkpoint. The span is valid until the entry is
   // evicted or erased.

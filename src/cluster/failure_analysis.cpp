@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/batch_rng.hpp"
+#include "common/rng.hpp"
 #include "common/ziggurat.hpp"
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -148,10 +149,9 @@ FailureAnalysisResult run_des(const FailureAnalysisConfig& config) {
   const std::uint32_t n = config.node_count;
   const bool weibull = config.distribution == FailureDistribution::kWeibull;
   Rng rng(config.seed);
+  const WeibullGaps weibull_gaps(config.weibull_shape, config.node_mttf);
   const auto draw_gap = [&]() {
-    return weibull
-               ? rng.weibull_by_mean(config.weibull_shape, config.node_mttf)
-               : ziggurat_exp(rng, config.node_mttf);
+    return weibull ? weibull_gaps(rng) : ziggurat_exp(rng, config.node_mttf);
   };
 
   // SoA node state (the invalidation arrays only exist in the wide

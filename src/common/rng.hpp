@@ -74,17 +74,6 @@ class Rng {
     return -mean * std::log1p(-u);
   }
 
-  // Weibull-distributed with the given shape and *mean* (not scale). Shape
-  // 1 reduces to the exponential; shape < 1 models the over-dispersed
-  // failure inter-arrivals Schroeder & Gibson observed on petascale
-  // machines. The scale is derived from the mean via Gamma(1 + 1/shape).
-  double weibull_by_mean(double shape, double mean) {
-    const double scale = mean / std::tgamma(1.0 + 1.0 / shape);
-    double u = next_double();
-    while (u <= 0.0) u = next_double();
-    return scale * std::pow(-std::log(u), 1.0 / shape);
-  }
-
   // Standard normal via Box–Muller (no cached spare; simplicity over speed).
   double normal(double mean = 0.0, double stddev = 1.0) {
     double u1 = next_double();
@@ -108,6 +97,29 @@ class Rng {
   }
 
   std::uint64_t state_[4] = {};
+};
+
+// Weibull renewal gaps with a given shape and *mean* (not scale). Shape
+// 1 reduces to the exponential; shape < 1 models the over-dispersed
+// failure inter-arrivals Schroeder & Gibson observed on petascale
+// machines. The scale is derived from the mean via Gamma(1 + 1/shape),
+// once per sampler: a renewal process draws millions of gaps from one
+// (shape, mean), and tgamma would otherwise dominate each draw.
+class WeibullGaps {
+ public:
+  WeibullGaps(double shape, double mean)
+      : scale_(mean / std::tgamma(1.0 + 1.0 / shape)),
+        inv_shape_(1.0 / shape) {}
+
+  double operator()(Rng& rng) const {
+    double u = rng.next_double();
+    while (u <= 0.0) u = rng.next_double();
+    return scale_ * std::pow(-std::log(u), inv_shape_);
+  }
+
+ private:
+  double scale_;
+  double inv_shape_;
 };
 
 }  // namespace ndpcr

@@ -205,11 +205,15 @@ double NdpAgent::step_pipeline(double budget) {
 void NdpAgent::finish_drain() {
   auto& d = *drain_;
   const std::uint64_t id = d.checkpoint_id;
-  // Stage the compressed image in the compressed partition (section 4.3's
-  // second circular buffer) - best effort: a full partition only costs the
-  // fast-restore staging. Done once, before the IO write can fail.
-  if (d.put_attempts == 0 && codec_ && !compressed_.contains(id)) {
-    compressed_.put(id, d.compressed);
+  if (d.put_attempts == 0) {
+    // Every attempt ships the same container: digest it once.
+    d.digest = ckpt::digest_of(ByteSpan(d.compressed));
+    // Stage the compressed image in the compressed partition (section
+    // 4.3's second circular buffer) - best effort: a full partition only
+    // costs the fast-restore staging. Done once, before the IO write can
+    // fail; a refused container stays with the drain.
+    d.staged = codec_ && !compressed_.contains(id) &&
+               compressed_.put(id, std::move(d.compressed));
   }
   ++d.put_attempts;
   ++stats_.io_put_attempts;
@@ -217,12 +221,15 @@ void NdpAgent::finish_drain() {
   // One attempt of the shared write-verify-quarantine primitive - the
   // same stage the host commit path's IO puts run (docs/PERF.md), so
   // a drained checkpoint hits the IO device with the identical op
-  // sequence a host-side commit would.
-  // The drain keeps its container for retries, so each attempt hands the
-  // store a copy.
+  // sequence a host-side commit would. Each attempt hands the store its
+  // own copy of the container. A staged entry outlives the drain's
+  // retries: the drain is the partition's only writer, and reset() drops
+  // both together.
+  const ByteSpan container =
+      d.staged ? *compressed_.get(id) : ByteSpan(d.compressed);
   const ckpt::PutOutcome out = ckpt::verified_put_once(
-      io_, cfg_.rank, id, Bytes(d.compressed),
-      ckpt::digest_of(ByteSpan(d.compressed)), /*verify=*/true);
+      io_, cfg_.rank, id, Bytes(container.begin(), container.end()),
+      d.digest, /*verify=*/true);
   const bool ok = out.ok;
   const bool permanent = out.put_permanent || out.read_error_permanent;
   if (out.verify_failed) {
@@ -240,7 +247,7 @@ void NdpAgent::finish_drain() {
   }
 
   if (ok) {
-    stats_.bytes_to_io += d.compressed.size();
+    stats_.bytes_to_io += d.digest.size;
     newest_on_io_ = id;
     ++stats_.drains_completed;
     if (io_degraded_) {
@@ -257,7 +264,7 @@ void NdpAgent::finish_drain() {
       rb->span_at(d.start_v, vclock_, "drain", "ndp", cfg_.trace_track,
                   {obs::u64("id", id), obs::u64("chunks", d.chunk_count),
                    obs::u64("in_bytes", d.image_size),
-                   obs::u64("out_bytes", d.compressed.size())});
+                   obs::u64("out_bytes", d.digest.size)});
     }
     if (d.locked) uncompressed_.unlock(id);
     drain_.reset();
@@ -291,8 +298,11 @@ void NdpAgent::finish_drain() {
                  obs::u64("attempts", d.put_attempts)});
     rb->instant_at(vclock_, "host_fallback", "ndp", cfg_.trace_track,
                    {obs::u64("id", id),
-                    obs::u64("bytes", d.compressed.size())});
+                    obs::u64("bytes", d.digest.size)});
   }
+  // A staged container stays in the partition for fast restore; the
+  // host gets a copy.
+  if (d.staged) d.compressed.assign(container.begin(), container.end());
   fallback_ = HostFallback{id, std::move(d.compressed)};
   if (d.locked) uncompressed_.unlock(id);
   drain_.reset();

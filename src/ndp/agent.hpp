@@ -177,7 +177,11 @@ class NdpAgent {
     bool write_active = false;
     bool assembled = false;  // pipeline drained; `compressed` is final
     // The container the IO store receives (the raw image when kNull).
+    // The first put attempt moves it into the compressed partition when
+    // that takes it (`staged`); each attempt then copies it from there.
     Bytes compressed;
+    bool staged = false;
+    ckpt::EntryDigest digest;  // of the container, taken once per drain
     double remaining_seconds = 0.0;  // put retry backoff countdown
     bool locked = false;
     std::uint32_t put_attempts = 0;  // IO writes tried for this drain

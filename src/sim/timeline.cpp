@@ -84,6 +84,7 @@ struct TimelineSimulator::Impl {
   const TimelineConfig& cfg;
   const TimelineSimulator& self;
   Rng rng;
+  WeibullGaps weibull_gaps;  // used when failure_shape != 1
   TimelineResult result;
 
   double now = 0.0;           // wall clock
@@ -104,13 +105,13 @@ struct TimelineSimulator::Impl {
 
   Impl(const TimelineConfig& c, const TimelineSimulator& s,
        std::uint64_t seed)
-      : cfg(c), self(s), rng(seed) {
+      : cfg(c), self(s), rng(seed), weibull_gaps(c.failure_shape, c.mtti) {
     next_failure = sample_interarrival();
   }
 
   double sample_interarrival() {
     if (cfg.failure_shape == 1.0) return rng.exponential(cfg.mtti);
-    return rng.weibull_by_mean(cfg.failure_shape, cfg.mtti);
+    return weibull_gaps(rng);
   }
 
   void account(Kind kind, double dt) {

@@ -107,7 +107,7 @@ Session::Session(CheckpointService& service, std::uint32_t tenant_id,
   manager_ = std::make_unique<ckpt::MultilevelManager>(mc);
 }
 
-bool Session::need_checkpoint(std::size_t bytes) const {
+bool Session::can_admit(std::size_t bytes) const {
   // Preview admission: admit() with preview set mutates nothing.
   auto& self = const_cast<Session&>(*this);
   return self.service_.admit(self, bytes, /*preview=*/true) ==

@@ -6,7 +6,9 @@
 // NVM budget - and one exec::TaskPool. Each session wraps its own
 // MultilevelManager behind an SCR-style client API:
 //
-//   need_checkpoint()   - would the service admit a checkpoint right now?
+//   can_admit()         - would the service admit a checkpoint right now?
+//                         (a preview; SCR's SCR_Need_checkpoint means
+//                         "is it time to checkpoint", which it is not)
 //   start_checkpoint()  - stage this checkpoint (admission-controlled)
 //   commit()            - drive the shared scheduler until it lands
 //   latest()            - the latest-pointer: the newest *fully committed*
@@ -165,7 +167,7 @@ class Session {
 
   // Would start_checkpoint admit a checkpoint of `bytes` payload right
   // now? Pure preview: charges nothing, advances no throttle state.
-  [[nodiscard]] bool need_checkpoint(std::size_t bytes = 0) const;
+  [[nodiscard]] bool can_admit(std::size_t bytes = 0) const;
 
   // Stage one coordinated checkpoint (payloads[r] = rank r's state).
   // Returns kQueued on success; a refusal is typed and stages nothing.

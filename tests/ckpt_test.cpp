@@ -16,6 +16,7 @@
 #include "common/rng.hpp"
 #include "compress/chunked.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace ndpcr::ckpt {
 namespace {
@@ -905,6 +906,81 @@ TEST(Multilevel, LocalRetryRebuildsTheImageItHandedOver) {
     ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->payloads, payloads);
   }
+}
+
+// IO space whose device is down for good: every put fails permanently.
+class DownIoStore final : public KvStore {
+ public:
+  StoreStatus put(std::uint32_t, std::uint64_t, Bytes) override {
+    ++puts;
+    return StoreStatus::failure(StoreErrorKind::kPermanent, "down");
+  }
+  std::uint32_t puts = 0;
+};
+
+TEST(Multilevel, DegradedIoProbeBuildsOnlyTheContainerItPuts) {
+  // The first commit finds the IO level healthy: it builds and digests
+  // all 8 containers, every put fails and the level degrades. The next
+  // commit only probes - one single-attempt put that stops at rank 0 -
+  // so it must build and digest rank 0's container alone. The ledger
+  // folds a rank's bytes only when the put loop reaches it, so the
+  // trace's io_compress spans are what show the containers built.
+  constexpr std::uint32_t kNodes = 8;
+  auto cfg = small_config(kNodes);
+  cfg.io_every = 1;
+  cfg.partner_every = 0;
+  cfg.io_codec = compress::CodecId::kLz4Style;
+  cfg.io_codec_level = 1;
+  obs::Tracer tracer(true);
+  cfg.trace = &tracer;
+  DownIoStore* io = nullptr;
+  cfg.store_factory = [&](StoreLevel level,
+                          std::uint32_t) -> std::unique_ptr<KvStore> {
+    if (level != StoreLevel::kIo) return std::make_unique<KvStore>();
+    auto store = std::make_unique<DownIoStore>();
+    io = store.get();
+    return store;
+  };
+  MultilevelManager mgr(cfg);
+  ASSERT_NE(io, nullptr);
+  const compress::ChunkedCodec codec(cfg.io_codec, cfg.io_codec_level,
+                                     cfg.io_chunk_bytes);
+  std::vector<Bytes> payloads;
+  for (std::uint32_t r = 0; r < kNodes; ++r) {
+    payloads.emplace_back(4000 + 100 * r, static_cast<std::byte>(r));
+  }
+  // Sum of the containers rank [0, ranks) of checkpoint `id` compresses
+  // to; the local level holds each rank's image.
+  const auto container_bytes = [&](std::uint64_t id, std::uint32_t ranks) {
+    std::uint64_t sum = 0;
+    for (std::uint32_t r = 0; r < ranks; ++r) {
+      const auto image = mgr.local_store(r).get(id);
+      EXPECT_TRUE(image.has_value());
+      if (image) sum += codec.compress(*image).size();
+    }
+    return sum;
+  };
+  const auto containers_built = [&] {
+    return std::count_if(tracer.events().begin(), tracer.events().end(),
+                         [](const obs::TraceEvent& e) {
+                           return e.name == "io_compress" &&
+                                  e.phase == obs::Phase::kBegin;
+                         });
+  };
+
+  const std::uint64_t first = mgr.commit(views(payloads));
+  EXPECT_TRUE(mgr.health().io.degraded());
+  EXPECT_EQ(io->puts, kNodes);
+  const std::uint64_t crc_healthy = mgr.data_path().io.crc;
+  EXPECT_EQ(crc_healthy, container_bytes(first, kNodes));
+  EXPECT_EQ(containers_built(), kNodes);
+
+  const std::uint64_t probe = mgr.commit(views(payloads));
+  EXPECT_TRUE(mgr.health().io.degraded());
+  EXPECT_EQ(io->puts, kNodes + 1);
+  EXPECT_EQ(mgr.data_path().io.crc - crc_healthy,
+            container_bytes(probe, 1));
+  EXPECT_EQ(containers_built(), kNodes + 1);
 }
 
 // Partner space that fails a transient put once per host, then refuses

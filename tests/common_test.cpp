@@ -152,6 +152,52 @@ TEST(Rng, ExponentialIsNonNegative) {
   }
 }
 
+// Pins the Weibull renewal sampler bit for bit: 16 draws per (seed,
+// shape, mean), recorded as hex floats from the earlier sampler that
+// evaluated mean / tgamma(1 + 1/shape) on every draw. The failure DES
+// and the timeline simulator draw every Weibull gap through this path,
+// so one changed bit here moves their golden counters.
+TEST(Rng, WeibullGapsReproducesRecordedDraws) {
+  struct Case {
+    std::uint64_t seed;
+    double shape;
+    double mean;
+    double draws[16];
+  };
+  const Case cases[] = {
+      {1, 0.7, 1000.0,
+       {0x1.6440b10aa04dfp+7, 0x1.add549d462771p+8, 0x1.549de2be31816p+8,
+        0x1.6899394f72c4ap+9, 0x1.70280d6d3926ep+7, 0x1.fd56729525bc1p+10,
+        0x1.8c28eb4cda9bdp+11, 0x1.771afff754dd2p+9, 0x1.86e465557dabcp+5,
+        0x1.780948d737a7dp+8, 0x1.19f5a37eaa316p+4, 0x1.21086ca1cb397p+3,
+        0x1.18b8af1901b7bp+4, 0x1.ad88c1d78d304p+7, 0x1.2eb2773b566d1p+8,
+        0x1.22f4680d834e4p+5}},
+      {7919, 1.5, 3.25,
+       {0x1.887f8f04bed9bp+1, 0x1.3a8f6d2c66dafp-2, 0x1.548f806d2d061p+3,
+        0x1.511a7cdf3847p+2, 0x1.089522e9e2d9p+2, 0x1.278b5a2517e86p+3,
+        0x1.f58ed3a002f6bp+0, 0x1.6b26408367e65p+1, 0x1.e249e1936a2d8p-2,
+        0x1.3b5cd5f771b35p+0, 0x1.942ed7362c0acp+1, 0x1.2499b8d69da85p+2,
+        0x1.5bc2e5004b678p-2, 0x1.b9ba943750796p+1, 0x1.e8041ae14ad27p+0,
+        0x1.f2ef83c7ff197p+0}},
+      {42, 0.3, 86400.0,
+       {0x1.7780985bd0ddap+17, 0x1.07a80f009ef1ep+13, 0x1.85572e3d9ade9p+8,
+        0x1.ea62c14fcfc93p+0, 0x1.133fbee1deb1ep-10, 0x1.abdc11e4fb2dep+6,
+        0x1.cd38e7a598411p+7, 0x1.5d9d498c665c3p+4, 0x1.ea5ccad06a35ep+6,
+        0x1.293010db48c8fp+10, 0x1.799045ad93d7fp+8, 0x1.270b5c4a316cfp+14,
+        0x1.ed7759800006cp+5, 0x1.bcb8f992e6a1fp+13, 0x1.0222e0d2ced4cp+8,
+        0x1.4f7a1d1b35862p+3}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "seed=" << c.seed
+                                    << " shape=" << c.shape);
+    Rng rng(c.seed);
+    const WeibullGaps gaps(c.shape, c.mean);
+    for (int i = 0; i < 16; ++i) {
+      EXPECT_EQ(gaps(rng), c.draws[i]) << "draw " << i;
+    }
+  }
+}
+
 TEST(RunningStats, MeanAndVariance) {
   RunningStats s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);

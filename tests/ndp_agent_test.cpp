@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "common/rng.hpp"
 #include "compress/chunked.hpp"
@@ -254,6 +256,74 @@ TEST(NdpAgent, DecodeIoReadsWhatTheAgentShipped) {
   ASSERT_FALSE(staged.uncompressed_partition().contains(1));
   ASSERT_TRUE(staged.compressed_partition().contains(1));
   EXPECT_EQ(staged.restore_local(1).value(), image);
+}
+
+// IO store whose first `transient` puts fail transiently; with `down`
+// set, every put fails for good instead.
+class FlakyIo final : public ckpt::KvStore {
+ public:
+  explicit FlakyIo(std::uint32_t transient, bool down = false)
+      : transient_(transient), down_(down) {}
+  ckpt::StoreStatus put(std::uint32_t rank, std::uint64_t id,
+                        Bytes data) override {
+    if (down_) {
+      return ckpt::StoreStatus::failure(ckpt::StoreErrorKind::kPermanent,
+                                        "down");
+    }
+    if (transient_ > 0) {
+      --transient_;
+      return ckpt::StoreStatus::failure(ckpt::StoreErrorKind::kTransient,
+                                        "flaky");
+    }
+    return KvStore::put(rank, id, std::move(data));
+  }
+
+ private:
+  std::uint32_t transient_;
+  bool down_;
+};
+
+TEST(NdpAgent, RetriedDrainShipsTheStagedContainer) {
+  // The drain moves its container into the compressed partition before
+  // the first IO put; the retry after a transient failure copies it back
+  // out of that entry. A retry that read the moved-from drain buffer
+  // would ship nothing verifiable.
+  FlakyIo io(/*transient=*/1);
+  const AgentConfig cfg = test_config();
+  NdpAgent agent(cfg, io);
+  const Bytes image = compressible_image(100 * 1024, 21);
+  ASSERT_TRUE(agent.host_commit(1, image));
+  agent.pump(1e9);
+  ASSERT_EQ(agent.newest_on_io(), std::optional<std::uint64_t>(1));
+  EXPECT_EQ(agent.stats().drain_put_retries, 1u);
+  EXPECT_EQ(agent.stats().io_put_attempts, 2u);
+  const auto shipped = io.get(0, 1);
+  ASSERT_TRUE(shipped.ok());
+  const auto staged = agent.compressed_partition().get(1);
+  ASSERT_TRUE(staged.has_value());
+  EXPECT_TRUE(std::equal(staged->begin(), staged->end(), shipped->begin(),
+                         shipped->end()));
+  EXPECT_EQ(agent.stats().bytes_to_io, shipped->size());
+  EXPECT_EQ(agent.decode_io(*shipped).value(), image);
+}
+
+TEST(NdpAgent, HostFallbackCarriesAContainerThePartitionRefused) {
+  // A compressed partition too small for the container refuses it, so
+  // the drain keeps its own bytes: with IO down, they are what the host
+  // fallback carries. (NdpAgentFaults.PermanentOutageFallsBackToHostPath
+  // covers a staged container.)
+  FlakyIo io(/*transient=*/0, /*down=*/true);
+  AgentConfig cfg = test_config();
+  cfg.compressed_capacity = 1024;
+  NdpAgent agent(cfg, io);
+  const Bytes image = compressible_image(100 * 1024, 22);
+  ASSERT_TRUE(agent.host_commit(1, image));
+  agent.pump(1e9);
+  EXPECT_FALSE(agent.compressed_partition().contains(1));
+  const auto fallback = agent.take_host_fallback();
+  ASSERT_TRUE(fallback.has_value());
+  EXPECT_EQ(fallback->checkpoint_id, 1u);
+  EXPECT_EQ(agent.decode_io(fallback->compressed).value(), image);
 }
 
 TEST(NdpAgent, InvalidConfigThrows) {

@@ -110,7 +110,7 @@ TEST(SvcQuota, ExhaustedOpGrantIsRefusedAtAdmission) {
   EXPECT_EQ(status, SvcStatus::kDeniedQuota);
   EXPECT_GT(commits, 0);
   EXPECT_GE(s.stats().denied_quota, 1u);
-  EXPECT_FALSE(s.need_checkpoint(600));
+  EXPECT_FALSE(s.can_admit(600));
   EXPECT_TRUE(s.quota().exhausted());
   const auto restart = s.restart();
   ASSERT_TRUE(restart.has_value());
@@ -181,16 +181,16 @@ TEST(SvcBackpressure, HardWatermarkDeniesOutright) {
   CheckpointService service(tight_nvm_config());
   Session& s = service.open_session(TenantSpec{});
   // A single staged checkpoint whose projected residency clears the hard
-  // watermark (3000 bytes) is denied, stages nothing, and need_checkpoint
+  // watermark (3000 bytes) is denied, stages nothing, and can_admit
   // previews the same answer without advancing any state.
   const std::vector<Bytes> big{pattern(3500, 0x8)};
-  EXPECT_FALSE(s.need_checkpoint(3500));
+  EXPECT_FALSE(s.can_admit(3500));
   EXPECT_EQ(s.start_checkpoint(spans(big)), SvcStatus::kDeniedBackpressure);
   EXPECT_EQ(s.pending_jobs(), 0u);
   EXPECT_EQ(s.stats().denied_backpressure, 1u);
   EXPECT_EQ(s.stats().accepted, 0u);
   // A small one still fits.
-  EXPECT_TRUE(s.need_checkpoint(500));
+  EXPECT_TRUE(s.can_admit(500));
   const std::vector<Bytes> small{pattern(500, 0x9)};
   EXPECT_EQ(s.start_checkpoint(spans(small)), SvcStatus::kQueued);
 }
@@ -205,9 +205,9 @@ TEST(SvcBackpressure, PreviewDoesNotAdvanceThrottleState) {
   s.commit();
   // Throttle armed. Previews in the throttle band report false but must
   // not consume the skip counter...
-  EXPECT_FALSE(s.need_checkpoint(800));
-  EXPECT_FALSE(s.need_checkpoint(800));
-  EXPECT_FALSE(s.need_checkpoint(800));
+  EXPECT_FALSE(s.can_admit(800));
+  EXPECT_FALSE(s.can_admit(800));
+  EXPECT_FALSE(s.can_admit(800));
   // ...so the real attempts still see exactly two refusals.
   EXPECT_EQ(s.start_checkpoint(spans(payload)), SvcStatus::kThrottled);
   EXPECT_EQ(s.start_checkpoint(spans(payload)), SvcStatus::kThrottled);
