@@ -23,10 +23,11 @@
 // scanning the directory, so the pointer can lose freshness but never
 // correctness (docs/EQUIVALENCE.md).
 //
-// Methods are virtual so the fault-injection layer (faults::FaultyFileStore)
-// can decorate the same interface with seeded IO errors. The base put()
-// additionally consults an optional MutationGate (crash-point injection;
-// the data write and the pointer update are distinct crash sites).
+// Seeded IO faults reach a FileStore the way they reach every store:
+// behind a KvStore adapter wrapped in the one store fault decorator,
+// faults::FaultyKvStore (the crash simulator's file-backed IO level).
+// put() consults an optional MutationGate (crash-point injection; the
+// data write and the pointer update are distinct crash sites).
 
 #include <cstdint>
 #include <filesystem>
@@ -45,26 +46,24 @@ class FileStore {
   // Creates the root directory (and parents) if missing. Throws
   // std::filesystem::filesystem_error on IO failure.
   explicit FileStore(std::filesystem::path root);
-  virtual ~FileStore() = default;
 
   FileStore(const FileStore&) = delete;
   FileStore& operator=(const FileStore&) = delete;
 
   // Atomically replace the checkpoint file. IO failures are reported (not
   // thrown), classified transient (EINTR/EAGAIN/EIO) or permanent.
-  virtual StoreStatus put(std::uint32_t rank, std::uint64_t checkpoint_id,
-                          ByteSpan data);
-  [[nodiscard]] virtual StoreResult<Bytes> get(
-      std::uint32_t rank, std::uint64_t checkpoint_id) const;
-  [[nodiscard]] virtual bool contains(std::uint32_t rank,
-                                      std::uint64_t checkpoint_id) const;
-  [[nodiscard]] virtual std::optional<std::uint64_t> newest_id(
+  StoreStatus put(std::uint32_t rank, std::uint64_t checkpoint_id,
+                  ByteSpan data);
+  [[nodiscard]] StoreResult<Bytes> get(std::uint32_t rank,
+                                       std::uint64_t checkpoint_id) const;
+  [[nodiscard]] bool contains(std::uint32_t rank,
+                              std::uint64_t checkpoint_id) const;
+  [[nodiscard]] std::optional<std::uint64_t> newest_id(
       std::uint32_t rank) const;
   // Checkpoint ids present for a rank, ascending. Stray files that do not
   // match ckpt-<digits>.ndcr exactly are skipped, never an error.
-  [[nodiscard]] virtual std::vector<std::uint64_t> list(
-      std::uint32_t rank) const;
-  virtual void erase(std::uint32_t rank, std::uint64_t checkpoint_id);
+  [[nodiscard]] std::vector<std::uint64_t> list(std::uint32_t rank) const;
+  void erase(std::uint32_t rank, std::uint64_t checkpoint_id);
 
   [[nodiscard]] const std::filesystem::path& root() const { return root_; }
 

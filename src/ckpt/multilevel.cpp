@@ -14,11 +14,18 @@
 namespace ndpcr::ckpt {
 namespace {
 
-double backoff_for(const RetryPolicy& policy, std::uint32_t attempt) {
+// Bounded retry for store operations: total tries per operation, and the
+// exponential backoff charged before each retry. Backoff is virtual time:
+// accounted in the HealthReport, never slept, so fault schedules replay
+// bit-identically at any speed.
+constexpr std::uint32_t kStoreAttempts = 4;
+constexpr double kFirstBackoffSeconds = 0.01;
+constexpr double kBackoffGrowth = 2.0;
+
+double backoff_for(std::uint32_t attempt) {
   // Virtual delay charged before retry `attempt` (1-based).
-  return policy.backoff_seconds *
-         std::pow(policy.backoff_multiplier,
-                  static_cast<double>(attempt - 1));
+  return kFirstBackoffSeconds *
+         std::pow(kBackoffGrowth, static_cast<double>(attempt - 1));
 }
 
 // Close out one level's share of a commit: a fully verified level heals a
@@ -183,9 +190,6 @@ MultilevelManager::MultilevelManager(const MultilevelConfig& config)
       trace_(config.trace ? config.trace : &obs::Tracer::null()) {
   if (config.node_count == 0) {
     throw std::invalid_argument("node_count must be positive");
-  }
-  if (config.retry.max_attempts == 0) {
-    throw std::invalid_argument("retry.max_attempts must be positive");
   }
   if (group_ == 0 || (config.node_count > 1 && group_ >= config.node_count)) {
     // The parity host is the node after the group; a group spanning the
@@ -579,13 +583,12 @@ bool MultilevelManager::checked_put(KvStore& store, LevelHealth& health,
                                     std::uint64_t id, const PutBytes& bytes,
                                     const EntryDigest& expected, bool probe,
                                     TraceCtx tc) {
-  const RetryPolicy& policy = config_.retry;
-  const std::uint32_t attempts = probe ? 1 : policy.max_attempts;
+  const std::uint32_t attempts = probe ? 1 : kStoreAttempts;
   for (std::uint32_t attempt = 0; attempt < attempts; ++attempt) {
     ++health.puts;
     if (attempt > 0) {
       ++health.put_retries;
-      health.backoff_seconds += backoff_for(policy, attempt);
+      health.backoff_seconds += backoff_for(attempt);
       if (tc.buf) {
         tc.buf->instant("put_retry", tc.level, tc.track,
                         {obs::u64("rank", rank), obs::u64("id", id),
@@ -630,14 +633,13 @@ std::optional<Bytes> MultilevelManager::checked_get(const KvStore& store,
                                                     std::uint32_t rank,
                                                     std::uint64_t id,
                                                     TraceCtx tc) const {
-  const RetryPolicy& policy = config_.retry;
-  for (std::uint32_t attempt = 0; attempt < policy.max_attempts; ++attempt) {
+  for (std::uint32_t attempt = 0; attempt < kStoreAttempts; ++attempt) {
     StoreResult<Bytes> got = store.get(rank, id);
     if (got.ok()) return std::move(*got);
     if (!got.error().transient()) return std::nullopt;
-    if (attempt + 1 < policy.max_attempts) {
+    if (attempt + 1 < kStoreAttempts) {
       ++health.read_retries;
-      health.backoff_seconds += backoff_for(policy, attempt + 1);
+      health.backoff_seconds += backoff_for(attempt + 1);
       if (tc.buf) {
         tc.buf->instant("read_retry", tc.level, tc.track,
                         {obs::u64("rank", rank), obs::u64("id", id),
@@ -1274,9 +1276,7 @@ std::optional<CheckpointImage> MultilevelManager::try_remote_rank(
   // bit flip in flight leaves the stored entry intact, so the second read
   // usually comes back clean. Damage at rest fails both reads and the
   // caller moves on to an older checkpoint. An absent entry is read once.
-  const std::uint32_t reads =
-      std::min<std::uint32_t>(2, config_.retry.max_attempts);
-  for (std::uint32_t read = 0; read < reads; ++read) {
+  for (int read = 0; read < 2; ++read) {
     auto stored = checked_get(*io_, health_.io, rank, id,
                               {trace_->root(), 0, "ckpt.io"});
     if (!stored) break;

@@ -86,15 +86,6 @@ enum class PartnerScheme { kCopy, kXorGroup };
 // Which remote store a MultilevelConfig::store_factory call is building.
 enum class StoreLevel { kPartner, kIo };
 
-// Bounded-retry policy for store operations. Backoff is virtual time:
-// accounted in the HealthReport, never slept, so fault schedules replay
-// bit-identically at any speed.
-struct RetryPolicy {
-  std::uint32_t max_attempts = 4;   // total tries per store operation
-  double backoff_seconds = 0.01;    // virtual delay before the 1st retry
-  double backoff_multiplier = 2.0;  // exponential growth per retry
-};
-
 enum class LevelState { kHealthy, kDegraded };
 
 const char* to_string(LevelState state);
@@ -276,8 +267,9 @@ struct MultilevelConfig {
   // Factory for the remote stores (one partner space per hosting node,
   // one IO store; `host` is the hosting rank for partner spaces, 0 for
   // IO). Null builds plain KvStores; the fault layer installs
-  // FaultyKvStore decorators here, and the crash simulator forwarding
-  // views over stores that outlive the manager (docs/EQUIVALENCE.md).
+  // FaultyKvStore decorators here, and the crash simulator
+  // ForwardingKvStore views over stores that outlive the manager
+  // (docs/EQUIVALENCE.md).
   std::function<std::unique_ptr<KvStore>(StoreLevel level,
                                          std::uint32_t host)>
       store_factory;
@@ -312,7 +304,6 @@ struct MultilevelConfig {
   // every commit is a self-contained full image.
   DeltaPolicy delta;
 
-  RetryPolicy retry;
   // Read back every put's digest (KvStore::digest) and compare it with
   // the source's, computed once before the put.
   bool verify_writes = true;

@@ -22,10 +22,11 @@
 // verify-readback layer may notice (and burn its retries against more
 // dropped writes); that is the honest post-mortem behaviour.
 //
-// The gate is consulted in the *base* store implementations, so the
-// fault-injection decorators (faults::FaultyKvStore and friends) compose:
-// a seeded fault schedule and an armed crash point can both apply to the
-// same operation.
+// The gate is consulted in the *base* store implementations, and a
+// decorator (ckpt::ForwardingKvStore and the fault decorator built on it,
+// faults::FaultyKvStore) forwards set_mutation_gate to the store it
+// wraps, so the two compose: a seeded fault schedule and an armed crash
+// point can both apply to the same operation.
 
 #include <cstdint>
 #include <functional>

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -31,10 +32,11 @@ struct EntryDigest {
 // file system (IO-level) or the partner space a node donates to its
 // neighbor (partner-level). Keys are (rank, checkpoint id).
 //
-// The mutating/reading entry points are virtual so the fault-injection
-// layer (faults::FaultyKvStore) can decorate them with seeded transient
-// errors, torn writes and silent corruption; the plain store never fails
-// and never loses data. get() hands out an owning copy - earlier
+// Every entry point is virtual so decorators built on ForwardingKvStore
+// (below) can wrap a store: seeded fault injection
+// (faults::FaultyKvStore), tenant windows onto a shared device
+// (TenantStoreView), the crash simulator's views. The plain store never
+// fails and never loses data. get() hands out an owning copy - earlier
 // revisions returned a span into the map that dangled after erase() or
 // clear(), which the chaos harness trips constantly.
 class KvStore {
@@ -69,24 +71,91 @@ class KvStore {
   virtual void clear();
 
   // Install (or clear, with nullptr) the durable-mutation gate consulted
-  // before every put/erase (docs/EQUIVALENCE.md). Lives in the base class
-  // so fault decorators that forward to KvStore::put stay gated.
-  void set_mutation_gate(MutationGate gate) { gate_ = std::move(gate); }
+  // before every put/erase (docs/EQUIVALENCE.md). A decorator forwards it
+  // to the store that holds the entries, so the gate sees every mutation
+  // after the decorators above it have shaped it.
+  virtual void set_mutation_gate(MutationGate gate) {
+    gate_ = std::move(gate);
+  }
 
   // Flip one byte of a stored entry in place (deterministic position and
   // mask from `salt`). This is the single corruption primitive shared by
   // the MultilevelManager test hooks and the fault injector. Returns
   // false for an unknown key or an empty entry.
-  bool corrupt_entry(std::uint32_t rank, std::uint64_t checkpoint_id,
-                     std::uint64_t salt);
+  virtual bool corrupt_entry(std::uint32_t rank,
+                             std::uint64_t checkpoint_id,
+                             std::uint64_t salt);
 
-  [[nodiscard]] std::size_t used_bytes() const { return used_; }
-  [[nodiscard]] std::size_t count() const { return entries_.size(); }
+  [[nodiscard]] virtual std::size_t used_bytes() const { return used_; }
+  [[nodiscard]] virtual std::size_t count() const { return entries_.size(); }
 
  private:
   std::map<std::pair<std::uint32_t, std::uint64_t>, Bytes> entries_;
   std::size_t used_ = 0;
   MutationGate gate_;
+};
+
+// A store that forwards every operation - observers, the corruption
+// primitive and the mutation gate included - to an inner store it owns
+// (unique_ptr form) or borrows (reference form: `inner` must outlive the
+// view). Its own entry map stays empty and is never consulted, so a
+// decorator can neither answer from nor gate it. Decorators derive from
+// it and override only what they change: faults::FaultyKvStore numbers
+// and faults operations, TenantStoreView offsets ranks and charges a
+// quota. Used as is, it is a view whose bytes outlive it (the crash
+// simulator hands managers these over its surviving devices).
+class ForwardingKvStore : public KvStore {
+ public:
+  explicit ForwardingKvStore(KvStore& inner) : inner_(&inner) {}
+  explicit ForwardingKvStore(std::unique_ptr<KvStore> inner)
+      : owned_(std::move(inner)), inner_(owned_.get()) {}
+
+  StoreStatus put(std::uint32_t rank, std::uint64_t checkpoint_id,
+                  Bytes data) override {
+    return inner_->put(rank, checkpoint_id, std::move(data));
+  }
+  [[nodiscard]] StoreResult<Bytes> get(
+      std::uint32_t rank, std::uint64_t checkpoint_id) const override {
+    return inner_->get(rank, checkpoint_id);
+  }
+  [[nodiscard]] StoreResult<EntryDigest> digest(
+      std::uint32_t rank, std::uint64_t checkpoint_id) const override {
+    return inner_->digest(rank, checkpoint_id);
+  }
+  [[nodiscard]] bool contains(std::uint32_t rank,
+                              std::uint64_t checkpoint_id) const override {
+    return inner_->contains(rank, checkpoint_id);
+  }
+  [[nodiscard]] std::optional<std::uint64_t> newest_id(
+      std::uint32_t rank) const override {
+    return inner_->newest_id(rank);
+  }
+  [[nodiscard]] std::vector<std::uint64_t> list(
+      std::uint32_t rank) const override {
+    return inner_->list(rank);
+  }
+  void erase(std::uint32_t rank, std::uint64_t checkpoint_id) override {
+    inner_->erase(rank, checkpoint_id);
+  }
+  void clear() override { inner_->clear(); }
+  void set_mutation_gate(MutationGate gate) override {
+    inner_->set_mutation_gate(std::move(gate));
+  }
+  bool corrupt_entry(std::uint32_t rank, std::uint64_t checkpoint_id,
+                     std::uint64_t salt) override {
+    return inner_->corrupt_entry(rank, checkpoint_id, salt);
+  }
+  [[nodiscard]] std::size_t used_bytes() const override {
+    return inner_->used_bytes();
+  }
+  [[nodiscard]] std::size_t count() const override { return inner_->count(); }
+
+ protected:
+  [[nodiscard]] KvStore& inner() const { return *inner_; }
+
+ private:
+  std::unique_ptr<KvStore> owned_;  // null when borrowed
+  KvStore* inner_;
 };
 
 // Deterministically flip one byte of `data` (position and bit chosen from

@@ -5,11 +5,12 @@
 // device; each session's MultilevelManager keeps addressing ranks 0..N-1
 // while the shared store sees every tenant in a disjoint rank namespace.
 //
-// TenantStoreView is a forwarding decorator: rank r of tenant t maps to
-// rank t * kTenantRankStride + r of the shared store. Nothing is copied
-// and no state lives in the view, so a tenant's writes are visible to a
-// later view with the same tenant id (restart after a simulated process
-// death) and invisible to every other tenant.
+// TenantStoreView is a ForwardingKvStore (src/ckpt/stores.hpp) over the
+// shared store that adds a rank offset and a quota: rank r of tenant t
+// maps to rank t * kTenantRankStride + r of the shared store. Nothing is
+// copied and no state lives in the view, so a tenant's writes are visible
+// to a later view with the same tenant id (restart after a simulated
+// process death) and invisible to every other tenant.
 //
 // StoreQuota meters a tenant's traffic through the seam. Budgets are
 // lifetime write budgets (bytes moved and operations issued, not bytes
@@ -72,16 +73,14 @@ struct StoreQuota {
 };
 
 // A tenant's window onto a shared store: rank-offset forwarding plus
-// quota enforcement. The view holds no entries of its own (the base
-// class's map stays empty); every virtual operation forwards to `base`.
-// Lifetime: the view borrows `base` and `quota` - the service owns both
-// and keeps them alive for as long as any session exists.
-//
-// The base class's non-virtual observers (used_bytes, count,
-// corrupt_entry) see the view's own empty map, not the shared device -
-// callers that need device-level numbers must ask the shared store
-// directly.
-class TenantStoreView final : public KvStore {
+// quota enforcement. Every keyed operation (corrupt_entry included) lands
+// on the tenant's own entries of `base`. The device-wide observers and
+// the mutation gate forward unchanged: used_bytes() and count() report
+// the whole shared device, and a gate installed through a view gates
+// every tenant. Lifetime: the view borrows `base` and `quota` - the
+// service owns both and keeps them alive for as long as any session
+// exists.
+class TenantStoreView final : public ForwardingKvStore {
  public:
   // `sub_slot` separates same-device roles within the tenant's window
   // (partner host spaces); rank_count must stay below
@@ -89,7 +88,7 @@ class TenantStoreView final : public KvStore {
   TenantStoreView(KvStore& base, std::uint32_t tenant_id,
                   std::uint32_t rank_count, StoreQuota* quota = nullptr,
                   std::uint32_t sub_slot = 0)
-      : base_(base),
+      : ForwardingKvStore(base),
         offset_(tenant_id * kTenantRankStride +
                 sub_slot * kTenantSubSlotStride),
         rank_count_(rank_count),
@@ -112,11 +111,12 @@ class TenantStoreView final : public KvStore {
   // Clears only this tenant's namespace (all rank_count ranks), never the
   // neighbors'.
   void clear() override;
+  bool corrupt_entry(std::uint32_t rank, std::uint64_t checkpoint_id,
+                     std::uint64_t salt) override;
 
   [[nodiscard]] std::uint32_t rank_offset() const { return offset_; }
 
  private:
-  KvStore& base_;
   std::uint32_t offset_;
   std::uint32_t rank_count_;
   StoreQuota* quota_;

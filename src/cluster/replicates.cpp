@@ -60,32 +60,6 @@ ClusterReplicateSummary run_cluster_replicates(const ClusterSimConfig& base,
   return s;
 }
 
-NdpClusterReplicateSummary run_ndp_cluster_replicates(
-    const NdpClusterConfig& base, int replicates, exec::TaskPool* pool) {
-  NdpClusterReplicateSummary s;
-  s.runs = run_replicated<NdpClusterResult>(replicates, pool,
-                                            [&](std::size_t r) {
-                                              NdpClusterConfig cfg = base;
-                                              cfg.seed =
-                                                  exec::sub_seed(base.seed, r);
-                                              return NdpClusterSim(cfg).run();
-                                            });
-  if (s.runs.empty()) return s;
-  s.all_verified = true;
-  for (const auto& r : s.runs) {
-    s.total_failures += r.failures;
-    s.mean_failures += static_cast<double>(r.failures);
-    s.mean_progress_rate += r.progress_rate();
-    s.mean_io_checkpoints += static_cast<double>(r.io_checkpoints);
-    s.all_verified = s.all_verified && r.state_verified;
-  }
-  const auto n = static_cast<double>(s.runs.size());
-  s.mean_failures /= n;
-  s.mean_progress_rate /= n;
-  s.mean_io_checkpoints /= n;
-  return s;
-}
-
 FailureReplicateSummary run_failure_replicates(
     const FailureAnalysisConfig& base, int replicates,
     exec::TaskPool* pool) {

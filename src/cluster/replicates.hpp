@@ -1,8 +1,8 @@
 #pragma once
 
 // Parallel multi-replicate drivers for the cluster simulations: run N
-// independent replicates of a ClusterSim / NdpClusterSim configuration on
-// the execution engine (exec::TaskPool) and aggregate. Replicate r runs
+// independent replicates of a ClusterSim or failure-analysis configuration
+// on the execution engine (exec::TaskPool) and aggregate. Replicate r runs
 // with seed exec::sub_seed(base_seed, r), so the replicate set is a pure
 // function of the base seed - the same for any thread count - and
 // replicates never share RNG streams even for adjacent base seeds.
@@ -12,7 +12,6 @@
 
 #include "cluster/cluster_sim.hpp"
 #include "cluster/failure_analysis.hpp"
-#include "cluster/ndp_cluster_sim.hpp"
 
 namespace ndpcr::exec {
 class TaskPool;
@@ -31,16 +30,6 @@ struct ClusterReplicateSummary {
   double mean_partner_level_ranks = 0.0;
   double mean_io_level_ranks = 0.0;
   bool all_verified = false;  // every replicate ended state-consistent
-};
-
-struct NdpClusterReplicateSummary {
-  std::vector<NdpClusterResult> runs;
-
-  std::uint64_t total_failures = 0;
-  double mean_failures = 0.0;
-  double mean_progress_rate = 0.0;  // mean of per-replicate progress rates
-  double mean_io_checkpoints = 0.0;
-  bool all_verified = false;
 };
 
 // Replicated analyze_failures. Aggregation is exact: the totals are
@@ -87,15 +76,11 @@ struct FailureReplicateSummary {
   }
 };
 
-// Run `replicates` independent ClusterSim / NdpClusterSim instances of
+// Run `replicates` independent ClusterSim instances of
 // `base` (seed = sub_seed(base.seed, r)) across `pool`; nullptr = the
 // global engine pool, or serial when called from inside a pool task.
 ClusterReplicateSummary run_cluster_replicates(
     const ClusterSimConfig& base, int replicates,
-    exec::TaskPool* pool = nullptr);
-
-NdpClusterReplicateSummary run_ndp_cluster_replicates(
-    const NdpClusterConfig& base, int replicates,
     exec::TaskPool* pool = nullptr);
 
 // Replicated failure analysis. Each replicate drops `base.metrics`

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "ckpt/file_store.hpp"
 #include "faults/faulty_stores.hpp"
 
 namespace ndpcr::faults {
@@ -21,89 +22,53 @@ int phase_of(std::uint32_t target_id) {
   return 2;
 }
 
-// View of a backing KvStore owned by the simulator: the manager holds
-// (and destroys) the view, the bytes survive in the backing store. The
-// backing store's own MutationGate sees every write that comes through.
-class ForwardingKvStore final : public ckpt::KvStore {
- public:
-  explicit ForwardingKvStore(ckpt::KvStore* backing) : backing_(backing) {}
-
-  ckpt::StoreStatus put(std::uint32_t rank, std::uint64_t checkpoint_id,
-                        Bytes data) override {
-    return backing_->put(rank, checkpoint_id, std::move(data));
-  }
-  [[nodiscard]] ckpt::StoreResult<Bytes> get(
-      std::uint32_t rank, std::uint64_t checkpoint_id) const override {
-    return backing_->get(rank, checkpoint_id);
-  }
-  [[nodiscard]] ckpt::StoreResult<ckpt::EntryDigest> digest(
-      std::uint32_t rank, std::uint64_t checkpoint_id) const override {
-    return backing_->digest(rank, checkpoint_id);
-  }
-  [[nodiscard]] bool contains(std::uint32_t rank,
-                              std::uint64_t checkpoint_id) const override {
-    return backing_->contains(rank, checkpoint_id);
-  }
-  [[nodiscard]] std::optional<std::uint64_t> newest_id(
-      std::uint32_t rank) const override {
-    return backing_->newest_id(rank);
-  }
-  [[nodiscard]] std::vector<std::uint64_t> list(
-      std::uint32_t rank) const override {
-    return backing_->list(rank);
-  }
-  void erase(std::uint32_t rank, std::uint64_t checkpoint_id) override {
-    backing_->erase(rank, checkpoint_id);
-  }
-  void clear() override { backing_->clear(); }
-
- private:
-  ckpt::KvStore* backing_;
-};
-
 // KvStore view of a FileStore, so the IO level can live on a real
 // filesystem (latest-pointer updates included) behind the manager's
 // KvStore interface. Ranks kDedupBlockRank etc. map to directories like
-// any other rank.
+// any other rank. The mutation gate goes to the FileStore, whose data
+// write and pointer update are distinct crash sites.
 class FileKvAdapter final : public ckpt::KvStore {
  public:
-  explicit FileKvAdapter(ckpt::FileStore* backing) : backing_(backing) {}
+  explicit FileKvAdapter(std::filesystem::path root)
+      : files_(std::move(root)) {}
 
   ckpt::StoreStatus put(std::uint32_t rank, std::uint64_t checkpoint_id,
                         Bytes data) override {
-    return backing_->put(rank, checkpoint_id, ByteSpan(data));
+    return files_.put(rank, checkpoint_id, ByteSpan(data));
   }
   [[nodiscard]] ckpt::StoreResult<Bytes> get(
       std::uint32_t rank, std::uint64_t checkpoint_id) const override {
-    return backing_->get(rank, checkpoint_id);
+    return files_.get(rank, checkpoint_id);
   }
-  // A file has no in-memory view to borrow: read it (one op through the
-  // backing store's own fault schedule) and digest the copy.
+  // A file has no in-memory view to borrow: read it and digest the copy.
   [[nodiscard]] ckpt::StoreResult<ckpt::EntryDigest> digest(
       std::uint32_t rank, std::uint64_t checkpoint_id) const override {
-    auto got = backing_->get(rank, checkpoint_id);
+    auto got = files_.get(rank, checkpoint_id);
     if (!got.ok()) return got.error();
     return ckpt::digest_of(ByteSpan(*got));
   }
   [[nodiscard]] bool contains(std::uint32_t rank,
                               std::uint64_t checkpoint_id) const override {
-    return backing_->contains(rank, checkpoint_id);
+    return files_.contains(rank, checkpoint_id);
   }
   [[nodiscard]] std::optional<std::uint64_t> newest_id(
       std::uint32_t rank) const override {
-    return backing_->newest_id(rank);
+    return files_.newest_id(rank);
   }
   [[nodiscard]] std::vector<std::uint64_t> list(
       std::uint32_t rank) const override {
-    return backing_->list(rank);
+    return files_.list(rank);
   }
   void erase(std::uint32_t rank, std::uint64_t checkpoint_id) override {
-    backing_->erase(rank, checkpoint_id);
+    files_.erase(rank, checkpoint_id);
   }
   void clear() override {}  // unused by the harness; directories persist
+  void set_mutation_gate(ckpt::MutationGate gate) override {
+    files_.set_mutation_gate(std::move(gate));
+  }
 
  private:
-  ckpt::FileStore* backing_;
+  ckpt::FileStore files_;
 };
 
 }  // namespace
@@ -145,28 +110,18 @@ CrashSimulator::CrashSimulator(const CrashSimConfig& config)
   }
   local_.reserve(config.node_count);
   partner_.reserve(config.node_count);
+  // With no plan the fault decorators forward everything untouched.
   for (std::uint32_t r = 0; r < config.node_count; ++r) {
     local_.push_back(
         std::make_shared<ckpt::NvmStore>(config.nvm_capacity_bytes));
-    if (plan_) {
-      partner_.push_back(
-          std::make_unique<FaultyKvStore>(plan_, partner_target(r)));
-    } else {
-      partner_.push_back(std::make_unique<ckpt::KvStore>());
-    }
+    partner_.push_back(
+        std::make_unique<FaultyKvStore>(plan_, partner_target(r)));
   }
-  if (!config.io_root.empty()) {
-    if (plan_) {
-      io_file_ = std::make_unique<FaultyFileStore>(config.io_root, plan_,
-                                                   io_target());
-    } else {
-      io_file_ = std::make_unique<ckpt::FileStore>(config.io_root);
-    }
-    io_adapter_ = std::make_unique<FileKvAdapter>(io_file_.get());
-  } else if (plan_) {
-    io_kv_ = std::make_unique<FaultyKvStore>(plan_, io_target());
+  if (config.io_root.empty()) {
+    io_ = std::make_unique<FaultyKvStore>(plan_, io_target());
   } else {
-    io_kv_ = std::make_unique<ckpt::KvStore>();
+    io_ = std::make_unique<FaultyKvStore>(
+        plan_, io_target(), std::make_unique<FileKvAdapter>(config.io_root));
   }
   devices_.resize(2 * config.node_count + 1);
   for (std::uint32_t h = 0; h < config.node_count; ++h) {
@@ -185,27 +140,15 @@ CrashSimulator::~CrashSimulator() {
   for (auto& store : local_) store->set_mutation_gate(nullptr);
 }
 
-ckpt::KvStore* CrashSimulator::io_view() const {
-  return io_adapter_ ? io_adapter_.get() : io_kv_.get();
-}
-
 void CrashSimulator::install_gates() {
   for (std::uint32_t h = 0; h < config_.node_count; ++h) {
     partner_[h]->set_mutation_gate(
         [this, h](const ckpt::MutationSite& site) { return gate(h, site); });
   }
   const std::size_t io_index = config_.node_count;
-  if (io_file_) {
-    io_file_->set_mutation_gate([this, io_index](
-                                    const ckpt::MutationSite& site) {
-      return gate(io_index, site);
-    });
-  } else {
-    io_kv_->set_mutation_gate([this, io_index](
-                                  const ckpt::MutationSite& site) {
-      return gate(io_index, site);
-    });
-  }
+  io_->set_mutation_gate([this, io_index](const ckpt::MutationSite& site) {
+    return gate(io_index, site);
+  });
   for (std::uint32_t r = 0; r < config_.node_count; ++r) {
     const std::size_t idx = config_.node_count + 1 + r;
     local_[r]->set_mutation_gate(
@@ -227,10 +170,8 @@ void CrashSimulator::attach(ckpt::MultilevelConfig& config) const {
   config.store_factory =
       [this](ckpt::StoreLevel level,
              std::uint32_t host) -> std::unique_ptr<ckpt::KvStore> {
-    if (level == ckpt::StoreLevel::kPartner) {
-      return std::make_unique<ForwardingKvStore>(partner_.at(host).get());
-    }
-    return std::make_unique<ForwardingKvStore>(io_view());
+    return std::make_unique<ckpt::ForwardingKvStore>(
+        level == ckpt::StoreLevel::kPartner ? *partner_.at(host) : *io_);
   };
   if (plan_) {
     config.local_write_hook = make_local_write_hook(plan_);

@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/file_store.hpp"
 #include "ckpt/multilevel.hpp"
 #include "ckpt/mutation_gate.hpp"
 #include "ckpt/nvm_store.hpp"
@@ -64,9 +63,11 @@ std::string describe(const CrashPoint& point);
 struct CrashSimConfig {
   std::uint32_t node_count = 1;
   std::size_t nvm_capacity_bytes = 64ull << 20;
-  // Seeded IO-fault schedule layered *under* the crash gates (the same
-  // FaultyKvStore decorators the chaos harness uses), so crash points can
-  // land inside retry/quarantine sequences. Zero rates = clean devices.
+  // Seeded IO-fault schedule layered *over* the crash gates (the same
+  // FaultyKvStore decorator the chaos harness uses, wrapped around each
+  // gated device, so a gate sees each put after its fault has shaped
+  // it), so crash points can land inside retry/quarantine sequences.
+  // Zero rates = clean devices.
   FaultRates rates;
   std::uint64_t fault_seed = 1;
   // Non-empty: back the IO level with a real FileStore rooted here, which
@@ -131,7 +132,6 @@ class CrashSimulator {
     std::uint64_t torn_salt = 0;
   };
 
-  [[nodiscard]] ckpt::KvStore* io_view() const;
   ckpt::MutationDecision gate(std::size_t device_index,
                               ckpt::MutationSite site);
   void install_gates();
@@ -139,10 +139,10 @@ class CrashSimulator {
   CrashSimConfig config_;
   std::shared_ptr<const FaultPlan> plan_;  // null when rates are zero
   std::vector<std::shared_ptr<ckpt::NvmStore>> local_;
+  // Fault decorators (pass-through when plan_ is null) over the devices:
+  // in-memory stores, or for the IO level a FileStore directory.
   std::vector<std::unique_ptr<ckpt::KvStore>> partner_;
-  std::unique_ptr<ckpt::KvStore> io_kv_;        // in-memory IO backing
-  std::unique_ptr<ckpt::FileStore> io_file_;    // file-backed IO backing
-  std::unique_ptr<ckpt::KvStore> io_adapter_;   // KvStore view of io_file_
+  std::unique_ptr<ckpt::KvStore> io_;
   // devices_[0..N-1] partner hosts, [N] io, [N+1..2N] local ranks.
   std::vector<Device> devices_;
   Mode mode_ = Mode::kIdle;

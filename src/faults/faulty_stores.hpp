@@ -1,8 +1,9 @@
 #pragma once
 
-// Fault-injecting decorators over the checkpoint stores. Each decorator
-// numbers its operations (puts and gets share one counter per store) and
-// asks the FaultPlan what happens:
+// Fault injection at the store seam. FaultyKvStore decorates any KvStore
+// (a private device, a tenant view of a shared one, a file-backed store
+// behind an adapter); it numbers its operations (puts and gets share one
+// counter per store) and asks the FaultPlan what happens:
 //
 //   kTransient / kOutage - the operation fails with a typed StoreError
 //                          (transient resp. permanent); nothing is stored.
@@ -16,14 +17,15 @@
 //   kStall               - the operation succeeds, but virtual latency is
 //                          charged to the stats.
 //
-// The decorators are the only code that consults the plan; consumers just
-// see StoreStatus/StoreResult and the self-healing layers react.
+// The decorator and the local-NVM write hook (which share one put-side
+// function) are the only code that consults the plan; consumers just see
+// StoreStatus/StoreResult and the self-healing layers react.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 
-#include "ckpt/file_store.hpp"
 #include "ckpt/stores.hpp"
 #include "faults/fault_plan.hpp"
 
@@ -53,11 +55,25 @@ struct FaultStats {
   FaultStats& operator+=(const FaultStats& other);
 };
 
-// KvStore (partner / IO level) with seeded fault injection. Inherits the
-// plain store's state; overrides route through the plan first.
-class FaultyKvStore final : public ckpt::KvStore {
+// The one store fault decorator: a ForwardingKvStore over `inner` (by
+// default a private plain KvStore, i.e. a faulty device of its own) that
+// numbers its operations and asks the plan about each put, get and
+// digest before forwarding it. Everything else - contains/list/erase,
+// the observers, corrupt_entry and the mutation gate - forwards
+// untouched, so a crash gate on the inner store sees each put after its
+// fault has shaped it. A null plan forwards everything, counting
+// nothing. The inner store may be shared with other decorators (the
+// service wraps each tenant's TenantStoreView of one shared device), so
+// each tenant keeps its own fault schedule over its own window.
+//
+// Operations must be serialized per decorator (the op counter and stats
+// are unsynchronized) - the manager's data path already guarantees that
+// for remote stores.
+class FaultyKvStore final : public ckpt::ForwardingKvStore {
  public:
-  FaultyKvStore(std::shared_ptr<const FaultPlan> plan, Target target);
+  FaultyKvStore(std::shared_ptr<const FaultPlan> plan, Target target,
+                std::unique_ptr<ckpt::KvStore> inner =
+                    std::make_unique<ckpt::KvStore>());
 
   ckpt::StoreStatus put(std::uint32_t rank, std::uint64_t checkpoint_id,
                         Bytes data) override;
@@ -67,7 +83,6 @@ class FaultyKvStore final : public ckpt::KvStore {
       std::uint32_t rank, std::uint64_t checkpoint_id) const override;
 
   [[nodiscard]] const FaultStats& stats() const { return stats_; }
-  [[nodiscard]] Target target() const { return target_; }
 
   // Optional trace attachment (docs/OBSERVABILITY.md): every injected
   // fault becomes an instant event on `track`, stamped with the store's
@@ -79,84 +94,17 @@ class FaultyKvStore final : public ckpt::KvStore {
   }
 
  private:
-  std::shared_ptr<const FaultPlan> plan_;
+  // Count read `op`, ask the plan about it and count any injection:
+  // returns the typed error to report, or nullopt with `flip` set when
+  // the read must corrupt what it returns.
+  std::optional<ckpt::StoreError> begin_read(std::uint64_t op,
+                                             bool& flip) const;
+
+  std::shared_ptr<const FaultPlan> plan_;  // may be null (pass-through)
   Target target_;
   obs::TraceBuffer* trace_buf_ = nullptr;
   std::uint32_t trace_track_ = 0;
   // get() is logically const; operation numbering and stats are not.
-  mutable std::uint64_t op_counter_ = 0;
-  mutable FaultStats stats_;
-};
-
-// FileStore with the same decoration, for fault-injecting real-filesystem
-// paths (e.g. the integration example's PFS directory).
-class FaultyFileStore final : public ckpt::FileStore {
- public:
-  FaultyFileStore(std::filesystem::path root,
-                  std::shared_ptr<const FaultPlan> plan, Target target);
-
-  ckpt::StoreStatus put(std::uint32_t rank, std::uint64_t checkpoint_id,
-                        ByteSpan data) override;
-  [[nodiscard]] ckpt::StoreResult<Bytes> get(
-      std::uint32_t rank, std::uint64_t checkpoint_id) const override;
-
-  [[nodiscard]] const FaultStats& stats() const { return stats_; }
-
-  // Same contract as FaultyKvStore::set_trace.
-  void set_trace(obs::TraceBuffer* buf, std::uint32_t track) {
-    trace_buf_ = buf;
-    trace_track_ = track;
-  }
-
- private:
-  std::shared_ptr<const FaultPlan> plan_;
-  Target target_;
-  obs::TraceBuffer* trace_buf_ = nullptr;
-  std::uint32_t trace_track_ = 0;
-  mutable std::uint64_t op_counter_ = 0;
-  mutable FaultStats stats_;
-};
-
-// Forwarding fault decorator over a store the caller does NOT own.
-// FaultyKvStore above *is* the device (it inherits the entry map), which
-// is right when each manager gets a private store - but the service layer
-// (src/svc) shares one IO device across tenants, and each tenant needs
-// its own fault schedule over its own window of that device. The proxy
-// holds no entries: it numbers operations, consults the plan, and
-// forwards to `inner` (typically a ckpt::TenantStoreView). Injection
-// semantics match FaultyKvStore exactly; a null plan forwards everything
-// untouched.
-//
-// Like every fault store, operations must be serialized per proxy (the op
-// counter and stats are unsynchronized) - the manager's data path already
-// guarantees that for remote stores.
-class FaultyStoreProxy final : public ckpt::KvStore {
- public:
-  FaultyStoreProxy(std::shared_ptr<const FaultPlan> plan, Target target,
-                   std::unique_ptr<ckpt::KvStore> inner);
-
-  ckpt::StoreStatus put(std::uint32_t rank, std::uint64_t checkpoint_id,
-                        Bytes data) override;
-  [[nodiscard]] ckpt::StoreResult<Bytes> get(
-      std::uint32_t rank, std::uint64_t checkpoint_id) const override;
-  [[nodiscard]] ckpt::StoreResult<ckpt::EntryDigest> digest(
-      std::uint32_t rank, std::uint64_t checkpoint_id) const override;
-  [[nodiscard]] bool contains(std::uint32_t rank,
-                              std::uint64_t checkpoint_id) const override;
-  [[nodiscard]] std::optional<std::uint64_t> newest_id(
-      std::uint32_t rank) const override;
-  [[nodiscard]] std::vector<std::uint64_t> list(
-      std::uint32_t rank) const override;
-  void erase(std::uint32_t rank, std::uint64_t checkpoint_id) override;
-  void clear() override;
-
-  [[nodiscard]] const FaultStats& stats() const { return stats_; }
-  [[nodiscard]] ckpt::KvStore& inner() { return *inner_; }
-
- private:
-  std::shared_ptr<const FaultPlan> plan_;  // may be null (clean tenant)
-  Target target_;
-  std::unique_ptr<ckpt::KvStore> inner_;
   mutable std::uint64_t op_counter_ = 0;
   mutable FaultStats stats_;
 };

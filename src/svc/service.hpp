@@ -108,7 +108,7 @@ struct TenantSpec {
   std::size_t delta_block_bytes = 512;
   TenantQos qos;
   // Optional decorator over the tenant's shared-store views (the chaos
-  // soak installs faults::FaultyStoreProxy here). Receives the view it
+  // soak wraps each view in a faults::FaultyKvStore). Receives the view it
   // must forward to; identity when null.
   std::function<std::unique_ptr<ckpt::KvStore>(
       ckpt::StoreLevel level, std::uint32_t host,

@@ -58,7 +58,7 @@ SvcChaosReport run_svc_chaos(const SvcChaosConfig& config) {
 
   // Per-tenant fault machinery. Outer vectors are sized once: the
   // decorator lambdas capture pointers into them.
-  std::vector<std::vector<const faults::FaultyStoreProxy*>> proxies(
+  std::vector<std::vector<const faults::FaultyKvStore*>> decorators(
       config.tenants);
   std::vector<std::shared_ptr<faults::FaultStats>> local_stats(
       config.tenants);
@@ -85,7 +85,7 @@ SvcChaosReport run_svc_chaos(const SvcChaosConfig& config) {
     if (faulted) {
       auto plan = std::make_shared<faults::FaultPlan>(
           exec::sub_seed(config.seed, t, 1), config.rates);
-      auto* bucket = &proxies[t];
+      auto* bucket = &decorators[t];
       spec.store_decorator =
           [plan, bucket](ckpt::StoreLevel level, std::uint32_t host,
                          std::unique_ptr<ckpt::KvStore> view)
@@ -93,10 +93,10 @@ SvcChaosReport run_svc_chaos(const SvcChaosConfig& config) {
         const faults::Target target = level == ckpt::StoreLevel::kIo
                                           ? faults::io_target()
                                           : faults::partner_target(host);
-        auto proxy = std::make_unique<faults::FaultyStoreProxy>(
+        auto store = std::make_unique<faults::FaultyKvStore>(
             plan, target, std::move(view));
-        bucket->push_back(proxy.get());
-        return proxy;
+        bucket->push_back(store.get());
+        return store;
       };
       local_stats[t] = std::make_shared<faults::FaultStats>();
       spec.local_write_hook =
@@ -227,8 +227,8 @@ SvcChaosReport run_svc_chaos(const SvcChaosConfig& config) {
     report.denied_backpressure += st.denied_backpressure;
     report.denied_quota += st.denied_quota;
     report.quota_write_denials += s.quota().write_denials;
-    for (const faults::FaultyStoreProxy* proxy : proxies[t]) {
-      report.fault_injections += proxy->stats().injected();
+    for (const faults::FaultyKvStore* store : decorators[t]) {
+      report.fault_injections += store->stats().injected();
     }
     if (local_stats[t]) report.fault_injections += local_stats[t]->injected();
     report.tenant_fingerprints.push_back(s.fingerprint());

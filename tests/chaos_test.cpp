@@ -609,10 +609,9 @@ TEST(ChaosDelta, KilledAnchorFullRecoversOlderCheckpoint) {
   EXPECT_EQ(rec->payloads, history[2]);
 }
 
-TEST(ChaosDelta, SoakWithDeltaDedupHoldsInvariants) {
-  exec::TaskPool pool(4);
+std::vector<ChaosConfig> delta_dedup_suite(std::size_t count) {
   std::vector<ChaosConfig> configs;
-  for (std::size_t k = 0; k < 16; ++k) {
+  for (std::size_t k = 0; k < count; ++k) {
     ChaosConfig cfg;
     cfg.seed = exec::sub_seed(20250808, k);
     cfg.commits = 16;
@@ -624,6 +623,12 @@ TEST(ChaosDelta, SoakWithDeltaDedupHoldsInvariants) {
     cfg.io_outage = (k % 5) == 4;
     configs.push_back(cfg);
   }
+  return configs;
+}
+
+TEST(ChaosDelta, SoakWithDeltaDedupHoldsInvariants) {
+  exec::TaskPool pool(4);
+  const auto configs = delta_dedup_suite(16);
   const auto reports = run_chaos_suite(configs, pool);
   ASSERT_EQ(reports.size(), configs.size());
   std::uint64_t injected = 0, recoveries = 0, deltas = 0, dup_bytes = 0;
@@ -684,6 +689,33 @@ TEST(Chaos, RerunReproducesBitIdentically) {
   EXPECT_EQ(b.faults.injected(), a.faults.injected());
 }
 
+// Fingerprints recorded before the store fault decorators became one
+// forwarding class: copy and XOR partners over four IO codecs, IO
+// outages, and delta chains with and without IO dedup must all replay
+// bit for bit (fault decisions are keyed by each store's op index, so a
+// moved or missing operation changes them).
+TEST(Chaos, PinnedFingerprintsReplayBitForBit) {
+  exec::TaskPool pool(2);
+  std::vector<std::uint32_t> got;
+  for (const ChaosReport& r : run_chaos_suite(small_suite(10), pool)) {
+    got.push_back(r.fingerprint);
+  }
+  for (const ChaosReport& r : run_chaos_suite(delta_dedup_suite(6), pool)) {
+    got.push_back(r.fingerprint);
+  }
+  ChaosConfig outage;
+  outage.seed = 99;
+  outage.commits = 20;
+  outage.io_outage = true;
+  got.push_back(run_chaos(outage).fingerprint);
+  const std::vector<std::uint32_t> want = {
+      1611615619u, 253808272u,  546862215u,  3325632571u, 1354820365u,
+      3310270575u, 2841298257u, 3189232997u, 4191591081u, 2842756714u,
+      3904483614u, 247951625u,  3756811238u, 3595276888u, 3585890158u,
+      3293655115u, 2899072771u};
+  EXPECT_EQ(got, want);
+}
+
 // ---------------------------------------------------------------------------
 // Verify by digest (KvStore::digest): the write verify reads a CRC + size
 // instead of a copy, through every decorator. It must be the same read
@@ -724,8 +756,8 @@ std::string one_attempt(FaultKind kind, std::uint64_t at) {
 
 // Three commits of four ranks (copy partners, IO every commit) with
 // `kind` forced at ops 0, 1, 3 and 6 of one device: partner host 1 or the
-// IO store. The device is a FaultyKvStore, or - `proxy` - a
-// FaultyStoreProxy over a quota-metered TenantStoreView of a shared store.
+// IO store. The device is a FaultyKvStore over a private store, or -
+// `proxy` - over a quota-metered TenantStoreView of a shared store.
 std::string digest_scenario(FaultKind kind, bool io, bool proxy) {
   auto plan = std::make_shared<FaultPlan>(23);
   const Target target = io ? io_target() : partner_target(1);
@@ -744,8 +776,8 @@ std::string digest_scenario(FaultKind kind, bool io, bool proxy) {
     if (proxy && t == target) {
       auto view = std::make_unique<ckpt::TenantStoreView>(shared, 3, 4,
                                                           &quota);
-      auto store = std::make_unique<FaultyStoreProxy>(plan, t,
-                                                      std::move(view));
+      auto store = std::make_unique<FaultyKvStore>(plan, t,
+                                                   std::move(view));
       stats.push_back(&store->stats());
       return store;
     }
@@ -863,7 +895,7 @@ TEST(VerifyByDigest, FlippedReadDigestsTheFlippedCopy) {
     ckpt::KvStore shared;
     std::unique_ptr<ckpt::KvStore> store;
     if (proxy) {
-      store = std::make_unique<FaultyStoreProxy>(
+      store = std::make_unique<FaultyKvStore>(
           plan, io_target(),
           std::make_unique<ckpt::TenantStoreView>(shared, 1, 4));
     } else {
@@ -883,6 +915,36 @@ TEST(VerifyByDigest, FlippedReadDigestsTheFlippedCopy) {
     const auto flipped = replay.get(0, 9);
     ASSERT_TRUE(flipped.ok());
     EXPECT_EQ(*digest, ckpt::digest_of(ByteSpan(*flipped)));
+  }
+}
+
+// corrupt_entry through a view lands on the tenant's entry of the shared
+// device - through a TenantStoreView, and through the fault decorator
+// wrapped around one - and never on a neighbour's entry or on the view's
+// own (always empty) map.
+TEST(StoreViews, CorruptEntryFlipsTheTenantsEntryOnTheSharedDevice) {
+  const Bytes data(64, std::byte{0x5A});
+  for (const bool decorated : {false, true}) {
+    ckpt::KvStore shared;
+    auto view = std::make_unique<ckpt::TenantStoreView>(shared, 2, 4);
+    const std::uint32_t offset = view->rank_offset();
+    std::unique_ptr<ckpt::KvStore> store = std::move(view);
+    if (decorated) {
+      store = std::make_unique<FaultyKvStore>(
+          std::make_shared<FaultPlan>(5), io_target(), std::move(store));
+    }
+    ckpt::TenantStoreView neighbour(shared, 3, 4);
+    ASSERT_TRUE(store->put(1, 7, data).ok());
+    ASSERT_TRUE(neighbour.put(1, 7, data).ok());
+
+    EXPECT_TRUE(store->corrupt_entry(1, 7, 99)) << decorated;
+    EXPECT_FALSE(store->corrupt_entry(1, 8, 99)) << decorated;
+    const auto hit = shared.get(offset + 1, 7);
+    ASSERT_TRUE(hit.ok());
+    EXPECT_NE(*hit, data) << decorated;
+    EXPECT_EQ(*shared.get(neighbour.rank_offset() + 1, 7), data);
+    EXPECT_EQ(store->count(), shared.count());
+    EXPECT_EQ(store->used_bytes(), shared.used_bytes());
   }
 }
 

@@ -152,28 +152,4 @@ TEST(EngineDeterminism, ClusterReplicatesInvariantAcrossThreadCounts) {
   EXPECT_TRUE(any_difference);
 }
 
-TEST(EngineDeterminism, NdpClusterReplicatesInvariantAcrossThreadCounts) {
-  ndpcr::cluster::NdpClusterConfig base;
-  base.node_count = 4;
-  base.state_bytes_per_rank = 16 * 1024;
-  base.node_mttf = 1500.0;
-  base.total_steps = 300;
-  base.seed = 31;
-
-  TaskPool one(1);
-  TaskPool four(4);
-  const auto a = ndpcr::cluster::run_ndp_cluster_replicates(base, 5, &one);
-  const auto b = ndpcr::cluster::run_ndp_cluster_replicates(base, 5, &four);
-  ASSERT_EQ(a.runs.size(), 5u);
-  EXPECT_EQ(a.total_failures, b.total_failures);
-  EXPECT_DOUBLE_EQ(a.mean_progress_rate, b.mean_progress_rate);
-  EXPECT_DOUBLE_EQ(a.mean_io_checkpoints, b.mean_io_checkpoints);
-  EXPECT_EQ(a.all_verified, b.all_verified);
-  for (std::size_t r = 0; r < a.runs.size(); ++r) {
-    EXPECT_EQ(a.runs[r].failures, b.runs[r].failures) << "replicate " << r;
-    EXPECT_DOUBLE_EQ(a.runs[r].progress_rate(), b.runs[r].progress_rate())
-        << "replicate " << r;
-  }
-}
-
 }  // namespace

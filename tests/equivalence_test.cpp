@@ -98,6 +98,25 @@ TEST_F(EquivalenceTest, FileBackedIoPointerSweep) {
   ExpectCleanSweep(run_sweep(config, 2));
 }
 
+// The soak's seeded-fault sweep over a file-backed IO level, pinned at
+// the values recorded before the fault decorator and the crash
+// simulator's views became one forwarding class. The crash points are
+// the gated mutations the fault schedule lets through, so their count
+// pins the schedule too.
+TEST_F(EquivalenceTest, FaultedFileBackedSweepReplaysBitForBit) {
+  EquivalenceConfig faulty = SmokeConfig(PayloadMode::kDelta, "mg");
+  faulty.rates.transient = 0.05;
+  faulty.rates.torn = 0.03;
+  faulty.rates.bitflip = 0.02;
+  faulty.io_root = root_;
+  const SweepReport report = run_sweep(faulty);
+  ExpectCleanSweep(report);
+  const std::vector<std::uint64_t> got = {report.points_total,
+                                          report.fingerprint};
+  const std::vector<std::uint64_t> want = {24u, 1296259771u};
+  EXPECT_EQ(got, want);
+}
+
 // The sweep is a pure function of its config: the per-device cutoffs make
 // death a device-local decision, so the report fingerprint must not move
 // with the thread-pool size.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "ckpt/dedup_level.hpp"
+#include "ckpt/image.hpp"
 #include "ckpt/multilevel.hpp"
 #include "common/rng.hpp"
 #include "delta/delta.hpp"
@@ -171,6 +172,42 @@ TEST(Incremental, LostAnchorFallsBackToOlderCheckpoint) {
   ASSERT_TRUE(recovery.has_value());
   EXPECT_EQ(recovery->checkpoint_id, 3u);
   EXPECT_EQ(recovery->payloads, history[2]);
+}
+
+TEST(Incremental, UnreplayableLocalDeltaFailsItsCheckpoint) {
+  // A CRC-valid delta image whose stream was encoded against other bytes
+  // (as a foreign or older writer could leave in NVM) validates, then
+  // fails its base-digest check on replay. Recovery gives that id up and
+  // settles on the previous one, with every rank local and with rank 1
+  // lost (its image then comes from the partner level).
+  for (const bool lose_node : {false, true}) {
+    SCOPED_TRACE(lose_node ? "rank 1 lost" : "all ranks local");
+    const MultilevelConfig mc = incremental_config(2);
+    MultilevelManager manager(mc);
+    const auto history = sparse_history(2, 4096, 3, 0.01, 53);  // F D D
+    for (const auto& payloads : history) {
+      manager.commit(views_of(payloads));
+    }
+    CheckpointMeta meta;
+    meta.app_id = mc.app_id;
+    meta.rank = 0;
+    meta.checkpoint_id = 3;
+    meta.kind = PayloadKind::kDelta;
+    meta.base_id = 2;
+    const delta::DeltaCodec codec(mc.delta.block_bytes);
+    const Bytes stream = codec.encode(ByteSpan(random_bytes(4096, 99)),
+                                      ByteSpan(history[2][0]));
+    manager.local_store(0).erase(3);
+    ASSERT_TRUE(manager.local_store(0).put(
+        3, CheckpointImage::build(meta, ByteSpan(stream))));
+    if (lose_node) manager.fail_node(1);
+
+    const auto recovery = manager.recover();
+    ASSERT_TRUE(recovery.has_value());
+    EXPECT_EQ(recovery->checkpoint_id, 2u);
+    EXPECT_EQ(recovery->payloads, history[1]);
+    EXPECT_EQ(recovery->levels[0], RecoveryLevel::kLocal);
+  }
 }
 
 TEST(Incremental, DedupIndexPlanAdmitAssemble) {

@@ -327,6 +327,23 @@ TEST(SvcDeterminism, FingerprintsPoolInvariantUnderFaults) {
   }
 }
 
+// Report fingerprints recorded before the tenant fault decorator became
+// the one forwarding fault class: the clean and the faulted soak replay
+// bit for bit.
+TEST(SvcDeterminism, PinnedReportFingerprints) {
+  exec::TaskPool pool(2);
+  const SvcChaosReport clean = run_svc_chaos(chaos_config(11, false, &pool));
+  const SvcChaosReport faulted = run_svc_chaos(chaos_config(12, true, &pool));
+  EXPECT_EQ(faulted.violations, 0u);
+  EXPECT_GT(faulted.fault_injections, 0u);
+  const std::vector<std::uint64_t> got = {
+      clean.fingerprint, clean.service_fingerprint, faulted.fingerprint,
+      faulted.service_fingerprint, faulted.fault_injections};
+  const std::vector<std::uint64_t> want = {1719879236u, 728770194u,
+                                           1179065899u, 3427245943u, 21u};
+  EXPECT_EQ(got, want);
+}
+
 TEST(SvcIsolation, CleanTenantsUnaffectedByNeighborFaults) {
   // The isolation property: tenant fingerprints of the clean (even-id)
   // tenants must be bit-identical between a run with no faults anywhere
