@@ -8,16 +8,20 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/breakdown_table.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "exec/reporter.hpp"
 #include "exec/task_pool.hpp"
@@ -122,13 +126,16 @@ inline double process_cpu_seconds() {
 // Time every row `reps` times, interleaved (round r runs row 0, 1, ...
 // before round r + 1), so a drift in the shared host's speed spreads
 // over all rows instead of landing on whichever ran last. Returns one
-// Timing per row.
+// Timing per row. `prepare`, when given, holds one untimed step per row
+// that runs right before each timed call (e.g. staging a fresh image).
 inline std::vector<Timing> measure_interleaved(
-    int reps, const std::vector<std::function<void()>>& rows) {
+    int reps, const std::vector<std::function<void()>>& rows,
+    const std::vector<std::function<void()>>& prepare = {}) {
   std::vector<std::vector<double>> walls(rows.size());
   std::vector<std::vector<double>> cpus(rows.size());
   for (int r = 0; r < reps; ++r) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (i < prepare.size() && prepare[i]) prepare[i]();
       const double c0 = process_cpu_seconds();
       const auto t0 = std::chrono::steady_clock::now();
       rows[i]();
@@ -154,6 +161,51 @@ inline std::vector<Timing> measure_interleaved(
   return out;
 }
 
+// The CPU model name the kernel reports, or "unknown".
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      const std::size_t start = line.find_first_not_of(' ', colon + 1);
+      return start == std::string::npos ? "unknown" : line.substr(start);
+    }
+  }
+  return "unknown";
+}
+
+// Effective parallelism right now: a fixed integer spin timed on one
+// thread, then on `threads` threads at once, best of three each, as
+// threads * t1 / tN. It reads `threads` on an idle host and less while
+// other tenants hold cores; a multi-thread speedup measured when it reads
+// well below the pool size shows the host, not the code.
+inline double parallelism_probe(unsigned threads) {
+  const auto spin = [] {
+    std::uint64_t x = 1;
+    for (std::uint32_t i = 0; i < (1u << 23); ++i) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+    }
+    asm volatile("" : : "r"(x));  // keep the loop
+  };
+  const auto best_of_three = [&](unsigned n) {
+    double best = 1e300;
+    for (int r = 0; r < 3; ++r) {
+      const auto t0 = std::chrono::steady_clock::now();
+      std::vector<std::thread> others;
+      for (unsigned t = 1; t < n; ++t) others.emplace_back(spin);
+      spin();
+      for (std::thread& t : others) t.join();
+      best = std::min(best, std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count());
+    }
+    return best;
+  };
+  const double one = best_of_three(1);
+  return static_cast<double>(threads) * one / best_of_three(threads);
+}
+
 // A Reporter pre-stamped with the run metadata, plus the finish() step
 // that prints the ASCII tables and writes the structured form.
 class BenchReport {
@@ -171,6 +223,23 @@ class BenchReport {
   }
   void add_row(std::vector<std::string> cells) {
     reporter_.add_row(std::move(cells));
+  }
+
+  // Record the host in the report's meta: CPU model, online CPUs, the ISA
+  // extensions the kernels dispatch on (AVX-512F for the failure DES and
+  // batch RNG, VPCLMULQDQ for CRC-32) plus GFNI, and parallelism_probe()
+  // over every online CPU. Takes about 0.2 s; call it before measuring.
+  void stamp_host() {
+    const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
+    char tail[192];
+    std::snprintf(tail, sizeof tail,
+                  ",\"nproc\":%u,\"avx512f\":%d,\"vpclmulqdq\":%d,"
+                  "\"gfni\":%d,\"parallelism\":%.2f}",
+                  nproc, __builtin_cpu_supports("avx512f") ? 1 : 0,
+                  __builtin_cpu_supports("vpclmulqdq") ? 1 : 0,
+                  __builtin_cpu_supports("gfni") ? 1 : 0,
+                  parallelism_probe(nproc));
+    reporter_.set_host("{\"cpu\":" + json_escape(cpu_model()) + tail);
   }
 
   // Print every section as the classic fixed-width tables and, when

@@ -166,6 +166,7 @@ int main(int argc, char** argv) {
 
   bench::BenchReport report("micro_cluster", args, seed, trials,
                             smoke ? "smoke" : guard_only ? "guard" : "full");
+  report.stamp_host();
 
   // ---- guard ratios: measured in every mode (cheap) -------------------
   // Host-relative, so the regression gate survives machine changes: each

@@ -12,8 +12,10 @@
 //                     schedule), and each decompressed on the pool
 //   commit / recover  MultilevelManager wall throughput across pool sizes;
 //                     commit rows carry the minor page faults per commit
-//   drain             NdpAgent chunk pipeline: wall throughput at
-//                     unbounded virtual bandwidth, plus the virtual-time
+//   drain             NdpAgent chunk pipeline: wall time of pumping
+//                     staged drains at unbounded virtual bandwidth (one
+//                     agent overlapped and serial, plus campaign_ndp's
+//                     eight agents on one thread), with the virtual-time
 //                     overlap win at paper-like bandwidths
 //
 // Every configuration produces the same bytes (thread-invariance is
@@ -38,10 +40,12 @@
 //                     re-runs the byte-serial padded-copy XOR the encode
 //                     replaced on the same bytes
 //
-// codec_kernels, chunked_compress, commit, recover and host_stall time
-// each row as the median of interleaved repeats and carry its min and IQR
-// (median_*/min_*/iqr_* columns; tools/bench_diff treats a median move
-// inside the IQR as noise). The other sections time each row once.
+// codec_kernels, chunked_compress, commit, recover, drain and host_stall
+// time each row as the median of interleaved repeats and carry its min
+// and IQR (median_*/min_*/iqr_* columns; tools/bench_diff treats a median
+// move inside the IQR as noise); commit, recover and drain rows also
+// carry the median process CPU ms. The other sections time each row once.
+// The JSON meta records the host (bench::BenchReport::stamp_host).
 //
 //   --smoke 1     tiny sizes (CI); also the `perf` ctest label
 //   --csv PATH    structured output (default BENCH_datapath.json)
@@ -53,7 +57,9 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -64,7 +70,6 @@
 #include "common/rng.hpp"
 #include "compress/chunked.hpp"
 #include "compress/lz4_style.hpp"
-#include "compress/scratch.hpp"
 #include "exec/task_pool.hpp"
 #include "faults/crash.hpp"
 #include "ndp/agent.hpp"
@@ -189,6 +194,7 @@ int main(int argc, char** argv) {
 
   bench::BenchReport out("micro_datapath", args, seed, smoke ? 1 : 3,
                          smoke ? "smoke" : "full");
+  out.stamp_host();
 
   const std::vector<unsigned> pool_sizes = {1, 2, 4, 8};
 
@@ -263,7 +269,6 @@ int main(int argc, char** argv) {
     std::vector<Leg> legs(cfgs.size());
     std::vector<std::function<void()>> comp_fns;
     std::vector<std::function<void()>> decomp_fns;
-    compress::CodecScratch scratch;
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
       const KernelCfg& cfg = cfgs[i];
       Leg& leg = legs[i];
@@ -280,14 +285,14 @@ int main(int argc, char** argv) {
       for (const Bytes& in : leg.inputs) leg.bytes += in.size();
       leg.packed.resize(leg.inputs.size());
       leg.back.resize(leg.inputs.size());
-      comp_fns.push_back([&leg, &scratch] {
+      comp_fns.push_back([&leg] {
         for (std::size_t k = 0; k < leg.inputs.size(); ++k) {
-          leg.packed[k] = leg.codec->compress(leg.inputs[k], scratch);
+          leg.packed[k] = leg.codec->compress(leg.inputs[k]);
         }
       });
-      decomp_fns.push_back([&leg, &scratch] {
+      decomp_fns.push_back([&leg] {
         for (std::size_t k = 0; k < leg.inputs.size(); ++k) {
-          leg.back[k] = leg.codec->decompress(leg.packed[k], scratch);
+          leg.back[k] = leg.codec->decompress(leg.packed[k]);
         }
       });
     }
@@ -478,6 +483,7 @@ int main(int argc, char** argv) {
             io_codecs[c].first, std::to_string(threads),
             fmt(total_gib / t[c].median, 3), fmt(base_s[c] / t[c].median)};
         add_timing_cells(row, t[c]);
+        row.push_back(fmt(t[c].cpu * 1e3, 3));
         row.push_back(median_of(faults[c]));
         row.push_back(std::to_string(reps));
         commit_rows[c].push_back(std::move(row));
@@ -490,18 +496,20 @@ int main(int argc, char** argv) {
                                          std::to_string(threads),
                                          fmt(total_gib / rt[c].median, 3)};
         add_timing_cells(rrow, rt[c]);
+        rrow.push_back(fmt(rt[c].cpu * 1e3, 3));
         rrow.push_back(std::to_string(reps));
         recover_rows[c].push_back(std::move(rrow));
       }
     }
     out.add_section("commit", {"codec", "pool_threads", "gib_per_s",
                                "speedup", "median_ms", "min_ms", "iqr_ms",
-                               "minflt", "reps"});
+                               "cpu_ms", "minflt", "reps"});
     for (auto& rows : commit_rows) {
       for (auto& row : rows) out.add_row(std::move(row));
     }
     out.add_section("recover", {"codec", "pool_threads", "gib_per_s",
-                                "median_ms", "min_ms", "iqr_ms", "reps"});
+                                "median_ms", "min_ms", "iqr_ms", "cpu_ms",
+                                "reps"});
     for (auto& rows : recover_rows) {
       for (auto& row : rows) out.add_row(std::move(row));
     }
@@ -589,41 +597,109 @@ int main(int argc, char** argv) {
 
   // --- NDP drain pipeline ---------------------------------------------
   {
+    // Wall time of pumping staged drains to completion at virtual
+    // bandwidths far above real speed, so the pump's cost is the
+    // pipeline's actual compression work. Each sample stages fresh agents
+    // untimed, then times the pump. `overlap`/`serial`: one nlz4 agent
+    // draining one image. `ndp8`: campaign_ndp's shape, eight
+    // default-config (ngzip-1) agents with a 1 MiB proxy-kernel capture
+    // each, pumped round-robin on one thread in 1 ms virtual slices.
     const std::size_t bytes = smoke ? (1ull << 20) : (8ull << 20);
     const Bytes image = mixed_payload(bytes, seed + 99);
-    out.add_section("drain", {"mode", "wall_mib_per_s", "virtual_s"});
-    for (const bool overlap : {true, false}) {
-      // Wall throughput: virtual bandwidths far above real speed, so the
-      // pump's cost is the pipeline's actual compression work.
-      ckpt::KvStore io;
+    const std::vector<Bytes> captures =
+        kernel_captures(8, smoke ? (256ull << 10) : (1ull << 20), seed + 98);
+    const int reps = smoke ? 2 : 9;
+    struct Row {
+      const char* mode;
       ndp::AgentConfig cfg;
-      cfg.uncompressed_capacity = bytes * 2;
-      cfg.compressed_capacity = bytes * 2;
-      cfg.codec = compress::CodecId::kLz4Style;
-      cfg.chunk_bytes = 256ull << 10;
-      cfg.compress_bw = 1e15;
-      cfg.io_bw = 1e15;
-      cfg.overlap = overlap;
-      ndp::NdpAgent agent(cfg, io);
-      if (!agent.host_commit(1, image)) {
-        std::fprintf(stderr, "FAIL: host_commit\n");
-        return 1;
+      std::vector<Bytes> images;
+      std::unique_ptr<ckpt::KvStore> io;  // outlives the agents' drains
+      std::vector<std::unique_ptr<ndp::NdpAgent>> agents;
+      std::size_t bytes = 0;
+    };
+    std::vector<Row> rows(3);
+    for (Row& row : rows) {
+      row.cfg.compress_bw = 1e15;
+      row.cfg.io_bw = 1e15;
+    }
+    for (std::size_t i = 0; i < 2; ++i) {
+      Row& row = rows[i];
+      row.mode = i == 0 ? "overlap" : "serial";
+      row.cfg.uncompressed_capacity = bytes * 2;
+      row.cfg.compressed_capacity = bytes * 2;
+      row.cfg.codec = compress::CodecId::kLz4Style;
+      row.cfg.chunk_bytes = 256ull << 10;
+      row.cfg.overlap = i == 0;
+      row.images = {image};
+    }
+    rows[2].mode = "ndp8";
+    rows[2].images = captures;
+    std::vector<std::function<void()>> stage_fns;
+    std::vector<std::function<void()>> pump_fns;
+    std::vector<std::vector<double>> faults(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      Row& row = rows[i];
+      for (const Bytes& b : row.images) row.bytes += b.size();
+      stage_fns.push_back([&row] {
+        row.agents.clear();
+        row.io = std::make_unique<ckpt::KvStore>();
+        for (std::uint32_t r = 0; r < row.images.size(); ++r) {
+          ndp::AgentConfig cfg = row.cfg;
+          cfg.rank = r;
+          row.agents.push_back(std::make_unique<ndp::NdpAgent>(cfg, *row.io));
+          if (!row.agents.back()->host_commit(1, row.images[r])) {
+            throw std::runtime_error("drain: host_commit refused");
+          }
+        }
+      });
+      pump_fns.push_back(counting_faults(
+          [&row] {
+            for (bool busy = true; busy;) {
+              busy = false;
+              for (const auto& agent : row.agents) {
+                busy = agent->pump(1e-3) > 0.0 || busy;
+              }
+            }
+          },
+          faults[i]));
+    }
+    const std::vector<bench::Timing> t =
+        bench::measure_interleaved(reps, pump_fns, stage_fns);
+    out.add_section("drain", {"mode", "agents", "wall_mib_per_s", "median_ms",
+                              "min_ms", "iqr_ms", "cpu_ms", "minflt",
+                              "virtual_s", "reps"});
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      Row& row = rows[i];
+      for (std::uint32_t r = 0; r < row.images.size(); ++r) {
+        const auto stored = row.io->get(r, 1);
+        if (!stored.ok() ||
+            row.agents[r]->decode_io(*stored) != row.images[r]) {
+          std::fprintf(stderr, "FAIL: %s drain round-trip\n", row.mode);
+          return 1;
+        }
       }
-      const double wall_s = seconds_of([&] { agent.pump(1e9); });
-
       // Virtual overlap win at paper-like rates (compress 2x the wire).
-      ckpt::KvStore io2;
-      cfg.compress_bw = 1e6;
-      cfg.io_bw = 0.5e6;
-      ndp::NdpAgent timed(cfg, io2);
-      (void)timed.host_commit(1, image);
-      const double virtual_s = timed.pump(1e9);
-
-      out.add_row({overlap ? "overlap" : "serial",
-                   fmt(static_cast<double>(bytes) / (1024.0 * 1024.0) /
-                           wall_s,
-                       1),
-                   fmt(virtual_s, 3)});
+      std::string virtual_s = "-";
+      if (row.images.size() == 1) {
+        ckpt::KvStore io;
+        ndp::AgentConfig cfg = row.cfg;
+        cfg.compress_bw = 1e6;
+        cfg.io_bw = 0.5e6;
+        ndp::NdpAgent timed(cfg, io);
+        (void)timed.host_commit(1, image);
+        virtual_s = fmt(timed.pump(1e9), 3);
+      }
+      std::vector<std::string> cells = {
+          row.mode, std::to_string(row.images.size()),
+          fmt(static_cast<double>(row.bytes) / (1024.0 * 1024.0) /
+                  t[i].median,
+              1)};
+      add_timing_cells(cells, t[i]);
+      cells.push_back(fmt(t[i].cpu * 1e3, 3));
+      cells.push_back(median_of(faults[i]));
+      cells.push_back(virtual_s);
+      cells.push_back(std::to_string(reps));
+      out.add_row(std::move(cells));
     }
   }
 

@@ -217,7 +217,6 @@ MultilevelManager::MultilevelManager(const MultilevelConfig& config)
     }
     delta_codec_.emplace(config.delta.block_bytes);
     prev_payload_.resize(config.node_count);
-    delta_scratch_.warm(config.node_count);
   }
   if (config.delta.io_dedup) {
     io_dedup_.emplace(config.delta.cdc);  // throws on bad CDC parameters
@@ -1037,9 +1036,8 @@ Bytes MultilevelManager::build_image(std::uint32_t rank, std::uint64_t id,
     meta.kind = PayloadKind::kDelta;
     meta.base_id = id - 1;
     delta::DeltaStats stats;
-    auto scratch = delta_scratch_.acquire();
-    const Bytes stream = delta_codec_->encode(
-        ByteSpan(prev_payload_[rank]), payload, *scratch, &stats);
+    const Bytes stream =
+        delta_codec_->encode(ByteSpan(prev_payload_[rank]), payload, &stats);
     ledger.hashed += stats.hashed_bytes;
     ledger.compared += stats.compared_bytes;
     ledger.copied += stream.size();  // literals into the stream

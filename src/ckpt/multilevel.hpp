@@ -519,10 +519,8 @@ class MultilevelManager {
   // validate any adaptive stream's chunk geometry on decode.
   std::vector<std::unique_ptr<compress::ChunkedCodec>> adaptive_codecs_;
   // Delta-chain state: the previous committed checkpoint's full payloads
-  // (the encode reference), the links since the last full anchor, and the
-  // pooled encoder scratch for the per-rank fan-out.
+  // (the encode reference) and the links since the last full anchor.
   std::optional<delta::DeltaCodec> delta_codec_;
-  mutable delta::DeltaScratchPool delta_scratch_;
   std::vector<Bytes> prev_payload_;
   bool have_prev_ = false;
   std::uint32_t links_since_full_ = 0;

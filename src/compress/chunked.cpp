@@ -20,8 +20,7 @@ ChunkedCodec::ChunkedCodec(CodecId id, int level, std::size_t chunk_size,
       level_(level),
       accelerate_(accelerate),
       chunk_size_(chunk_size),
-      codec_(make_codec(id, level)),  // validates id/level eagerly
-      scratch_(std::make_unique<ScratchPool>()) {
+      codec_(make_codec(id, level)) {  // validates id/level eagerly
   if (chunk_size == 0) {
     throw CodecError("chunk size must be positive");
   }
@@ -49,12 +48,17 @@ std::pair<std::size_t, std::size_t> ChunkedCodec::chunk_extent(
 void ChunkedCodec::begin(Bytes& out, std::size_t input_size) const {
   const std::size_t count = chunk_count(input_size);
   out.clear();
-  // Room for every chunk stored at its input size plus its frame: what
-  // compressible data never exceeds. Expanding streams grow the buffer
-  // themselves. A worst-case reserve (input + 1/16) pushed a 1 MiB NDP
+  // Room for every chunk stream at the codec's payload_reserve(), the
+  // figure its own headroom check asks for, so no chunk reallocates the
+  // container. For ngzip that is the input size, which compressible data
+  // never exceeds: a worst-case figure (input + 1/16) pushed a 1 MiB NDP
   // drain container past glibc's mmap threshold, so every drain faulted
   // in fresh pages (campaign_ndp: 31k -> 38k minor faults per unit).
-  out.reserve(header_bytes(count) + input_size + count * kFrameHeaderSize);
+  std::size_t room = header_bytes(count) + count * kFrameHeaderSize;
+  for (std::size_t i = 0; i < count; ++i) {
+    room += codec_->payload_reserve(chunk_extent(input_size, i).second);
+  }
+  out.reserve(room);
   append_le<std::uint32_t>(out, kMagic);
   out.push_back(static_cast<std::byte>(id_));
   out.push_back(static_cast<std::byte>(level_));
@@ -75,11 +79,8 @@ void ChunkedCodec::append_chunk(Bytes& out, ByteSpan input,
       (index > 0 && read_le<std::uint64_t>(out, entry - 8) == 0)) {
     throw CodecError("chunk appended out of order");
   }
-  // Codecs are stateless across calls; all per-call mutable state lives in
-  // the leased workspace, so concurrent callers stay fully independent.
-  const auto lease = scratch_->acquire();
   const std::size_t start = out.size();
-  codec_->compress_append(input.subspan(offset, len), out, *lease);
+  codec_->compress_append(input.subspan(offset, len), out);
   const std::uint64_t size = out.size() - start;
   std::memcpy(out.data() + entry, &size, sizeof size);  // as append_le
 }
@@ -165,10 +166,9 @@ Bytes ChunkedCodec::decompress(ByteSpan framed, exec::TaskPool* pool) const {
   Bytes out(original_size);
   const auto decode = [&](std::size_t i) {
     const auto [chunk_offset, chunk_len] = chunk_extent(original_size, i);
-    const auto lease = scratch_->acquire();
     codec_->decompress_into(
         framed.subspan(extents[i].first, extents[i].second),
-        out.data() + chunk_offset, chunk_len, *lease);
+        out.data() + chunk_offset, chunk_len);
   };
   // A pool worker may not nest parallel_for: decode inline (same bytes).
   if (pool && !exec::TaskPool::in_worker()) {

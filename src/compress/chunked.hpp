@@ -34,7 +34,6 @@
 #include <utility>
 
 #include "compress/codec.hpp"
-#include "compress/scratch.hpp"
 
 namespace ndpcr::exec {
 class TaskPool;
@@ -66,7 +65,7 @@ class ChunkedCodec {
       std::size_t input_size, std::size_t index) const;
   // Replace `out` with the start of a container for an input of
   // `input_size` bytes: the header and a zeroed size table, with room
-  // reserved for the chunk streams.
+  // reserved for the chunk streams (Codec::payload_reserve each).
   void begin(Bytes& out, std::size_t input_size) const;
   // Compress chunk `index` of `input` onto the end of the container `out`
   // (begun for input.size()) and record its stream size in the table.
@@ -112,11 +111,10 @@ class ChunkedCodec {
   int level_;
   bool accelerate_;
   std::size_t chunk_size_;
-  // One long-lived codec instance (codecs are stateless and const-callable
-  // from any thread) plus a pool of reusable workspaces, so the per-chunk
-  // cost is a workspace lease instead of a codec + table allocation.
+  // One long-lived codec instance: codecs are stateless and const-callable
+  // from any thread, and each chunk borrows the calling thread's workspace
+  // (scratch.hpp), so the per-chunk cost is no allocation at all.
   std::unique_ptr<Codec> codec_;
-  std::unique_ptr<ScratchPool> scratch_;
 };
 
 }  // namespace ndpcr::compress

@@ -46,58 +46,41 @@ FrameHeader parse_frame_header(ByteSpan framed, CodecId id) {
 }  // namespace
 
 Bytes Codec::compress(ByteSpan input) const {
-  CodecScratch scratch;
-  return compress(input, scratch);
-}
-
-Bytes Codec::compress(ByteSpan input, CodecScratch& scratch) const {
   Bytes out;
   out.reserve(kFrameHeaderSize + input.size() / 2);
-  compress_append(input, out, scratch);
+  compress_append(input, out);
   return out;
 }
 
-void Codec::compress_append(ByteSpan input, Bytes& out,
-                            CodecScratch& scratch) const {
+void Codec::compress_append(ByteSpan input, Bytes& out) const {
+  const ThreadScratch scratch;
   out.push_back(static_cast<std::byte>('N'));
   out.push_back(static_cast<std::byte>(id()));
   out.push_back(static_cast<std::byte>(level()));
   append_le<std::uint64_t>(out, input.size());
   append_le<std::uint32_t>(out, Crc32::compute(input));
-  compress_payload(input, out, scratch);
+  compress_payload(input, out, *scratch);
 }
 
 Bytes Codec::decompress(ByteSpan framed) const {
-  CodecScratch scratch;
-  return decompress(framed, scratch);
-}
-
-Bytes Codec::decompress(ByteSpan framed, CodecScratch& scratch) const {
   const FrameHeader header = parse_frame_header(framed, id());
   // The plausibility guard above makes this eager allocation safe, and the
   // pre-sized buffer lets codecs decode with pointer stores and bulk copies
   // instead of push_back.
   Bytes out(header.original_size);
-  const std::size_t written = decompress_payload(
-      framed.subspan(kFrameHeaderSize), out.data(), out.size(), scratch);
-  if (written != out.size()) {
-    throw CodecError("decompressed size mismatch");
-  }
-  if (Crc32::compute(out) != header.expected_crc) {
-    throw CodecError("CRC mismatch: corrupted compressed stream");
-  }
+  decompress_into(framed, out.data(), out.size());
   return out;
 }
 
 void Codec::decompress_into(ByteSpan framed, std::byte* dst,
-                            std::size_t expected_size,
-                            CodecScratch& scratch) const {
+                            std::size_t expected_size) const {
   const FrameHeader header = parse_frame_header(framed, id());
   if (header.original_size != expected_size) {
     throw CodecError("decompressed size mismatch");
   }
+  const ThreadScratch scratch;
   const std::size_t written = decompress_payload(
-      framed.subspan(kFrameHeaderSize), dst, expected_size, scratch);
+      framed.subspan(kFrameHeaderSize), dst, expected_size, *scratch);
   if (written != expected_size) {
     throw CodecError("decompressed size mismatch");
   }

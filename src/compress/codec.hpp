@@ -32,7 +32,7 @@ class CodecError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-// Reusable workspace (see scratch.hpp). Forward-declared here because
+// Per-thread workspace (see scratch.hpp). Forward-declared here because
 // bitstream.hpp includes this header.
 struct CodecScratch;
 
@@ -54,22 +54,29 @@ class Codec {
   [[nodiscard]] virtual int level() const = 0;
 
   // Compress `input` into a framed stream. Never fails (incompressible data
-  // grows by the frame plus the codec's worst-case expansion). The scratch
-  // overload reuses the workspace's tables and buffers; the plain overload
-  // allocates a transient workspace.
+  // grows by the frame plus the codec's worst-case expansion). Every entry
+  // point borrows the calling thread's workspace (scratch.hpp), so calls
+  // on one codec from any number of threads stay independent.
   [[nodiscard]] Bytes compress(ByteSpan input) const;
-  [[nodiscard]] Bytes compress(ByteSpan input, CodecScratch& scratch) const;
   // Append form: write the framed stream onto the end of `out`, leaving
   // its existing bytes alone (ChunkedCodec builds its container this way,
-  // one chunk stream after another). The stream bytes are the same the
-  // returning overloads produce.
-  void compress_append(ByteSpan input, Bytes& out,
-                       CodecScratch& scratch) const;
+  // one chunk stream after another). The stream bytes are the same
+  // compress() returns.
+  void compress_append(ByteSpan input, Bytes& out) const;
+
+  // Payload bytes a caller reserves for compressing `input_size` bytes so
+  // that compress_append() does not reallocate `out`: the codec's own
+  // headroom check asks for no more. The default is the input size, which
+  // compressible data never exceeds (an expanding stream grows `out`
+  // itself); nlz4 returns its true worst case.
+  [[nodiscard]] virtual std::size_t payload_reserve(
+      std::size_t input_size) const {
+    return input_size;
+  }
 
   // Decompress a framed stream produced by the same codec type. Throws
   // CodecError on malformed input, codec mismatch, or CRC failure.
   [[nodiscard]] Bytes decompress(ByteSpan framed) const;
-  [[nodiscard]] Bytes decompress(ByteSpan framed, CodecScratch& scratch) const;
 
   // Decompress directly into a caller-owned window of exactly
   // `expected_size` bytes (the chunked parallel-decode path: each worker
@@ -78,7 +85,7 @@ class Codec {
   // over the written window, and additionally rejects streams whose
   // declared size differs from `expected_size`.
   void decompress_into(ByteSpan framed, std::byte* dst,
-                       std::size_t expected_size, CodecScratch& scratch) const;
+                       std::size_t expected_size) const;
 
   // Compression factor as defined in the paper (section 5.1.2):
   //   1 - compressed_size / uncompressed_size

@@ -77,11 +77,11 @@ Lz4StyleCodec::Lz4StyleCodec(int level, bool accelerate)
 
 void Lz4StyleCodec::compress_payload(ByteSpan input, Bytes& out,
                                      CodecScratch& scratch) const {
-  // Byte-oriented format: incompressible input expands slightly (token +
-  // length bytes per sequence), so reserve a whisker over the input size.
   // Growth is at least geometric: a chunked container appends one stream
-  // per chunk, and exact-size growth would copy it once per chunk.
-  const std::size_t need = out.size() + input.size() + input.size() / 16 + 16;
+  // per chunk, and exact-size growth would copy it once per chunk. A
+  // container begun for this codec already holds the room, so this never
+  // reallocates it.
+  const std::size_t need = out.size() + payload_reserve(input.size());
   if (need > out.capacity()) out.reserve(std::max(need, 2 * out.size()));
   MatchFinder finder(input, kWindow, kMinMatch, /*max_match=*/65535,
                      chain_depth_for_level(level_), scratch.match_head,

@@ -31,6 +31,13 @@ class Lz4StyleCodec final : public Codec {
   [[nodiscard]] std::string name() const override { return "nlz4"; }
   [[nodiscard]] CodecId id() const override { return CodecId::kLz4Style; }
   [[nodiscard]] int level() const override { return level_; }
+  // The format's worst case: incompressible input costs one token plus a
+  // length-extension byte per 255 literals, and a match sequence never
+  // outgrows the bytes it covers.
+  [[nodiscard]] std::size_t payload_reserve(
+      std::size_t input_size) const override {
+    return input_size + input_size / 255 + 16;
+  }
 
  protected:
   void compress_payload(ByteSpan input, Bytes& out,

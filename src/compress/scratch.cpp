@@ -1,22 +1,23 @@
 #include "compress/scratch.hpp"
 
+#include <stdexcept>
+
 namespace ndpcr::compress {
+namespace {
 
-std::unique_ptr<CodecScratch> ScratchPool::take() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (!free_.empty()) {
-      auto scratch = std::move(free_.back());
-      free_.pop_back();
-      return scratch;
-    }
+thread_local bool t_held = false;
+
+}  // namespace
+
+ThreadScratch::ThreadScratch() {
+  static thread_local CodecScratch scratch;
+  if (t_held) {
+    throw std::logic_error("nested codec call on one thread");
   }
-  return std::make_unique<CodecScratch>();
+  t_held = true;
+  scratch_ = &scratch;
 }
 
-void ScratchPool::give(std::unique_ptr<CodecScratch> scratch) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  free_.push_back(std::move(scratch));
-}
+ThreadScratch::~ThreadScratch() { t_held = false; }
 
 }  // namespace ndpcr::compress

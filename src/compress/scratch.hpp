@@ -1,18 +1,17 @@
 #pragma once
 
-// Reusable codec workspaces. Every codec allocates the same few large
+// Per-thread codec workspace. Every codec allocates the same few large
 // structures per call - MatchFinder hash tables, Huffman decode tables,
 // staging buffers - and on the chunked data path those calls happen once
 // per chunk, so the allocations (and the page faults behind them) used to
 // dominate the fast codecs. CodecScratch keeps them alive across calls:
 // codecs reset or resize in place and reallocate only when a larger input
-// arrives. ScratchPool hands workspaces to concurrent workers; ChunkedCodec
-// (and through it MultilevelManager's IO leg and NdpAgent's drain) holds
-// one pool.
+// arrives. Each thread owns one workspace, which every codec instance it
+// calls shares (eight NDP agents pumped on one thread keep one set of
+// tables, a pool of N workers keeps N). A workspace holds no state between
+// calls, so a stream never depends on which calls came before it.
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -37,40 +36,23 @@ struct CodecScratch {
   std::vector<std::uint32_t> u32_tmp;
 };
 
-// A mutex-guarded freelist of CodecScratch instances. acquire() pops one
-// (or creates it on a miss) and the returned Lease gives it back on
-// destruction, so a pool serving N concurrent workers converges on N live
-// workspaces regardless of how many chunks pass through.
-class ScratchPool {
+// The calling thread's workspace, held for one codec entry point (the
+// Codec methods take it; nothing else needs to). Entry points never nest
+// on one thread: a nested hold would hand the outer call's live tables to
+// the inner one, so it throws std::logic_error instead. The check is one
+// thread-local flag, so it stays on in optimised builds, where the tests
+// run.
+class ThreadScratch {
  public:
-  class Lease {
-   public:
-    explicit Lease(ScratchPool& pool) : pool_(&pool), scratch_(pool.take()) {}
-    ~Lease() {
-      if (scratch_) pool_->give(std::move(scratch_));
-    }
-    Lease(Lease&& other) noexcept
-        : pool_(other.pool_), scratch_(std::move(other.scratch_)) {}
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    Lease& operator=(Lease&&) = delete;
+  ThreadScratch();
+  ~ThreadScratch();
+  ThreadScratch(const ThreadScratch&) = delete;
+  ThreadScratch& operator=(const ThreadScratch&) = delete;
 
-    [[nodiscard]] CodecScratch& operator*() const { return *scratch_; }
-    [[nodiscard]] CodecScratch* operator->() const { return scratch_.get(); }
-
-   private:
-    ScratchPool* pool_;
-    std::unique_ptr<CodecScratch> scratch_;
-  };
-
-  [[nodiscard]] Lease acquire() { return Lease(*this); }
+  [[nodiscard]] CodecScratch& operator*() const { return *scratch_; }
 
  private:
-  std::unique_ptr<CodecScratch> take();
-  void give(std::unique_ptr<CodecScratch> scratch);
-
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<CodecScratch>> free_;
+  CodecScratch* scratch_;
 };
 
 }  // namespace ndpcr::compress

@@ -40,44 +40,31 @@ const std::array<std::uint64_t, 256>& gear_table() {
   return table;
 }
 
-}  // namespace
+// The encoder's reference index, one per thread (DeltaCodec::encode).
+// Open-addressed: slot -> block index + 1 (0 = empty), keys[] carries the
+// hash for the occupied slots. Linear probing keeps duplicate contents and
+// resolves lookups in insertion order.
+struct RefIndex {
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> slots;
+  std::size_t mask = 0;
 
-void DeltaScratch::reset(std::size_t blocks) {
-  // Load factor <= 0.5: capacity is the next power of two >= 2 * blocks.
-  std::size_t cap = 16;
-  while (cap < blocks * 2) cap <<= 1;
-  if (slots.size() != cap) {
-    keys.assign(cap, 0);
-    slots.assign(cap, 0);
-  } else {
-    std::fill(slots.begin(), slots.end(), 0);
-  }
-  mask = cap - 1;
-}
-
-void DeltaScratchPool::warm(std::size_t count) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  while (free_.size() < count) {
-    free_.push_back(std::make_unique<DeltaScratch>());
-  }
-}
-
-std::unique_ptr<DeltaScratch> DeltaScratchPool::take() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!free_.empty()) {
-      auto scratch = std::move(free_.back());
-      free_.pop_back();
-      return scratch;
+  // Size the index for `blocks` reference blocks and clear it.
+  void reset(std::size_t blocks) {
+    // Load factor <= 0.5: capacity is the next power of two >= 2 * blocks.
+    std::size_t cap = 16;
+    while (cap < blocks * 2) cap <<= 1;
+    if (slots.size() != cap) {
+      keys.assign(cap, 0);
+      slots.assign(cap, 0);
+    } else {
+      std::fill(slots.begin(), slots.end(), 0);
     }
+    mask = cap - 1;
   }
-  return std::make_unique<DeltaScratch>();
-}
+};
 
-void DeltaScratchPool::give(std::unique_ptr<DeltaScratch> scratch) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  free_.push_back(std::move(scratch));
-}
+}  // namespace
 
 std::vector<std::size_t> cdc_boundaries(ByteSpan data,
                                         const CdcParams& params) {
@@ -211,30 +198,25 @@ DeltaCodec::DeltaCodec(std::size_t block_size) : block_size_(block_size) {
 
 Bytes DeltaCodec::encode(ByteSpan reference, ByteSpan current,
                          DeltaStats* stats) const {
-  DeltaScratch scratch;
-  return encode(reference, current, scratch, stats);
-}
-
-Bytes DeltaCodec::encode(ByteSpan reference, ByteSpan current,
-                         DeltaScratch& scratch, DeltaStats* stats) const {
+  static thread_local RefIndex index;
   DeltaStats local_stats;
   local_stats.input_bytes = current.size();
 
-  // Index the reference blocks by content hash in the scratch's
+  // Index the reference blocks by content hash in the thread's
   // open-addressed table. Only full-size blocks are indexed for moves; the
   // (possibly short) tail block still matches via the same-position check.
   // Duplicates all get a slot; linear probing resolves lookups in
   // insertion order, so the lowest matching block index always wins and
   // the stream is deterministic.
   const std::size_t ref_full_blocks = reference.size() / block_size_;
-  scratch.reset(ref_full_blocks);
+  index.reset(ref_full_blocks);
   for (std::size_t b = 0; b < ref_full_blocks; ++b) {
     const std::uint64_t h =
         block_hash(reference.subspan(b * block_size_, block_size_));
-    std::size_t slot = h & scratch.mask;
-    while (scratch.slots[slot] != 0) slot = (slot + 1) & scratch.mask;
-    scratch.keys[slot] = h;
-    scratch.slots[slot] = static_cast<std::uint32_t>(b) + 1;
+    std::size_t slot = h & index.mask;
+    while (index.slots[slot] != 0) slot = (slot + 1) & index.mask;
+    index.keys[slot] = h;
+    index.slots[slot] = static_cast<std::uint32_t>(b) + 1;
   }
 
   Bytes out;
@@ -262,10 +244,10 @@ Bytes DeltaCodec::encode(ByteSpan reference, ByteSpan current,
       const std::uint64_t h = block_hash(block);
       local_stats.hashed_bytes += len;
       bool matched = false;
-      for (std::size_t slot = h & scratch.mask; scratch.slots[slot] != 0;
-           slot = (slot + 1) & scratch.mask) {
-        if (scratch.keys[slot] != h) continue;
-        const std::uint32_t b = scratch.slots[slot] - 1;
+      for (std::size_t slot = h & index.mask; index.slots[slot] != 0;
+           slot = (slot + 1) & index.mask) {
+        if (index.keys[slot] != h) continue;
+        const std::uint32_t b = index.slots[slot] - 1;
         const ByteSpan cand =
             reference.subspan(std::size_t{b} * block_size_, block_size_);
         local_stats.compared_bytes += len;

@@ -13,9 +13,8 @@
 // e.g. ngzip over the literals-heavy delta stream).
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
+#include <vector>
 
 #include "common/bytes.hpp"
 
@@ -32,64 +31,6 @@ class DeltaError : public std::runtime_error {
 // full byte comparison before any block is reused. The value is part of
 // the NDDL/NDRC formats (docs/DELTA.md, "Format notes").
 std::uint64_t block_hash(ByteSpan block);
-
-// Reusable encoder workspace. Encoding indexes every reference block in a
-// hash table; on the multilevel commit path that happens once per rank per
-// checkpoint, so the table (and the page faults behind a fresh allocation)
-// would dominate sparse-update deltas. The open-addressed index keeps
-// duplicate contents and resolves lookups in insertion order, so the
-// encoded stream is identical whether or not a scratch is reused.
-struct DeltaScratch {
-  // Open-addressed reference index: slot -> block index + 1 (0 = empty),
-  // keys[] carries the hash for the occupied slots. Linear probing.
-  std::vector<std::uint64_t> keys;
-  std::vector<std::uint32_t> slots;
-  std::size_t mask = 0;
-
-  // Size the index for `blocks` reference blocks and clear it.
-  void reset(std::size_t blocks);
-};
-
-// A mutex-guarded freelist of DeltaScratch instances, the same shape as
-// compress::ScratchPool: acquire() pops (or creates) a workspace, the
-// Lease returns it on destruction, so N concurrent encoders converge on N
-// live workspaces.
-class DeltaScratchPool {
- public:
-  class Lease {
-   public:
-    explicit Lease(DeltaScratchPool& pool)
-        : pool_(&pool), scratch_(pool.take()) {}
-    ~Lease() {
-      if (scratch_) pool_->give(std::move(scratch_));
-    }
-    Lease(Lease&& other) noexcept
-        : pool_(other.pool_), scratch_(std::move(other.scratch_)) {}
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    Lease& operator=(Lease&&) = delete;
-
-    [[nodiscard]] DeltaScratch& operator*() const { return *scratch_; }
-    [[nodiscard]] DeltaScratch* operator->() const { return scratch_.get(); }
-
-   private:
-    DeltaScratchPool* pool_;
-    std::unique_ptr<DeltaScratch> scratch_;
-  };
-
-  [[nodiscard]] Lease acquire() { return Lease(*this); }
-
-  // Pre-create workspaces so the first parallel batch does not serialize
-  // on first-touch allocation.
-  void warm(std::size_t count);
-
- private:
-  std::unique_ptr<DeltaScratch> take();
-  void give(std::unique_ptr<DeltaScratch> scratch);
-
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<DeltaScratch>> free_;
-};
 
 // Content-defined chunking (gear hash). Boundaries depend only on the
 // bytes, so an insertion early in an image shifts chunk boundaries with
@@ -134,16 +75,13 @@ class DeltaCodec {
 
   // Encode `current` against `reference`. The reference may be empty (all
   // blocks become literals). Returns the delta stream; stats, if
-  // provided, receive the block accounting.
+  // provided, receive the block accounting. The reference block index
+  // lives in a per-thread workspace that grows to the largest reference
+  // the thread has seen: on the multilevel commit path an encode runs once
+  // per rank per checkpoint, and a fresh table (and the page faults behind
+  // it) would dominate sparse-update deltas. The index resolves lookups in
+  // insertion order, so the stream never depends on earlier calls.
   [[nodiscard]] Bytes encode(ByteSpan reference, ByteSpan current,
-                             DeltaStats* stats = nullptr) const;
-
-  // Allocation-reusing variant: the reference index lives in `scratch`,
-  // which grows to the largest reference it has seen and is reused across
-  // calls. Emits exactly the same stream as the plain overload (which
-  // delegates here with a throwaway scratch).
-  [[nodiscard]] Bytes encode(ByteSpan reference, ByteSpan current,
-                             DeltaScratch& scratch,
                              DeltaStats* stats = nullptr) const;
 
   // Block size recorded in a delta stream's header; lets a reader build a

@@ -57,6 +57,10 @@ void Reporter::add_row(std::vector<std::string> cells) {
 
 void Reporter::set_wall_seconds(double seconds) { wall_seconds_ = seconds; }
 
+void Reporter::set_host(std::string json_object) {
+  host_ = std::move(json_object);
+}
+
 std::string Reporter::config_hash() const {
   const std::uint32_t crc =
       Crc32::compute(meta_.config.data(), meta_.config.size());
@@ -83,6 +87,7 @@ std::string Reporter::csv() const {
       << " trials=" << meta_.trials << " threads=" << meta_.threads
       << " config=" << config_hash() << " wall_s=" << fmt_fixed(wall_seconds_, 3)
       << '\n';
+  if (!host_.empty()) out << "# host=" << host_ << '\n';
   for (const auto& section : sections_) {
     out << "# section: " << section.name << '\n';
     append_csv_row(out, section.header);
@@ -97,7 +102,9 @@ std::string Reporter::json() const {
       << ",\"seed\":" << meta_.seed << ",\"trials\":" << meta_.trials
       << ",\"threads\":" << meta_.threads
       << ",\"config\":" << json_string(config_hash())
-      << ",\"wall_s\":" << fmt_fixed(wall_seconds_, 3) << "},\"sections\":[";
+      << ",\"wall_s\":" << fmt_fixed(wall_seconds_, 3);
+  if (!host_.empty()) out << ",\"host\":" << host_;
+  out << "},\"sections\":[";
   for (std::size_t s = 0; s < sections_.size(); ++s) {
     if (s) out << ',';
     const auto& section = sections_[s];

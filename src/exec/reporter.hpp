@@ -39,6 +39,9 @@ class Reporter {
   void add_row(std::vector<std::string> cells);
 
   void set_wall_seconds(double seconds);
+  // The host the run measured on, a JSON object (bench::BenchReport's
+  // stamp_host): meta "host" in JSON, a `# host=` line in CSV.
+  void set_host(std::string json_object);
 
   [[nodiscard]] const RunMeta& meta() const { return meta_; }
   [[nodiscard]] const std::vector<Section>& sections() const {
@@ -68,6 +71,7 @@ class Reporter {
  private:
   RunMeta meta_;
   double wall_seconds_ = 0.0;
+  std::string host_;
   std::vector<Section> sections_;
 };
 

@@ -186,6 +186,44 @@ TEST(Chunked, AppendOutOfOrderThrows) {
                CodecError);
 }
 
+TEST(Chunked, BegunContainerIsAllocatedOnce) {
+  // begin() reserves each chunk at the codec's payload_reserve(), the
+  // figure its own headroom check asks for. nlz4's is its worst case, so
+  // random input (which expands) lands without moving the container, over
+  // one chunk or several.
+  Rng rng(5);
+  Bytes noise((1u << 20) + 200);
+  for (auto& b : noise) b = static_cast<std::byte>(rng.next_u64());
+  for (const std::size_t chunk : {std::size_t{4} << 20, std::size_t{1} << 18}) {
+    const ChunkedCodec lz4(CodecId::kLz4Style, 1, chunk);
+    Bytes out;
+    lz4.begin(out, noise.size());
+    const std::byte* const data = out.data();
+    for (std::size_t j = 0; j < lz4.chunk_count(noise.size()); ++j) {
+      lz4.append_chunk(out, noise, j);
+      EXPECT_EQ(out.data(), data) << "chunk=" << chunk << " j=" << j;
+    }
+    EXPECT_GT(out.size(), noise.size());
+    EXPECT_EQ(out, lz4.compress(noise));
+  }
+  // ngzip keeps reserving the input size, which compressible input never
+  // outgrows: less than nlz4 reserves, and never reallocated.
+  const Bytes data = test_data(1u << 20, 6);
+  const ChunkedCodec gz(CodecId::kDeflateStyle, 1, std::size_t{1} << 18);
+  const ChunkedCodec lz4(CodecId::kLz4Style, 1, std::size_t{1} << 18);
+  Bytes lz4_out;
+  lz4.begin(lz4_out, data.size());
+  Bytes out;
+  gz.begin(out, data.size());
+  const std::size_t capacity = out.capacity();
+  EXPECT_LT(capacity, lz4_out.capacity());
+  for (std::size_t j = 0; j < gz.chunk_count(data.size()); ++j) {
+    gz.append_chunk(out, data, j);
+  }
+  EXPECT_EQ(out.capacity(), capacity);
+  EXPECT_EQ(gz.decompress(out), data);
+}
+
 TEST(Chunked, CompressInsidePoolWorkerRunsInlineAndMatches) {
   // A TaskPool worker may not nest parallel_for; decompress(framed, &pool)
   // called from a task must detect that, run inline, and still return the

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/crc32.hpp"
@@ -13,8 +16,8 @@
 #include "compress/chunked.hpp"
 #include "compress/codec.hpp"
 #include "compress/lz4_style.hpp"
-#include "compress/scratch.hpp"
 #include "exec/task_pool.hpp"
+#include "workloads/proxy_kernels.hpp"
 
 namespace ndpcr::compress {
 namespace {
@@ -66,17 +69,16 @@ Bytes fuzz_payload(std::size_t size, std::uint64_t seed) {
   return data;
 }
 
-void expect_roundtrip(const Codec& codec, ByteSpan input,
-                      CodecScratch& scratch) {
-  const Bytes packed = codec.compress(input, scratch);
-  const Bytes back = codec.decompress(packed, scratch);
+void expect_roundtrip(const Codec& codec, ByteSpan input) {
+  const Bytes packed = codec.compress(input);
+  const Bytes back = codec.decompress(packed);
   ASSERT_EQ(back.size(), input.size());
   EXPECT_TRUE(std::equal(back.begin(), back.end(), input.begin()));
   // The append form writes the same stream after whatever the buffer
   // already holds, and leaves those bytes alone.
   const Bytes prefix = {std::byte{0xA5}, std::byte{0x5A}, std::byte{0x01}};
   Bytes appended = prefix;
-  codec.compress_append(input, appended, scratch);
+  codec.compress_append(input, appended);
   ASSERT_EQ(appended.size(), prefix.size() + packed.size());
   EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), appended.begin()));
   EXPECT_TRUE(std::equal(packed.begin(), packed.end(),
@@ -84,7 +86,6 @@ void expect_roundtrip(const Codec& codec, ByteSpan input,
 }
 
 TEST(CompressRoundTrip, EveryCodecEveryLevelSeededPayloads) {
-  CodecScratch scratch;  // shared across all pairs, like a pooled worker's
   std::uint64_t seed = 0x5EED;
   for (const auto& cfg : all_codecs()) {
     for (int level : cfg.levels) {
@@ -93,7 +94,7 @@ TEST(CompressRoundTrip, EveryCodecEveryLevelSeededPayloads) {
                                std::size_t{1337}, std::size_t{16 * 1024}}) {
         SCOPED_TRACE(std::string(cfg.name) + " level " +
                      std::to_string(level) + " size " + std::to_string(size));
-        expect_roundtrip(*codec, fuzz_payload(size, seed++), scratch);
+        expect_roundtrip(*codec, fuzz_payload(size, seed++));
       }
     }
   }
@@ -105,17 +106,15 @@ TEST(CompressRoundTrip, TruncationNeverCrashesOrMisdecodes) {
   // end-of-stream states live). Every prefix must either throw CodecError
   // or round-trip exactly; anything else (crash, OOB write under the
   // sanitizer jobs, silent wrong bytes) is a decoder bug.
-  CodecScratch scratch;
   const Bytes input = fuzz_payload(6 * 1024, 42);
   for (const auto& cfg : all_codecs()) {
     const auto codec = make_codec(cfg.name, cfg.levels[0]);
-    const Bytes packed = codec->compress(input, scratch);
+    const Bytes packed = codec->compress(input);
     auto check_prefix = [&](std::size_t len) {
       SCOPED_TRACE(std::string(cfg.name) + " truncated to " +
                    std::to_string(len) + "/" + std::to_string(packed.size()));
       try {
-        const Bytes back =
-            codec->decompress(ByteSpan(packed).first(len), scratch);
+        const Bytes back = codec->decompress(ByteSpan(packed).first(len));
         EXPECT_TRUE(back.size() == input.size() &&
                     std::equal(back.begin(), back.end(), input.begin()));
       } catch (const CodecError&) {
@@ -161,7 +160,6 @@ TEST(CompressRoundTrip, Lz4AcceleratedModeRoundTrips) {
   // changes the emitted bytes; it must still round-trip through the
   // unchanged decoder, including when the probe strides past the end of
   // the input.
-  CodecScratch scratch;
   const Lz4StyleCodec plain(1);
   const Lz4StyleCodec fast(1, /*accelerate=*/true);
   std::uint64_t seed = 0xACCE1;
@@ -170,12 +168,12 @@ TEST(CompressRoundTrip, Lz4AcceleratedModeRoundTrips) {
         std::size_t{64 * 1024}}) {
     SCOPED_TRACE("size " + std::to_string(size));
     const Bytes input = fuzz_payload(size, seed++);
-    expect_roundtrip(fast, input, scratch);
+    expect_roundtrip(fast, input);
     // Incompressible data is where the skip heuristic engages hardest.
     Rng rng(seed++);
     Bytes noise(size);
     for (auto& b : noise) b = static_cast<std::byte>(rng.next_u64());
-    expect_roundtrip(fast, noise, scratch);
+    expect_roundtrip(fast, noise);
     // Sanity: both modes agree on content, not necessarily on bytes.
     EXPECT_EQ(plain.decompress(plain.compress(input)), input);
   }
@@ -206,7 +204,6 @@ Bytes ramp_payload(std::size_t n, std::uint64_t seed) {
 TEST(CompressRoundTrip, Lz4SkipRampRoundTripsAroundTheTrigger) {
   // Plain level 1 widens its stride after every 64 misses, accelerated
   // after every 16: sizes straddle the first trigger and run far past it.
-  CodecScratch scratch;
   const Lz4StyleCodec plain(1);
   const Lz4StyleCodec fast(1, /*accelerate=*/true);
   for (std::size_t n : {std::size_t{63}, std::size_t{64}, std::size_t{65},
@@ -214,8 +211,8 @@ TEST(CompressRoundTrip, Lz4SkipRampRoundTripsAroundTheTrigger) {
                         std::size_t{70000}}) {
     SCOPED_TRACE("n " + std::to_string(n));
     const Bytes input = ramp_payload(n, n);
-    expect_roundtrip(plain, input, scratch);
-    expect_roundtrip(fast, input, scratch);
+    expect_roundtrip(plain, input);
+    expect_roundtrip(fast, input);
     for (const bool accel : {false, true}) {
       const ChunkedCodec cc(CodecId::kLz4Style, 1, 16 * 1024, 1, accel);
       EXPECT_EQ(cc.decompress(cc.compress(input)), input)
@@ -289,6 +286,106 @@ TEST(CompressRoundTrip, ChunkedAcceleratedRoundTripsAcrossThreadCounts) {
   EXPECT_THROW(ChunkedCodec(CodecId::kDeflateStyle, 1, 16 * 1024, 1,
                             /*accelerate=*/true),
                CodecError);
+}
+
+// Proxy-kernel checkpoint bytes, what the campaigns compress.
+Bytes kernel_payload(const std::string& name, std::size_t bytes) {
+  const auto kernel = workloads::make_proxy_kernel(name, bytes, 11);
+  for (int i = 0; i < 3; ++i) kernel->iterate();
+  return kernel->registry().capture();
+}
+
+TEST(CompressRoundTrip, SharedWorkspaceNeverChangesAStream) {
+  // Every codec and level below shares this thread's workspace, calls
+  // interleaved over inputs that grow and shrink, so each call finds the
+  // tables and buffers another codec left. Each stream and each decode
+  // must equal what a fresh thread (a fresh workspace) makes, and the
+  // chunked container must decode the same on any pool.
+  struct Spec {
+    CodecId id;
+    int level;
+    bool accelerate;
+  };
+  const Spec specs[] = {
+      {CodecId::kNull, 0, false},         {CodecId::kRle, 0, false},
+      {CodecId::kLz4Style, 1, false},     {CodecId::kLz4Style, 1, true},
+      {CodecId::kLz4Style, 9, false},     {CodecId::kDeflateStyle, 1, false},
+      {CodecId::kDeflateStyle, 6, false}, {CodecId::kBzipStyle, 1, false},
+      {CodecId::kXzStyle, 1, false},
+  };
+  // Random, proxy-kernel and zero-filled inputs whose sizes grow and
+  // shrink.
+  const std::vector<Bytes> inputs = {
+      random_bytes(3000, 1),           kernel_payload("cg", 96 * 1024),
+      Bytes(150 * 1024),               random_bytes(40 * 1024, 2),
+      kernel_payload("ft", 8 * 1024),  Bytes{},
+      kernel_payload("mg", 64 * 1024), Bytes(700),
+  };
+  const auto codec_for = [](const Spec& spec) -> std::unique_ptr<Codec> {
+    if (spec.accelerate) {
+      return std::make_unique<Lz4StyleCodec>(spec.level, /*accelerate=*/true);
+    }
+    return make_codec(spec.id, spec.level);
+  };
+  exec::TaskPool pool1(1), pool2(2), pool8(8);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const Bytes& input = inputs[i];
+    for (const Spec& spec : specs) {
+      SCOPED_TRACE("input " + std::to_string(i) + " codec " +
+                   std::to_string(static_cast<int>(spec.id)) + " level " +
+                   std::to_string(spec.level) +
+                   (spec.accelerate ? " accelerated" : ""));
+      const auto codec = codec_for(spec);
+      const ChunkedCodec chunked(spec.id, spec.level, 16 * 1024, 1,
+                                 spec.accelerate);
+      const Bytes stream = codec->compress(input);
+      const Bytes back = codec->decompress(stream);
+      const Bytes container = chunked.compress(input);
+      Bytes fresh_stream, fresh_back, fresh_container;
+      std::thread([&] {
+        fresh_stream = codec->compress(input);
+        fresh_back = codec->decompress(fresh_stream);
+        fresh_container = chunked.compress(input);
+      }).join();
+      EXPECT_EQ(stream, fresh_stream);
+      EXPECT_EQ(back, fresh_back);
+      EXPECT_EQ(back, input);
+      EXPECT_EQ(container, fresh_container);
+      EXPECT_EQ(chunked.decompress(container), input);
+      for (exec::TaskPool* pool : {&pool1, &pool2, &pool8}) {
+        EXPECT_EQ(chunked.decompress(container, pool), input)
+            << "threads=" << pool->thread_count();
+      }
+    }
+  }
+}
+
+// A codec whose payload hook calls another codec: the nesting a
+// per-thread workspace cannot serve.
+class NestingCodec final : public Codec {
+ public:
+  [[nodiscard]] std::string name() const override { return "nesting"; }
+  [[nodiscard]] CodecId id() const override { return CodecId::kNull; }
+  [[nodiscard]] int level() const override { return 0; }
+
+ protected:
+  void compress_payload(ByteSpan input, Bytes& out,
+                        CodecScratch&) const override {
+    const Bytes inner = make_codec(CodecId::kRle, 0)->compress(input);
+    out.insert(out.end(), inner.begin(), inner.end());
+  }
+  std::size_t decompress_payload(ByteSpan, std::byte*, std::size_t,
+                                 CodecScratch&) const override {
+    return 0;
+  }
+};
+
+TEST(CompressRoundTrip, NestedCodecCallThrows) {
+  const Bytes input(64);
+  EXPECT_THROW((void)NestingCodec().compress(input), std::logic_error);
+  // The failed call released the workspace: the thread still compresses.
+  const auto rle = make_codec(CodecId::kRle, 0);
+  EXPECT_EQ(rle->decompress(rle->compress(input)), input);
 }
 
 TEST(CompressRoundTrip, ImplausibleDeclaredSizeIsRejectedBeforeAllocating) {

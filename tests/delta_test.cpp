@@ -4,6 +4,8 @@
 #include <cstring>
 #include <set>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "delta/delta.hpp"
@@ -226,49 +228,63 @@ TEST(DeltaCodec, ConsecutiveMiniAppCheckpointsAreHighlyRedundant) {
   EXPECT_EQ(codec.decode(first, delta), second);
 }
 
-TEST(DeltaScratch, ScratchEncodeIsBitIdenticalToPlain) {
-  DeltaCodec codec(1024);
-  DeltaScratch scratch;
-  // Mixed sizes exercise index growth and reuse (shrinking reference).
-  const std::size_t sizes[] = {100000, 5000, 0, 64 * 1024, 1023};
+TEST(DeltaCodec, SharedWorkspaceNeverChangesAStream) {
+  // Every encode on this thread shares one reference index; references
+  // that grow and shrink exercise its growth and reuse. Each stream must
+  // equal the one a fresh thread (a fresh index) makes.
+  struct Case {
+    std::size_t block;
+    Bytes reference, current, stream;
+    DeltaStats stats;
+  };
+  std::vector<Case> cases;
   Bytes reference;
   std::uint64_t seed = 40;
-  for (const std::size_t n : sizes) {
-    Bytes current = random_bytes(n, ++seed);
-    // Make runs partially redundant against the reference.
-    const std::size_t shared = std::min(reference.size(), current.size()) / 2;
-    std::copy(reference.begin(),
-              reference.begin() + static_cast<std::ptrdiff_t>(shared),
-              current.begin());
-    DeltaStats plain_stats, scratch_stats;
-    const Bytes plain = codec.encode(reference, current, &plain_stats);
-    const Bytes reused =
-        codec.encode(reference, current, scratch, &scratch_stats);
-    EXPECT_EQ(plain, reused);
-    EXPECT_EQ(plain_stats.encoded_bytes, scratch_stats.encoded_bytes);
-    EXPECT_EQ(plain_stats.moved_blocks, scratch_stats.moved_blocks);
-    EXPECT_EQ(codec.decode(reference, reused), current);
-    reference = std::move(current);
+  for (const std::size_t block : {1024u, 512u}) {
+    for (const std::size_t n :
+         {100000u, 5000u, 0u, 65536u, 1023u, 300000u, 8192u}) {
+      Bytes current = random_bytes(n, ++seed);
+      // Make runs partially redundant against the reference.
+      const std::size_t shared =
+          std::min(reference.size(), current.size()) / 2;
+      std::copy(reference.begin(),
+                reference.begin() + static_cast<std::ptrdiff_t>(shared),
+                current.begin());
+      cases.push_back({block, reference, current, {}, {}});
+      reference = std::move(current);
+    }
   }
-}
+  // Duplicate contents: block X sits at index 5 of the first reference,
+  // then at indices 1 and 5 of the second, and the current image moves it.
+  // A fresh index resolves the move to the lowest index, 1; an index still
+  // holding the first reference's slot for X would answer 5.
+  const Bytes x = random_bytes(512, 90);
+  Bytes first = random_bytes(8 * 512, 91);
+  Bytes second = random_bytes(8 * 512, 92);
+  Bytes current = random_bytes(8 * 512, 93);
+  std::copy(x.begin(), x.end(), first.begin() + 5 * 512);
+  std::copy(x.begin(), x.end(), second.begin() + 1 * 512);
+  std::copy(x.begin(), x.end(), second.begin() + 5 * 512);
+  std::copy(x.begin(), x.end(), current.begin() + 7 * 512);
+  cases.push_back({512, first, random_bytes(8 * 512, 94), {}, {}});
+  cases.push_back({512, second, current, {}, {}});
 
-TEST(DeltaScratch, PoolLeasesAreReusable) {
-  DeltaScratchPool pool;
-  pool.warm(2);
-  const Bytes a = random_bytes(8192, 50);
-  const Bytes b = random_bytes(8192, 51);
-  DeltaCodec codec(512);
-  Bytes first, second;
-  {
-    auto lease = pool.acquire();
-    first = codec.encode(a, b, *lease);
+  for (Case& c : cases) {
+    c.stream = DeltaCodec(c.block).encode(c.reference, c.current, &c.stats);
   }
-  {
-    auto lease = pool.acquire();  // same workspace, recycled
-    second = codec.encode(a, b, *lease);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    const Case& c = cases[i];
+    Bytes fresh;
+    DeltaStats fresh_stats;
+    std::thread([&] {
+      fresh = DeltaCodec(c.block).encode(c.reference, c.current, &fresh_stats);
+    }).join();
+    EXPECT_EQ(c.stream, fresh);
+    EXPECT_EQ(c.stats.encoded_bytes, fresh_stats.encoded_bytes);
+    EXPECT_EQ(c.stats.moved_blocks, fresh_stats.moved_blocks);
+    EXPECT_EQ(DeltaCodec(c.block).decode(c.reference, c.stream), c.current);
   }
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(codec.decode(a, first), b);
 }
 
 TEST(DeltaCodec, StreamBlockSizeRecovered) {
