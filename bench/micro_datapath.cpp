@@ -25,7 +25,8 @@
 //
 //   obs_overhead      the same commit loop with tracing off vs on: the
 //                     off row is the <1% disabled-cost budget of
-//                     docs/OBSERVABILITY.md, the on row the real price
+//                     docs/OBSERVABILITY.md, the on row's ratio (its
+//                     median over the off row's) the real price
 //
 //   equiv_overhead    the same commit loop against plain stores vs a
 //                     recording CrashSimulator (docs/EQUIVALENCE.md):
@@ -40,11 +41,12 @@
 //                     re-runs the byte-serial padded-copy XOR the encode
 //                     replaced on the same bytes
 //
-// codec_kernels, chunked_compress, commit, recover, drain and host_stall
-// time each row as the median of interleaved repeats and carry its min
-// and IQR (median_*/min_*/iqr_* columns; tools/bench_diff treats a median
-// move inside the IQR as noise); commit, recover and drain rows also
-// carry the median process CPU ms. The other sections time each row once.
+// codec_kernels, chunked_compress, commit, recover, drain, obs_overhead
+// and host_stall time each row as the median of interleaved repeats and
+// carry its min and IQR (median_*/min_*/iqr_* columns; tools/bench_diff
+// treats a median move inside the IQR as noise); commit, recover, drain
+// and obs_overhead rows also carry the median process CPU ms. The other
+// sections time each row once.
 // The JSON meta records the host (bench::BenchReport::stamp_host).
 //
 //   --smoke 1     tiny sizes (CI); also the `perf` ctest label
@@ -705,38 +707,56 @@ int main(int argc, char** argv) {
 
   // --- observability overhead -----------------------------------------
   {
+    // The same commit loop on a fresh manager, untraced and traced, as
+    // interleaved repeats: the off row is the disabled-cost budget, the
+    // on row's ratio the price of tracing. Each repeat builds its manager
+    // (and tracer) untimed, so only the commits are timed.
     const std::uint32_t ranks = 4;
     const std::size_t per_rank = smoke ? (64ull << 10) : (256ull << 10);
     const int commits = smoke ? 4 : 8;
-    obs::Tracer tracer;
-    auto run_commits = [&](obs::Tracer* trace) {
-      exec::TaskPool pool(2);
-      ckpt::MultilevelConfig mc;
-      mc.node_count = ranks;
-      mc.nvm_capacity_bytes = (per_rank + 4096) * (commits + 1);
-      mc.partner_every = 1;
-      mc.io_every = 1;
-      mc.io_codec = compress::CodecId::kLz4Style;
-      mc.io_codec_level = 1;
-      mc.io_chunk_bytes = 64ull << 10;
-      mc.pool = &pool;
-      mc.trace = trace;
-      ckpt::MultilevelManager manager(mc);
-      std::vector<Bytes> payloads;
-      for (std::uint32_t r = 0; r < ranks; ++r) {
-        payloads.push_back(mixed_payload(per_rank, seed + 200 + r));
-      }
-      const std::vector<ByteSpan> views(payloads.begin(), payloads.end());
-      return seconds_of([&] {
-        for (int c = 0; c < commits; ++c) (void)manager.commit(views);
-      });
+    const int reps = smoke ? 3 : 9;
+    std::vector<Bytes> payloads;
+    for (std::uint32_t r = 0; r < ranks; ++r) {
+      payloads.push_back(mixed_payload(per_rank, seed + 200 + r));
+    }
+    const std::vector<ByteSpan> views(payloads.begin(), payloads.end());
+    exec::TaskPool pool(2);
+    std::optional<obs::Tracer> tracer;  // the last traced repeat's events
+    std::unique_ptr<ckpt::MultilevelManager> manager;
+    const auto stage = [&](bool traced) {
+      return [&, traced] {
+        manager.reset();
+        if (traced) tracer.emplace();
+        ckpt::MultilevelConfig mc;
+        mc.node_count = ranks;
+        mc.nvm_capacity_bytes = (per_rank + 4096) * (commits + 1);
+        mc.partner_every = 1;
+        mc.io_every = 1;
+        mc.io_codec = compress::CodecId::kLz4Style;
+        mc.io_codec_level = 1;
+        mc.io_chunk_bytes = 64ull << 10;
+        mc.pool = &pool;
+        mc.trace = traced ? &*tracer : nullptr;
+        manager = std::make_unique<ckpt::MultilevelManager>(mc);
+      };
     };
-    const double off_s = run_commits(nullptr);
-    const double on_s = run_commits(&tracer);
-    out.add_section("obs_overhead", {"tracing", "commit_s", "ratio"});
-    out.add_row({"off", fmt(off_s, 4), "1.00"});
-    out.add_row({"on", fmt(on_s, 4), fmt(on_s / off_s)});
-    if (!args.trace.empty()) tracer.write(args.trace);
+    const auto run_commits = [&] {
+      for (int c = 0; c < commits; ++c) (void)manager->commit(views);
+    };
+    const std::vector<bench::Timing> t = bench::measure_interleaved(
+        reps, {run_commits, run_commits}, {stage(false), stage(true)});
+    manager.reset();
+    out.add_section("obs_overhead", {"tracing", "median_ms", "min_ms",
+                                     "iqr_ms", "cpu_ms", "ratio", "reps"});
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      std::vector<std::string> cells = {i == 0 ? "off" : "on"};
+      add_timing_cells(cells, t[i]);
+      cells.push_back(fmt(t[i].cpu * 1e3, 3));
+      cells.push_back(fmt(t[i].median / t[0].median));
+      cells.push_back(std::to_string(reps));
+      out.add_row(std::move(cells));
+    }
+    if (!args.trace.empty()) tracer->write(args.trace);
   }
 
   // --- equivalence-harness overhead -----------------------------------

@@ -8,12 +8,9 @@ namespace ndpcr::ckpt {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4E444349;  // "NDCI"
-// magic(4) app_id(8) rank(4) ckpt_id(8) step(8) kind(4) base_id(8)
-// payload_size(8) crc(4)
-constexpr std::size_t kHeaderSize = 4 + 8 + 4 + 8 + 8 + 4 + 8 + 8 + 4;
 // The CRC covers everything before the CRC field plus the payload, so a
 // flip anywhere in the image - metadata included - fails validation.
-constexpr std::size_t kCrcOffset = kHeaderSize - 4;
+constexpr std::size_t kCrcOffset = CheckpointImage::kHeaderSize - 4;
 
 std::uint32_t image_crc(ByteSpan header_prefix, ByteSpan payload) {
   Crc32 crc;

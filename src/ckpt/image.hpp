@@ -39,6 +39,11 @@ struct CheckpointMeta {
 
 class CheckpointImage {
  public:
+  // build()'s header: magic(4) app_id(8) rank(4) ckpt_id(8) step(8)
+  // kind(4) base_id(8) payload_size(8) crc(4); the payload follows it.
+  static constexpr std::size_t kHeaderSize =
+      4 + 8 + 4 + 8 + 8 + 4 + 8 + 8 + 4;
+
   // Serialize metadata + payload into a framed image. The payload is
   // CRC'd once; the header CRC and, when `framed_crc` is set, the CRC-32
   // of the whole framed image (its write digest) both derive from that

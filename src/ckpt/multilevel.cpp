@@ -396,6 +396,8 @@ void MultilevelManager::retire_generations() {
   // newest complete generation of another level (where a multi-node
   // loss rolls back to), or a delta link one of those needs.
   constexpr std::size_t kLevels = 3;
+  const std::array<std::uint32_t, kLevels> writes_every = {
+      1, config_.partner_every, config_.io_every};
   std::array<std::uint64_t, kLevels> newest{};  // 0 = none
   for (auto it = generations_.rbegin(); it != generations_.rend(); ++it) {
     for (std::size_t l = 0; l < kLevels; ++l) {
@@ -432,6 +434,8 @@ void MultilevelManager::retire_generations() {
   };
   obs::TraceBuffer* rb = trace_->root();
   for (std::size_t l = 0; l < kLevels; ++l) {
+    // A level this manager does not write holds others' entries (drains).
+    if (writes_every[l] == 0) continue;
     const auto level = static_cast<RecoveryLevel>(l);
     for (auto& [id, gen] : generations_) {
       if (kept(l, id)) continue;
@@ -822,29 +826,13 @@ const compress::ChunkedCodec* MultilevelManager::codec_for(
 }
 
 std::optional<Bytes> MultilevelManager::decode_io_stream(Bytes stored) const {
-  const auto header = compress::ChunkedCodec::peek(ByteSpan(stored));
-  if (!header) return stored;  // raw (null-codec) image bytes
-  // Streams are self-describing: the container header names the codec
-  // the committing manager chose (adaptive selection, or another life's
-  // static config), so recovery never needs this manager's codec to
-  // match.
-  // Chunks decode on the manager's pool (inline inside a pool worker).
-  exec::TaskPool* const decode_pool = &pool();
+  if (!compress::ChunkedCodec::peek(ByteSpan(stored))) {
+    return stored;  // raw (null-codec) image bytes
+  }
+  // Containers describe themselves, whoever wrote them (adaptive choice,
+  // another life's config, an NDP drain). Chunks decode on the pool.
   try {
-    if (io_codec_ && io_codec_->id() == header->id &&
-        io_codec_->level() == header->level) {
-      return io_codec_->decompress(ByteSpan(stored), decode_pool);
-    }
-    for (const auto& codec : adaptive_codecs_) {
-      if (codec->id() == header->id && codec->level() == header->level) {
-        return codec->decompress(ByteSpan(stored), decode_pool);
-      }
-    }
-    // Unfamiliar (older-config) stream: a transient decoder with the
-    // manager's chunk geometry. make_codec validates id/level.
-    const compress::ChunkedCodec codec(header->id, header->level,
-                                       config_.io_chunk_bytes, 1);
-    return codec.decompress(ByteSpan(stored), decode_pool);
+    return compress::ChunkedCodec::decode(ByteSpan(stored), &pool());
   } catch (const compress::CodecError&) {
     return std::nullopt;
   }
@@ -1259,8 +1247,6 @@ std::optional<Bytes> MultilevelManager::decode_io_entry(Bytes stored) const {
           return decode_io_stream(std::move(*block));
         });
   }
-  // Whole streams are self-describing (container header, or raw NDCI
-  // image bytes); decode_io_stream dispatches on the recorded codec.
   return decode_io_stream(std::move(stored));
 }
 

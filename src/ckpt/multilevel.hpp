@@ -21,7 +21,8 @@
 // once a commit settles, every generation recovery can no longer reach
 // first is erased from each level - like the paper's NVM circular buffer
 // (section 4.2) and SCR's bounded cache - so new commits write into
-// recycled buffers instead of ever-fresh pages.
+// recycled buffers instead of ever-fresh pages. A level the manager does
+// not write (partner_every or io_every at 0) is never retired.
 //
 // The data path is self-healing (docs/FAULTS.md): store writes go through
 // bounded retry with exponential backoff (virtual - counted, never slept),
@@ -236,8 +237,8 @@ struct MultilevelConfig {
   std::uint32_t xor_group_size = 4; // ranks per parity group (kXorGroup)
   // Codec for IO-level checkpoints; null means store uncompressed. The
   // stream is a ChunkedCodec container whose chunks (de)compress on
-  // `pool`; `io_chunk_bytes` fixes the format (and therefore the stored
-  // bytes), the pool only the execution.
+  // `pool`; `io_chunk_bytes` fixes the bytes written (any chunk size
+  // reads back), the pool only the execution.
   compress::CodecId io_codec = compress::CodecId::kNull;
   int io_codec_level = 0;
   std::size_t io_chunk_bytes = 1ull << 20;
@@ -502,10 +503,8 @@ class MultilevelManager {
   // `choice`, or io_codec_ when adaptive is off (nullptr = store raw).
   [[nodiscard]] const compress::ChunkedCodec* codec_for(
       const compress::CodecChoice& choice) const;
-  // Decode a stored IO stream by its own container header (adaptive
-  // streams are self-describing; raw/legacy bytes pass through). By
-  // value so the raw passthrough moves instead of copying. Nullopt on
-  // damage.
+  // Decode a stored IO stream, whoever wrote it; raw image bytes pass
+  // through (by value, so they move). Nullopt on damage.
   [[nodiscard]] std::optional<Bytes> decode_io_stream(Bytes stored) const;
 
   MultilevelConfig config_;
@@ -515,8 +514,7 @@ class MultilevelManager {
   std::optional<compress::ChunkedCodec> io_codec_;
   // Adaptive candidates (config_.io_codec_adaptive), indexed like
   // compress::codec_candidate. Built once so per-commit selection never
-  // allocates codec tables; all share io_chunk_bytes, so any of them can
-  // validate any adaptive stream's chunk geometry on decode.
+  // allocates codec tables.
   std::vector<std::unique_ptr<compress::ChunkedCodec>> adaptive_codecs_;
   // Delta-chain state: the previous committed checkpoint's full payloads
   // (the encode reference) and the links since the last full anchor.

@@ -20,26 +20,35 @@ bool NvmStore::put(std::uint64_t checkpoint_id, Bytes&& data) {
   if (!entries_.empty() && checkpoint_id <= entries_.back().id) {
     throw std::logic_error("checkpoint ids must be strictly increasing");
   }
-  // An oversized checkpoint is rejected before anything is evicted.
-  if (size > capacity_) return false;
-
-  // Evict oldest unlocked entries until the new checkpoint fits. Locked
-  // entries block eviction of everything behind them too - a circular
-  // buffer cannot reclaim around a pinned region - which matches the
-  // paper's description of the NDP pausing new local writes if it falls
-  // too far behind.
-  while (used_ + size > capacity_) {
-    if (entries_.empty() || entries_.front().lock_count > 0) {
-      return false;
-    }
+  // Evict oldest unlocked entries until the new checkpoint fits (none for
+  // one larger than the device). Locked entries block eviction of
+  // everything behind them too - a circular buffer cannot reclaim around
+  // a pinned region - which matches the paper's description of the NDP
+  // pausing new local writes if it falls too far behind.
+  const auto [evict, admitted] = plan_eviction(size);
+  for (std::size_t i = 0; i < evict; ++i) {
     used_ -= entries_.front().data.size();
     entries_.pop_front();
     ++evictions_;
   }
+  if (!admitted) return false;
   data.resize(size);
   used_ += size;
   entries_.push_back(Entry{checkpoint_id, std::move(data), 0});
   return true;
+}
+
+std::pair<std::size_t, bool> NvmStore::plan_eviction(
+    std::size_t bytes) const {
+  if (bytes > capacity_) return {0, false};
+  std::size_t evict = 0;
+  for (std::size_t used = used_; used + bytes > capacity_; ++evict) {
+    if (evict == entries_.size() || entries_[evict].lock_count > 0) {
+      return {evict, false};
+    }
+    used -= entries_[evict].data.size();
+  }
+  return {evict, true};
 }
 
 std::optional<ByteSpan> NvmStore::get(std::uint64_t checkpoint_id) const {

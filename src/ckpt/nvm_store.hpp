@@ -33,6 +33,12 @@ class NvmStore {
   // must be strictly increasing.
   bool put(std::uint64_t checkpoint_id, Bytes&& data);
 
+  // Whether put() would take `bytes` now: the same FIFO walk, evicting
+  // nothing. (A mutation gate is not consulted.)
+  [[nodiscard]] bool fits(std::size_t bytes) const {
+    return plan_eviction(bytes).second;
+  }
+
   // Access a stored checkpoint. The span is valid until the entry is
   // evicted or erased.
   [[nodiscard]] std::optional<ByteSpan> get(std::uint64_t checkpoint_id) const;
@@ -79,6 +85,11 @@ class NvmStore {
     Bytes data;
     int lock_count = 0;
   };
+
+  // put()'s FIFO walk: {front entries to evict, whether `bytes` then
+  // fits}. A locked entry stops it, as does the end of the buffer.
+  [[nodiscard]] std::pair<std::size_t, bool> plan_eviction(
+      std::size_t bytes) const;
 
   std::size_t capacity_;
   MutationGate gate_;

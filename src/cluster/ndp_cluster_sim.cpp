@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
+#include "ckpt/image.hpp"
+#include "ckpt/multilevel.hpp"
+#include "ckpt/nvm_store.hpp"
 #include "ckpt/store_writer.hpp"
 #include "ckpt/stores.hpp"
 #include "common/rng.hpp"
@@ -64,25 +66,31 @@ NdpClusterResult NdpClusterSim::run() {
   std::vector<std::unique_ptr<workloads::MiniApp>> ranks;
   for (std::uint32_t r = 0; r < n; ++r) ranks.push_back(make_rank(r));
 
-  // One shared IO store (the PFS), optionally decorated with a seeded
-  // fault plan; each agent gets the paper's static per-node share of the
-  // aggregate IO bandwidth.
-  std::unique_ptr<ckpt::KvStore> io_store;
+  // One shared IO store (the PFS), optionally seen through a seeded fault
+  // plan; each agent gets the paper's static per-node share of the
+  // aggregate IO bandwidth. Stores and restores go through `io`; the
+  // simulation's own size and inventory reads use `pfs` and draw no faults.
+  ckpt::KvStore pfs;
+  std::unique_ptr<ckpt::KvStore> io_store =
+      std::make_unique<ckpt::ForwardingKvStore>(pfs);
   if (cfg_.io_fault_rates.any()) {
     const std::uint64_t fault_seed =
         cfg_.fault_seed != 0 ? cfg_.fault_seed : cfg_.seed * 0x9E37 + 5;
     auto plan = std::make_shared<faults::FaultPlan>(fault_seed);
     plan->set_rates(faults::io_target(), cfg_.io_fault_rates);
-    io_store = std::make_unique<faults::FaultyKvStore>(std::move(plan),
-                                                       faults::io_target());
-  } else {
-    io_store = std::make_unique<ckpt::KvStore>();
+    io_store = std::make_unique<faults::FaultyKvStore>(
+        std::move(plan), faults::io_target(), std::move(io_store));
   }
   ckpt::KvStore& io = *io_store;
+
+  // The host's manager writes only the local level, into each node's NVM,
+  // and its agent drains that NVM to IO: recover() reads local NVM, then
+  // the drained copy. The manager runs untraced (the tracks are ours).
+  std::vector<std::shared_ptr<ckpt::NvmStore>> nvm;
   std::vector<std::unique_ptr<ndp::NdpAgent>> agents;
   for (std::uint32_t r = 0; r < n; ++r) {
+    nvm.push_back(std::make_shared<ckpt::NvmStore>(cfg_.nvm_capacity_bytes));
     ndp::AgentConfig ac;
-    ac.uncompressed_capacity = cfg_.nvm_capacity_bytes;
     ac.compressed_capacity = cfg_.nvm_capacity_bytes / 4;
     ac.codec = cfg_.codec;
     ac.codec_level = cfg_.codec_level;
@@ -92,8 +100,20 @@ NdpClusterResult NdpClusterSim::run() {
     ac.rank = r;
     ac.trace = cfg_.trace;
     ac.trace_track = 1 + 3 * r;  // track 0 is the simulation's own row
-    agents.push_back(std::make_unique<ndp::NdpAgent>(ac, io));
+    agents.push_back(std::make_unique<ndp::NdpAgent>(ac, io, nvm[r]));
   }
+  ckpt::MultilevelConfig mc;
+  mc.node_count = n;
+  mc.partner_every = 0;
+  mc.io_every = 0;
+  mc.nvm_factory = [&](std::uint32_t r) { return nvm[r]; };
+  // Partner spaces are node memory fail_node() clears, never the PFS.
+  mc.store_factory = [&](ckpt::StoreLevel level, std::uint32_t) {
+    return level == ckpt::StoreLevel::kIo
+               ? std::make_unique<ckpt::ForwardingKvStore>(io)
+               : std::make_unique<ckpt::KvStore>();
+  };
+  ckpt::MultilevelManager manager(mc);
 
   const double system_mttf = cfg_.node_mttf / static_cast<double>(n);
   double now = 0.0;
@@ -101,28 +121,6 @@ NdpClusterResult NdpClusterSim::run() {
 
   std::uint64_t step = 0;
   std::uint64_t high_water = 0;
-  std::uint64_t ckpt_id = 0;
-
-  // Newest checkpoint generation fully landed on IO across all ranks.
-  // Consults the store, not agent memory (a reset agent forgets, the PFS
-  // does not); drains may skip generations, so walk down from the
-  // smallest per-rank newest until one is present everywhere.
-  auto newest_common_on_io = [&]() -> std::uint64_t {
-    std::uint64_t upper = ~0ull;
-    for (std::uint32_t r = 0; r < n; ++r) {
-      const auto newest = io.newest_id(r);
-      if (!newest) return 0;
-      upper = std::min(upper, *newest);
-    }
-    for (std::uint64_t g = upper; g > 0; --g) {
-      bool everywhere = true;
-      for (std::uint32_t r = 0; r < n && everywhere; ++r) {
-        everywhere = io.contains(r, g);
-      }
-      if (everywhere) return g;
-    }
-    return 0;
-  };
 
   auto pump_all = [&](double seconds) {
     for (auto& agent : agents) {
@@ -169,62 +167,8 @@ NdpClusterResult NdpClusterSim::run() {
     }
   };
 
-  // Fetch a complete generation *before* restoring any rank: with a
-  // faulty store, restoring ranks one by one could leave the app half
-  // rolled back when a later rank's read fails. Each rank's image comes
-  // from its agent's NVM while it is still there, else from IO; reads
-  // retry transient errors, and a corrupt or unreadable copy fails the
-  // whole generation. `victim` (n for none) names the rank whose packed
-  // IO read times a node-loss restore.
-  struct Generation {
-    std::vector<Bytes> images;
-    std::size_t victim_packed = 0;  // compressed bytes read for victim
-  };
-  auto fetch_generation = [&](std::uint64_t target, std::uint32_t victim)
-      -> std::optional<Generation> {
-    Generation gen;
-    gen.images.resize(n);
-    for (std::uint32_t r = 0; r < n; ++r) {
-      if (auto local = agents[r]->restore_local(target)) {
-        gen.images[r] = std::move(*local);
-        continue;
-      }
-      auto packed = io.get(r, target);
-      for (int attempt = 1;
-           attempt < 4 && !packed.ok() && packed.error().transient();
-           ++attempt) {
-        packed = io.get(r, target);
-      }
-      if (!packed.ok()) return std::nullopt;
-      auto image = agents[r]->decode_io(*packed);
-      if (!image) return std::nullopt;
-      gen.images[r] = std::move(*image);
-      if (r == victim) gen.victim_packed = packed->size();
-    }
-    return gen;
-  };
-
-  // Roll every rank back to `gen`; returns the step they resume at.
-  auto restore_all = [&](const Generation& gen) {
-    std::uint64_t restored_step = 0;
-    for (std::uint32_t r = 0; r < n; ++r) {
-      ranks[r]->restore(gen.images[r]);
-      restored_step = ranks[r]->step_count();
-    }
-    result.steps_rerun += step - restored_step;
-    step = restored_step;
-    return restored_step;
-  };
-
-  auto scratch_restart = [&] {
-    ++result.scratch_restarts;
-    tracer.instant_at(now, "scratch_restart", "cluster", 0,
-                      {obs::u64("steps_lost", step)});
-    for (std::uint32_t r = 0; r < n; ++r) ranks[r] = make_rank(r);
-    result.steps_rerun += step;
-    step = 0;
-  };
-
+  // A failure keeps every NVM (transient) or wipes one node's, and then
+  // every rank rolls back to the newest checkpoint recover() reaches.
   auto handle_failure = [&] {
     ++result.failures;
     next_failure = now + rng.exponential(system_mttf);
@@ -232,49 +176,42 @@ NdpClusterResult NdpClusterSim::run() {
     tracer.instant_at(now, "failure", "cluster", 0,
                       {obs::u64("step", step),
                        obs::u64("transient", transient ? 1 : 0)});
-
-    if (transient) {
-      // NVM (and pipelines) survive; roll back to the newest committed
-      // generation, which every rank still holds locally unless its
-      // buffer cycled past it (then its IO copy, if it made it there).
-      if (ckpt_id == 0) {
-        scratch_restart();
-        return;
-      }
-      now += cfg_.local_restore_time;
-      if (const auto gen = fetch_generation(ckpt_id, n)) {
-        const std::uint64_t restored_step = restore_all(*gen);
-        ++result.local_recoveries;
-        tracer.instant_at(now, "local_recovery", "cluster", 0,
-                          {obs::u64("id", ckpt_id),
-                           obs::u64("to_step", restored_step)});
-        return;
-      }
-      // The generation is gone for some rank: fall through to an IO
-      // recovery.
+    if (!transient) {
+      const auto victim = static_cast<std::uint32_t>(rng.next_below(n));
+      agents[victim]->reset();
+      manager.fail_node(victim);
     }
-
-    // Node loss (or failed local recovery): the victim's NVM is gone;
-    // everyone rolls back to the newest generation fully on IO, walking
-    // the target down past corrupt or unreadable copies.
-    const auto victim = static_cast<std::uint32_t>(rng.next_below(n));
-    agents[victim]->reset();
-    std::uint64_t target = newest_common_on_io();
-    std::optional<Generation> gen;
-    while (target > 0 && !(gen = fetch_generation(target, victim))) --target;
-    if (target == 0) {
-      scratch_restart();
+    const auto rec = manager.recover();
+    if (!rec) {
+      ++result.scratch_restarts;
+      tracer.instant_at(now, "scratch_restart", "cluster", 0,
+                        {obs::u64("steps_lost", step)});
+      for (std::uint32_t r = 0; r < n; ++r) ranks[r] = make_rank(r);
+      result.steps_rerun += step;
+      step = 0;
       return;
     }
-    // Coordinated restore time: the compressed read through the victim's
-    // IO share dominates.
+    // Coordinated restore time: an IO read through a node's share of the
+    // bandwidth dominates.
+    std::size_t io_bytes = 0;
+    for (std::uint32_t r = 0; r < n; ++r) {
+      if (rec->levels[r] != ckpt::RecoveryLevel::kIo) continue;
+      io_bytes = std::max(io_bytes, pfs.get(r, rec->checkpoint_id)->size());
+    }
     now += std::max(cfg_.local_restore_time,
-                    static_cast<double>(gen->victim_packed) /
+                    static_cast<double>(io_bytes) /
                         (cfg_.aggregate_io_bw / n));
-    const std::uint64_t restored_step = restore_all(*gen);
-    ++result.io_recoveries;
-    tracer.instant_at(now, "io_recovery", "cluster", 0,
-                      {obs::u64("id", target), obs::u64("victim", victim),
+    std::uint64_t restored_step = 0;
+    for (std::uint32_t r = 0; r < n; ++r) {
+      ranks[r]->restore(rec->payloads[r]);
+      restored_step = ranks[r]->step_count();
+    }
+    result.steps_rerun += step - restored_step;
+    step = restored_step;
+    ++(io_bytes == 0 ? result.local_recoveries : result.io_recoveries);
+    tracer.instant_at(now, io_bytes == 0 ? "local_recovery" : "io_recovery",
+                      "cluster", 0,
+                      {obs::u64("id", rec->checkpoint_id),
                        obs::u64("to_step", restored_step)});
   };
 
@@ -306,15 +243,17 @@ NdpClusterResult NdpClusterSim::run() {
 
     // Coordinated local commit: the host owns the NVM (no pumping).
     now += cfg_.local_commit_time;
-    ++ckpt_id;
-    tracer.instant_at(now, "local_commit", "cluster", 0,
-                      {obs::u64("id", ckpt_id), obs::u64("step", step)});
+    std::vector<Bytes> images(n);
+    std::vector<ByteSpan> payloads(n);
     for (std::uint32_t r = 0; r < n; ++r) {
-      // If the agent's buffer is wedged behind a locked drain, let the
-      // drain finish first (the host stall the paper describes).
-      while (!agents[r]->host_commit(ckpt_id, ranks[r]->checkpoint())) {
-        // Only a drain locks NVM entries: with none in flight the image
-        // can never fit, and waiting would spin forever.
+      images[r] = ranks[r]->checkpoint();
+      payloads[r] = images[r];
+      // If the NVM is wedged behind a locked drain, let the drain finish
+      // first (the host stall the paper describes). Only a drain locks
+      // NVM entries: with none in flight the image can never fit, and
+      // waiting would spin forever. The manager stores images framed.
+      while (!nvm[r]->fits(ckpt::CheckpointImage::kHeaderSize +
+                           images[r].size())) {
         if (!agents[r]->busy()) {
           throw std::runtime_error("checkpoint image exceeds the agent NVM");
         }
@@ -323,11 +262,22 @@ NdpClusterResult NdpClusterSim::run() {
         now += drained > 0 ? drained : cfg_.step_time;
       }
     }
+    const std::uint64_t id = manager.commit(payloads);
+    tracer.instant_at(now, "local_commit", "cluster", 0,
+                      {obs::u64("id", id), obs::u64("step", step)});
+    for (auto& agent : agents) agent->local_committed(id);
     ++result.checkpoints;
     collect_fallbacks();
   }
 
-  result.io_checkpoints = newest_common_on_io();
+  // Newest generation every rank's copy reached the PFS with (drains skip
+  // generations, and a reset agent forgets what it drained).
+  std::uint64_t& on_io = result.io_checkpoints;
+  for (on_io = manager.last_checkpoint_id(); on_io > 0; --on_io) {
+    std::uint32_t r = 0;
+    while (r < n && pfs.contains(r, on_io)) ++r;
+    if (r == n) break;
+  }
   result.virtual_seconds = now;
   for (const auto& agent : agents) {
     result.drain_put_retries += agent->stats().drain_put_retries;

@@ -3,7 +3,9 @@
 // Full-stack NDP cluster simulation: N nodes, each running a mini-app
 // rank and a functional NdpAgent (real codec, real bytes), coordinated
 // local checkpoints, background drains sharing the global IO bandwidth,
-// and per-node failures in virtual time.
+// and per-node failures in virtual time. The host is a local-only
+// ckpt::MultilevelManager over the agents' NVMs, and every restart is
+// its recover(): local NVM, else the drained IO copy.
 //
 // This is the integration capstone: the statistical timeline model
 // (sim/), the byte-level NDP pipeline (ndp/), the multi-rank coordination
@@ -44,8 +46,7 @@ struct NdpClusterConfig {
   compress::CodecId codec = compress::CodecId::kLz4Style;
   int codec_level = 1;
   // Drain pipeline chunk size (input bytes): chunk j+1 compresses while
-  // chunk j is on the IO wire. It also fixes the agents' IO format, which
-  // only the agents decode (NdpAgent::decode_io).
+  // chunk j is on the IO wire.
   std::size_t ndp_chunk_bytes = 32ull << 10;
   std::size_t nvm_capacity_bytes = 4ull << 20;
 

@@ -122,59 +122,78 @@ Bytes ChunkedCodec::compress(ByteSpan input) const {
 }
 
 Bytes ChunkedCodec::decompress(ByteSpan framed, exec::TaskPool* pool) const {
+  if (const auto header = peek(framed); header && header->id != id_) {
+    throw CodecError("chunked stream codec mismatch");
+  }
+  return decode(framed, pool);
+}
+
+Bytes ChunkedCodec::decode(ByteSpan framed, exec::TaskPool* pool) {
   if (framed.size() < kHeaderSize) {
     throw CodecError("chunked stream truncated");
   }
   if (read_le<std::uint32_t>(framed, 0) != kMagic) {
     throw CodecError("not a chunked stream");
   }
-  if (framed[4] != static_cast<std::byte>(id_)) {
-    throw CodecError("chunked stream codec mismatch");
-  }
+  const std::unique_ptr<Codec> codec =  // validates the id and level
+      make_codec(static_cast<CodecId>(framed[4]),
+                 static_cast<int>(static_cast<std::uint8_t>(framed[5])));
   const auto chunks = read_le<std::uint32_t>(framed, 6);
   const auto original_size = read_le<std::uint64_t>(framed, 10);
   if (framed.size() < kHeaderSize + std::size_t{chunks} * 8) {
     throw CodecError("chunked stream truncated");
   }
 
+  // Each chunk's output length is the original size in its own frame, so
+  // the writer's chunk size is implied. The lengths must be a fixed-size
+  // split - chunk 0's L > 0 for all but the last, the last in (0, L] -
+  // summing to the header's size, checked before the output is allocated.
   std::vector<std::pair<std::size_t, std::size_t>> extents(chunks);
   std::size_t offset = kHeaderSize + std::size_t{chunks} * 8;
+  std::uint64_t chunk_len = 0;  // L
+  std::uint64_t total = 0;
   for (std::uint32_t i = 0; i < chunks; ++i) {
     const auto size = read_le<std::uint64_t>(framed, kHeaderSize + i * 8);
     // offset <= framed.size() holds here, so the subtraction cannot wrap
-    // (`offset + size` could, for a size near 2^64).
-    if (size > framed.size() - offset) {
+    // (`offset + size` could, for a size near 2^64). A chunk stream holds
+    // at least its frame header.
+    if (size > framed.size() - offset || size < kFrameHeaderSize) {
       throw CodecError("chunked stream truncated");
+    }
+    const auto len = read_le<std::uint64_t>(framed, offset + 3);
+    if (i == 0) chunk_len = len;
+    if (len == 0 || len > chunk_len || len > original_size - total ||
+        (len != chunk_len && i + 1 < chunks)) {
+      throw CodecError("chunked stream size mismatch");
     }
     extents[i] = {offset, size};
     offset += size;
+    total += len;
   }
   if (offset != framed.size()) {
     throw CodecError("trailing bytes in chunked stream");
   }
-
-  // The chunk count doubles as a validator for the declared size: both
-  // must agree before the output buffer is allocated eagerly, which also
-  // bounds the allocation a corrupted header can request (the size table
-  // already had to fit in the stream).
-  if (chunks != chunk_count(original_size)) {
+  if (total != original_size) {
     throw CodecError("chunked stream size mismatch");
+  }
+  if (!plausible_decoded_size(original_size, framed.size())) {
+    throw CodecError("implausible declared size in compressed stream");
   }
 
   // Tasks decode straight into their chunk's window of the final buffer:
   // no per-chunk output vectors and no serial reassembly copy.
   Bytes out(original_size);
-  const auto decode = [&](std::size_t i) {
-    const auto [chunk_offset, chunk_len] = chunk_extent(original_size, i);
-    codec_->decompress_into(
-        framed.subspan(extents[i].first, extents[i].second),
-        out.data() + chunk_offset, chunk_len);
+  const auto decode_chunk = [&](std::size_t i) {
+    const std::size_t at = i * chunk_len;
+    codec->decompress_into(
+        framed.subspan(extents[i].first, extents[i].second), out.data() + at,
+        std::min<std::uint64_t>(chunk_len, original_size - at));
   };
   // A pool worker may not nest parallel_for: decode inline (same bytes).
   if (pool && !exec::TaskPool::in_worker()) {
-    pool->parallel_for(chunks, decode);
+    pool->parallel_for(chunks, decode_chunk);
   } else {
-    for (std::size_t i = 0; i < chunks; ++i) decode(i);
+    for (std::size_t i = 0; i < chunks; ++i) decode_chunk(i);
   }
   return out;
 }

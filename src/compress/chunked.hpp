@@ -12,7 +12,9 @@
 //
 // Chunk boundaries are fixed by `chunk_size` over the *input*, so the
 // compressed output is bit-identical however the chunks are scheduled -
-// parallelism is an execution detail, not a format detail.
+// parallelism is an execution detail, not a format detail. The chunk size
+// is a write-side choice only: each chunk's frame records its length, so
+// decode() reads a container written at any chunk size.
 //
 // The container has one writer. begin() lays down the header and a
 // zeroed size table; append_chunk() compresses chunk j straight onto the
@@ -24,7 +26,7 @@
 //   - compress() is a serial loop. MultilevelManager's IO leg runs one
 //     compress() per rank as a pool task; NdpAgent's drain calls
 //     append_chunk() as each chunk's compress stage arms.
-//   - decompress(framed, pool) decodes chunks on `pool`, or inline when
+//   - decode(framed, pool) decodes chunks on `pool`, or inline when
 //     `pool` is null or the caller is already a pool worker (which
 //     rejects nested parallelism).
 
@@ -53,8 +55,12 @@ class ChunkedCodec {
                unsigned /*ignored*/ = 1, bool accelerate = false);
 
   [[nodiscard]] Bytes compress(ByteSpan input) const;
+  // decode(), for a container that names this codec.
   [[nodiscard]] Bytes decompress(ByteSpan framed,
                                  exec::TaskPool* pool = nullptr) const;
+  // Any container, by what it records. Throws CodecError on damage.
+  [[nodiscard]] static Bytes decode(ByteSpan framed,
+                                    exec::TaskPool* pool = nullptr);
 
   // --- incremental writer ---
 
@@ -81,11 +87,8 @@ class ChunkedCodec {
   // Container bytes that are not chunk payload (header + size table).
   [[nodiscard]] static std::size_t header_bytes(std::size_t chunk_count);
 
-  // What the container header declares, without touching chunk payloads.
-  // The codec id/level make stored streams self-describing: a reader
-  // peeks, then decompresses with a matching codec - the adaptive
-  // per-region selection in MultilevelManager depends on this, since the
-  // store may hold a different codec per rank per checkpoint.
+  // What the container header declares, without touching chunk payloads:
+  // a reader peeks to tell a container from raw bytes.
   struct Header {
     CodecId id = CodecId::kNull;
     int level = 0;
@@ -94,7 +97,7 @@ class ChunkedCodec {
   };
   // Nullopt when `framed` is not a chunked container (wrong magic or too
   // short) or its declared codec id is not a registered codec. A valid
-  // header does not guarantee intact payloads - decompress still throws
+  // header does not guarantee intact payloads - decode still throws
   // CodecError on damage.
   [[nodiscard]] static std::optional<Header> peek(ByteSpan framed);
 

@@ -13,7 +13,8 @@ namespace {
 // coding tops out near 2^12 output bytes per payload byte), so any stream
 // declaring more than kMaxPlausibleExpansion bytes per payload byte is
 // corrupt. Only applied above kEagerDecodeLimit so small streams never pay
-// the check and legitimate ratios are unaffected.
+// the check and legitimate ratios are unaffected. ChunkedCodec::decode
+// applies it to a whole container's total as well.
 constexpr std::uint64_t kEagerDecodeLimit = 64ull << 20;
 constexpr std::uint64_t kMaxPlausibleExpansion = 4096;
 
@@ -36,14 +37,18 @@ FrameHeader parse_frame_header(ByteSpan framed, CodecId id) {
   FrameHeader header{};
   header.original_size = read_le<std::uint64_t>(framed, 3);
   header.expected_crc = read_le<std::uint32_t>(framed, 11);
-  if (header.original_size > kEagerDecodeLimit &&
-      header.original_size / kMaxPlausibleExpansion > framed.size()) {
+  if (!plausible_decoded_size(header.original_size, framed.size())) {
     throw CodecError("implausible declared size in compressed stream");
   }
   return header;
 }
 
 }  // namespace
+
+bool plausible_decoded_size(std::uint64_t declared, std::size_t stream_bytes) {
+  return declared <= kEagerDecodeLimit ||
+         declared / kMaxPlausibleExpansion <= stream_bytes;
+}
 
 Bytes Codec::compress(ByteSpan input) const {
   Bytes out;

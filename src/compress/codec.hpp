@@ -115,6 +115,11 @@ class Codec {
 //   [15..]   codec payload
 inline constexpr std::size_t kFrameHeaderSize = 15;
 
+// Whether a stream of `stream_bytes` may declare `declared` output bytes:
+// the guard (codec.cpp) every decoder applies before it allocates.
+[[nodiscard]] bool plausible_decoded_size(std::uint64_t declared,
+                                          std::size_t stream_bytes);
+
 // Factory: construct a codec by id and level. Throws CodecError for an
 // unknown id or an out-of-range level.
 std::unique_ptr<Codec> make_codec(CodecId id, int level);

@@ -25,11 +25,18 @@ bool positive(double x) { return std::isfinite(x) && x > 0; }
 }  // namespace
 
 NdpAgent::NdpAgent(const AgentConfig& config, ckpt::KvStore& io_store)
+    : NdpAgent(config, io_store,
+               std::make_shared<ckpt::NvmStore>(config.uncompressed_capacity)) {
+}
+
+NdpAgent::NdpAgent(const AgentConfig& config, ckpt::KvStore& io_store,
+                   std::shared_ptr<ckpt::NvmStore> nvm)
     : cfg_(config),
       io_(io_store),
-      uncompressed_(config.uncompressed_capacity),
+      uncompressed_(std::move(nvm)),
       compressed_(config.compressed_capacity),
       trace_(config.trace ? config.trace : &obs::Tracer::null()) {
+  if (!uncompressed_) throw std::invalid_argument("agent NVM is null");
   if (!positive(cfg_.compress_bw) || !positive(cfg_.io_bw)) {
     throw std::invalid_argument(
         "agent bandwidths must be positive and finite");
@@ -49,15 +56,18 @@ NdpAgent::NdpAgent(const AgentConfig& config, ckpt::KvStore& io_store)
 }
 
 bool NdpAgent::host_commit(std::uint64_t checkpoint_id, Bytes image) {
-  const std::size_t bytes = image.size();
-  if (!uncompressed_.put(checkpoint_id, std::move(image))) {
-    return false;
-  }
+  if (!uncompressed_->put(checkpoint_id, std::move(image))) return false;
+  local_committed(checkpoint_id);
+  return true;
+}
+
+void NdpAgent::local_committed(std::uint64_t checkpoint_id) {
   ++stats_.commits_seen;
   if (obs::TraceBuffer* rb = trace_->root()) {
+    const auto image = uncompressed_->get(checkpoint_id);
     rb->instant_at(vclock_, "host_commit", "ndp", cfg_.trace_track,
                    {obs::u64("id", checkpoint_id),
-                    obs::u64("bytes", bytes)});
+                    obs::u64("bytes", image ? image->size() : 0)});
   }
   if (pending_) {
     // The previously queued checkpoint is superseded before its drain
@@ -70,14 +80,13 @@ bool NdpAgent::host_commit(std::uint64_t checkpoint_id, Bytes image) {
   }
   pending_ = checkpoint_id;
   start_drain_if_ready();
-  return true;
 }
 
 void NdpAgent::start_drain_if_ready() {
   if (drain_ || !pending_) return;
   const auto id = *pending_;
   pending_.reset();
-  const auto image = uncompressed_.get(id);
+  const auto image = uncompressed_->get(id);
   if (!image) return;  // evicted before we got to it
 
   Drain drain;
@@ -86,7 +95,7 @@ void NdpAgent::start_drain_if_ready() {
   drain.start_v = vclock_;
   // Lock the source so the circular buffer cannot reclaim it while the
   // chunk pipeline reads it (section 4.2.2).
-  uncompressed_.lock(id);
+  uncompressed_->lock(id);
   drain.locked = true;
   if (obs::TraceBuffer* rb = trace_->root()) {
     rb->instant_at(vclock_, "drain_start", "ndp", cfg_.trace_track,
@@ -128,7 +137,7 @@ double NdpAgent::step_pipeline(double budget) {
     // valid - and its virtual duration is the chunk's input size over the
     // compression bandwidth.
     if (!d.compress_active && codec_ && d.compressed_done < d.chunk_count) {
-      const auto image = uncompressed_.get(d.checkpoint_id);
+      const auto image = uncompressed_->get(d.checkpoint_id);
       codec_->append_chunk(d.compressed, *image, d.compressed_done);
       const auto extent =
           codec_->chunk_extent(d.image_size, d.compressed_done);
@@ -266,7 +275,7 @@ void NdpAgent::finish_drain() {
                    obs::u64("in_bytes", d.image_size),
                    obs::u64("out_bytes", d.digest.size)});
     }
-    if (d.locked) uncompressed_.unlock(id);
+    if (d.locked) uncompressed_->unlock(id);
     drain_.reset();
     start_drain_if_ready();
     return;
@@ -304,7 +313,7 @@ void NdpAgent::finish_drain() {
   // host gets a copy.
   if (d.staged) d.compressed.assign(container.begin(), container.end());
   fallback_ = HostFallback{id, std::move(d.compressed)};
-  if (d.locked) uncompressed_.unlock(id);
+  if (d.locked) uncompressed_->unlock(id);
   drain_.reset();
   start_drain_if_ready();
 }
@@ -351,7 +360,7 @@ void NdpAgent::reset() {
   if (rb) rb->instant_at(vclock_, "agent_reset", "ndp", cfg_.trace_track);
   pending_.reset();
   fallback_.reset();
-  uncompressed_.clear();
+  uncompressed_->clear();
   compressed_.clear();
 }
 
@@ -383,7 +392,7 @@ std::optional<std::uint64_t> NdpAgent::newest_on_io() const {
 
 std::optional<Bytes> NdpAgent::restore_local(
     std::uint64_t checkpoint_id) const {
-  if (const auto raw = uncompressed_.get(checkpoint_id)) {
+  if (const auto raw = uncompressed_->get(checkpoint_id)) {
     return Bytes(raw->begin(), raw->end());
   }
   // Only a compressing drain stages here; a corrupt staging copy decodes
@@ -397,7 +406,7 @@ std::optional<Bytes> NdpAgent::restore_local(
 std::optional<Bytes> NdpAgent::decode_io(ByteSpan stored) const {
   if (!codec_) return Bytes(stored.begin(), stored.end());
   try {
-    return codec_->decompress(stored);
+    return compress::ChunkedCodec::decode(stored);
   } catch (const compress::CodecError&) {
     return std::nullopt;
   }

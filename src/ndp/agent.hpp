@@ -7,7 +7,8 @@
 // critical path.
 //
 // The host calls host_commit() when a local checkpoint lands in NVM (the
-// notification of section 4.2.2); pump(seconds) advances the background
+// notification of section 4.2.2), or local_committed() when the NVM is a
+// MultilevelManager's local level; pump(seconds) advances the background
 // pipeline. The agent:
 //   * locks the checkpoint it is draining (so the circular buffer cannot
 //     evict it under the compressor),
@@ -20,8 +21,8 @@
 //     W_j = max(C_j, W_{j-1}) + w_j instead of a single max(C, W)
 //     (overlap = false serializes the stages: total = sum c + sum w),
 //   * ships the IO copy as a ChunkedCodec container (the same
-//     thread-count-invariant format the multilevel IO path uses), and
-//     is the one reader of that format (decode_io),
+//     thread-count-invariant format the multilevel IO path uses), which
+//     any reader decodes (ChunkedCodec::decode),
 //   * pauses while the host owns the NVM (the host_write_pause() window
 //     of section 4.2.1) and during recovery (section 4.2.3),
 //   * retries failed IO writes with virtual exponential backoff and, when
@@ -52,6 +53,8 @@ class Tracer;
 namespace ndpcr::ndp {
 
 struct AgentConfig {
+  // The two-argument constructor's own NVM size; an agent handed a
+  // shared NvmStore never reads it.
   std::size_t uncompressed_capacity = 64ull << 20;
   std::size_t compressed_capacity = 16ull << 20;
   // Codec for the IO stream; kNull disables compression (the drain then
@@ -63,8 +66,7 @@ struct AgentConfig {
   bool overlap = true;           // section 4.2.2 pipelining
   std::uint32_t rank = 0;        // key for the IO store
   // Drain pipeline granularity (section 4.2.2): input bytes per chunk.
-  // The IO copy is a ChunkedCodec container, so the chunk size fixes the
-  // stored bytes - it is a format knob, not just a timing knob.
+  // It fixes the stored bytes; readers need not know it.
   std::size_t chunk_bytes = 256ull << 10;
   // Optional tracer (docs/OBSERVABILITY.md). The agent emits on the
   // virtual clock: a span per drain and per pipeline stage (compress vs
@@ -101,13 +103,20 @@ struct AgentStats {
 class NdpAgent {
  public:
   // The IO store outlives the agent (it models the parallel file system).
+  // The second form drains `nvm` as its uncompressed partition, shared
+  // with the host; whoever clears it (node loss) must reset() the agent.
   NdpAgent(const AgentConfig& config, ckpt::KvStore& io_store);
+  NdpAgent(const AgentConfig& config, ckpt::KvStore& io_store,
+           std::shared_ptr<ckpt::NvmStore> nvm);
 
-  // Host-side local commit: the checkpoint image enters the uncompressed
-  // partition. Returns false if the partition cannot take it (everything
-  // evictable is pinned by an in-flight drain) - the host must stall, the
-  // back-pressure case discussed in section 4.2.1.
+  // Host-side local commit: the image enters the uncompressed partition
+  // (then local_committed). Returns false if the partition cannot take it
+  // (everything evictable is pinned by an in-flight drain) - the host must
+  // stall, the back-pressure case discussed in section 4.2.1.
   bool host_commit(std::uint64_t checkpoint_id, Bytes image);
+  // Checkpoint `checkpoint_id` is in the uncompressed partition: queue it
+  // as the next drain, superseding one still queued.
+  void local_committed(std::uint64_t checkpoint_id);
 
   // Advance the background pipeline by `seconds` of virtual time. Returns
   // the seconds actually consumed (less than `seconds` when the pipeline
@@ -126,10 +135,8 @@ class NdpAgent {
   [[nodiscard]] std::optional<Bytes> restore_local(
       std::uint64_t checkpoint_id) const;
 
-  // The image a drained entry holds. The agent is the one owner of its
-  // drain format: it decodes with the codec it drained with (so with the
-  // chunk size it wrote), and a kNull drain's bytes pass through as they
-  // are. Nullopt when the bytes do not decode (a corrupt copy).
+  // The image a drained entry holds (a kNull drain's bytes as they are).
+  // Nullopt when the bytes do not decode (a corrupt copy).
   [[nodiscard]] std::optional<Bytes> decode_io(ByteSpan stored) const;
 
   // A drain whose IO writes failed permanently (or exhausted their
@@ -153,7 +160,7 @@ class NdpAgent {
 
   [[nodiscard]] const AgentStats& stats() const { return stats_; }
   [[nodiscard]] const ckpt::NvmStore& uncompressed_partition() const {
-    return uncompressed_;
+    return *uncompressed_;
   }
   [[nodiscard]] const ckpt::NvmStore& compressed_partition() const {
     return compressed_;
@@ -204,7 +211,7 @@ class NdpAgent {
   ckpt::KvStore& io_;
   // Chunked container codec; empty when cfg_.codec == kNull.
   std::optional<compress::ChunkedCodec> codec_;
-  ckpt::NvmStore uncompressed_;
+  std::shared_ptr<ckpt::NvmStore> uncompressed_;  // never null
   ckpt::NvmStore compressed_;
   std::optional<Drain> drain_;
   std::optional<std::uint64_t> pending_;  // newest committed, not drained

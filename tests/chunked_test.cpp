@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -118,6 +120,128 @@ TEST(Chunked, SizeTableEntryCannotWrapTheBound) {
     FAIL() << "forged size table decoded";
   } catch (const CodecError& e) {
     EXPECT_STREQ(e.what(), "chunked stream truncated");
+  }
+}
+
+// Byte offset of chunk `index`'s stream in a container.
+std::size_t chunk_offset(const Bytes& container, std::size_t index) {
+  const auto chunks = read_le<std::uint32_t>(container, 6);
+  std::size_t offset = ChunkedCodec::header_bytes(chunks);
+  for (std::size_t i = 0; i < index; ++i) {
+    offset += ChunkedCodec::chunk_stream_size(container, i);
+  }
+  return offset;
+}
+
+// Overwrite the output length chunk `index`'s frame declares (frame bytes
+// 3..10), or the container header's total size.
+void set_chunk_len(Bytes& container, std::size_t index, std::uint64_t len) {
+  std::memcpy(container.data() + chunk_offset(container, index) + 3, &len,
+              sizeof len);
+}
+void set_total(Bytes& container, std::uint64_t size) {
+  std::memcpy(container.data() + 10, &size, sizeof size);
+}
+
+std::string decode_error(const Bytes& container) {
+  try {
+    (void)ChunkedCodec::decode(container);
+  } catch (const CodecError& e) {
+    return e.what();
+  }
+  return "decoded";
+}
+
+TEST(Chunked, ForgedChunkFramesAreRejected) {
+  // decode() takes every chunk's output length from its frame, so the
+  // frames must describe a fixed-size split that sums to the header's
+  // size. Each forgery below is caught while the chunk table is read -
+  // by its own message, not by a codec error once the output buffer is
+  // allocated (a 2^40-byte buffer could not be).
+  const ChunkedCodec codec(CodecId::kLz4Style, 1, 4096);
+  const Bytes data = test_data(10000, 19);  // chunks of 4096, 4096, 1808
+  const Bytes packed = codec.compress(data);
+  ASSERT_EQ(read_le<std::uint32_t>(packed, 6), 3u);
+  ASSERT_EQ(ChunkedCodec::decode(packed), data);
+  const std::string mismatch = "chunked stream size mismatch";
+
+  // A chunk shorter than one frame header: chunk 1 keeps 10 bytes.
+  {
+    const std::size_t at = chunk_offset(packed, 1);
+    const std::size_t size = ChunkedCodec::chunk_stream_size(packed, 1);
+    Bytes forged(packed.begin(), packed.begin() + at + 10);
+    forged.insert(forged.end(), packed.begin() + at + size, packed.end());
+    const std::uint64_t entry = 10;
+    std::memcpy(forged.data() + 18 + 8, &entry, sizeof entry);
+    EXPECT_EQ(decode_error(forged), "chunked stream truncated");
+  }
+  // A middle chunk that differs from chunk 0, the sum still matching.
+  {
+    Bytes forged = packed;
+    set_chunk_len(forged, 1, 4000);
+    set_chunk_len(forged, 2, 1808 + 96);
+    EXPECT_EQ(decode_error(forged), mismatch);
+  }
+  // A last chunk of length 0, and one longer than chunk 0 (the header's
+  // size grown to match, so only the split is wrong).
+  {
+    Bytes forged = packed;
+    set_chunk_len(forged, 2, 0);
+    set_total(forged, 8192);
+    EXPECT_EQ(decode_error(forged), mismatch);
+    forged = packed;
+    set_chunk_len(forged, 2, 5000);
+    set_total(forged, 8192 + 5000);
+    EXPECT_EQ(decode_error(forged), mismatch);
+  }
+  // Lengths that do not sum to the header's size, either way.
+  for (const std::uint64_t total : {9999ull, 10001ull, 0ull}) {
+    Bytes forged = packed;
+    set_total(forged, total);
+    EXPECT_EQ(decode_error(forged), mismatch) << total;
+  }
+  // A 2^40-byte header over frames that agree with it: the plausibility
+  // guard refuses the total before anything is allocated.
+  {
+    Bytes forged = packed;
+    constexpr std::uint64_t kL = 1ull << 39;
+    set_chunk_len(forged, 0, kL);
+    set_chunk_len(forged, 1, kL);
+    set_chunk_len(forged, 2, kL);
+    set_total(forged, 3 * kL);
+    EXPECT_EQ(decode_error(forged),
+              "implausible declared size in compressed stream");
+  }
+  // A chunk frame that names another codec than the container header.
+  {
+    Bytes forged = packed;
+    forged[chunk_offset(forged, 1) + 1] =
+        static_cast<std::byte>(CodecId::kDeflateStyle);
+    EXPECT_EQ(decode_error(forged),
+              "codec id mismatch: stream was produced by a different codec");
+  }
+}
+
+TEST(Chunked, DecodesWithoutKnowingChunkSize) {
+  // The chunk size is the writer's choice only: a container written at any
+  // size decodes bit-identically through decode() and through a codec
+  // configured for any other chunk size.
+  const Bytes data = test_data((3u << 19) + 777, 23);  // 1.5 MiB + 777
+  const std::vector<std::size_t> sizes = {4096, 32768, 1u << 20};
+  exec::TaskPool pool(2);
+  for (const std::size_t written : sizes) {
+    const Bytes packed =
+        ChunkedCodec(CodecId::kLz4Style, 1, written).compress(data);
+    EXPECT_EQ(ChunkedCodec::decode(packed), data) << written;
+    EXPECT_EQ(ChunkedCodec::decode(packed, &pool), data) << written;
+    for (const std::size_t reader : {std::size_t{4096}, std::size_t{32768},
+                                     std::size_t{1} << 20,
+                                     std::size_t{4} << 20}) {
+      if (reader == written) continue;
+      EXPECT_EQ(ChunkedCodec(CodecId::kLz4Style, 1, reader).decompress(packed),
+                data)
+          << "written=" << written << " reader=" << reader;
+    }
   }
 }
 

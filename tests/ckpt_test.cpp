@@ -214,6 +214,25 @@ TEST(NvmStore, LockedCheckpointsBlockEviction) {
   EXPECT_FALSE(store.contains(1));
 }
 
+// fits() answers what put() would do, and moves nothing: a locked front
+// entry also pins the unlocked ones queued behind it.
+TEST(NvmStore, FitsAgreesWithPutBehindALockedEntry) {
+  NvmStore store(100);
+  ASSERT_TRUE(store.put(1, Bytes(30)));
+  ASSERT_TRUE(store.put(2, Bytes(30)));
+  store.lock(1);
+  EXPECT_TRUE(store.fits(40));   // free space alone
+  EXPECT_FALSE(store.fits(41));  // would need entry 2, behind locked 1
+  EXPECT_EQ(store.count(), 2u);
+  EXPECT_EQ(store.eviction_count(), 0u);
+  EXPECT_FALSE(store.fits(101));
+  store.unlock(1);
+  EXPECT_TRUE(store.fits(100));
+  EXPECT_EQ(store.count(), 2u);
+  EXPECT_TRUE(store.put(3, Bytes(70)));
+  EXPECT_EQ(store.ids(), (std::vector<std::uint64_t>{2, 3}));
+}
+
 TEST(NvmStore, LocksNest) {
   NvmStore store(100);
   ASSERT_TRUE(store.put(1, Bytes(10)));
@@ -1373,6 +1392,49 @@ TEST(RemoteWalk, RecoverReadsEachRemoteEntryOnce) {
   }
   EXPECT_GE(blocks, 4u);  // 24 KiB over ~2 KiB CDC blocks
   EXPECT_EQ(io_gets.size(), 1 + blocks);
+}
+
+// A restart whose io_chunk_bytes differs from the previous life's still
+// reads that life's IO containers: they record their own chunk geometry.
+// Checkpoint 1 is one chunk at either size, checkpoint 2 five 4 KiB
+// chunks, so a reader applying its own chunk size rolls back to 1.
+TEST(MultilevelDelta, AdoptExistingReadsAnotherChunkSize) {
+  KvStore pfs;  // outlives both lives
+  auto cfg = small_config(2);
+  cfg.partner_every = 0;
+  cfg.io_every = 1;
+  cfg.io_codec = compress::CodecId::kLz4Style;
+  cfg.io_codec_level = 1;
+  cfg.io_chunk_bytes = 4096;
+  cfg.store_factory = [&](StoreLevel level, std::uint32_t) {
+    return level == StoreLevel::kIo ? std::make_unique<ForwardingKvStore>(pfs)
+                                    : std::make_unique<KvStore>();
+  };
+  Rng rng(29);
+  std::vector<Bytes> small;  // one chunk at any chunk size
+  std::vector<Bytes> large;  // five chunks of 4 KiB
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    small.push_back(random_payload(rng, 1000));
+    large.push_back(random_payload(rng, 20000));
+  }
+  {
+    MultilevelManager first(cfg);
+    first.commit(views(small));
+    first.commit(views(large));
+  }
+  ASSERT_EQ(pfs.list(0), (std::vector<std::uint64_t>{1, 2}));
+
+  // The node memory died with the first life; only the PFS survives.
+  cfg.io_chunk_bytes = 1 << 20;
+  cfg.adopt_existing = true;
+  const MultilevelManager restarted(cfg);
+  const auto rec = restarted.recover();
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->checkpoint_id, 2u);
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(rec->levels[r], RecoveryLevel::kIo);
+    EXPECT_EQ(rec->payloads[r], large[r]);
+  }
 }
 
 TEST(Multilevel, CommitValidatesPayloadCount) {

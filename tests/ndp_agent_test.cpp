@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "compress/chunked.hpp"
@@ -235,10 +237,10 @@ TEST(NdpAgent, DecodeIoReadsWhatTheAgentShipped) {
   const auto packed = io.get(0, 1);
   ASSERT_TRUE(packed.ok());
   EXPECT_EQ(agent.decode_io(*packed).value(), image);
-  // A codec at its default chunk size rejects the container's chunk
-  // count: only the agent that wrote it knows the format.
+  // The container describes itself: a codec at its default chunk size
+  // reads it too.
   const compress::ChunkedCodec foreign(cfg.codec, cfg.codec_level);
-  EXPECT_THROW((void)foreign.decompress(*packed), compress::CodecError);
+  EXPECT_EQ(foreign.decompress(*packed), image);
 
   // Corrupt bytes decode to nullopt, not to a throw.
   Bytes torn(*packed);
@@ -324,6 +326,89 @@ TEST(NdpAgent, HostFallbackCarriesAContainerThePartitionRefused) {
   ASSERT_TRUE(fallback.has_value());
   EXPECT_EQ(fallback->checkpoint_id, 1u);
   EXPECT_EQ(agent.decode_io(fallback->compressed).value(), image);
+}
+
+// The NDP stack's one restart path: a manager writes only the local level,
+// into NVMs it shares with the agents; the agents drain those NVMs into
+// the IO store the manager reads as its IO level; recover() walks local
+// NVM, then the drained copies.
+TEST(NdpAgent, RestoresComeFromLocalNvmThenDrainedIo) {
+  constexpr std::uint32_t kRanks = 3;
+  ckpt::KvStore pfs;
+  std::vector<std::shared_ptr<ckpt::NvmStore>> nvm;
+  std::vector<std::unique_ptr<NdpAgent>> agents;
+  AgentConfig cfg = test_config();
+  cfg.chunk_bytes = 16 * 1024;  // several chunks per image
+  for (std::uint32_t r = 0; r < kRanks; ++r) {
+    nvm.push_back(std::make_shared<ckpt::NvmStore>(1 << 20));
+    cfg.rank = r;
+    agents.push_back(std::make_unique<NdpAgent>(cfg, pfs, nvm[r]));
+  }
+  ckpt::MultilevelConfig mc;
+  mc.node_count = kRanks;
+  mc.partner_every = 0;
+  mc.io_every = 0;
+  mc.nvm_factory = [&](std::uint32_t r) { return nvm[r]; };
+  mc.store_factory = [&](ckpt::StoreLevel level, std::uint32_t) {
+    return level == ckpt::StoreLevel::kIo
+               ? std::make_unique<ckpt::ForwardingKvStore>(pfs)
+               : std::make_unique<ckpt::KvStore>();
+  };
+  ckpt::MultilevelManager mgr(mc);
+
+  std::vector<std::vector<Bytes>> committed(1);  // by id
+  const auto commit_next = [&](bool drain) {
+    std::vector<Bytes> payloads;
+    std::vector<ByteSpan> views;
+    for (std::uint32_t r = 0; r < kRanks; ++r) {
+      payloads.push_back(
+          compressible_image(40 * 1024, 100 * committed.size() + r));
+    }
+    for (const Bytes& p : payloads) views.emplace_back(p);
+    const std::uint64_t id = mgr.commit(views);
+    for (std::uint32_t r = 0; r < kRanks; ++r) {
+      agents[r]->local_committed(id);
+      if (drain) agents[r]->pump(1e9);
+    }
+    committed.push_back(std::move(payloads));
+    return id;
+  };
+
+  for (int c = 0; c < 6; ++c) commit_next(/*drain=*/true);
+  const std::vector<std::uint64_t> drained = {1, 2, 3, 4, 5, 6};
+  for (std::uint32_t r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(agents[r]->stats().drains_completed, 6u);
+    // The manager retires the local level it writes, never the drained
+    // copies it does not.
+    EXPECT_EQ(nvm[r]->ids(), (std::vector<std::uint64_t>{5, 6}));
+    EXPECT_EQ(pfs.list(r), drained) << "rank " << r;
+  }
+
+  // Checkpoint 7 is in NVM but not yet drained: every rank restores it
+  // locally.
+  ASSERT_EQ(commit_next(/*drain=*/false), 7u);
+  auto rec = mgr.recover();
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->checkpoint_id, 7u);
+  for (std::uint32_t r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(rec->levels[r], ckpt::RecoveryLevel::kLocal);
+    EXPECT_EQ(rec->payloads[r], committed[7][r]);
+  }
+
+  // Node 1 is lost: it restores the newest id it drained from IO, the
+  // others the same id from their NVM.
+  ASSERT_EQ(agents[1]->newest_on_io(), std::optional<std::uint64_t>(6));
+  agents[1]->reset();
+  mgr.fail_node(1);
+  rec = mgr.recover();
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->checkpoint_id, 6u);
+  for (std::uint32_t r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(rec->levels[r], r == 1 ? ckpt::RecoveryLevel::kIo
+                                     : ckpt::RecoveryLevel::kLocal)
+        << "rank " << r;
+    EXPECT_EQ(rec->payloads[r], committed[6][r]) << "rank " << r;
+  }
 }
 
 TEST(NdpAgent, InvalidConfigThrows) {

@@ -4,6 +4,7 @@
 
 #include "cluster/ndp_cluster_sim.hpp"
 #include "sim/timeline.hpp"
+#include "workloads/miniapp.hpp"
 
 namespace ndpcr::cluster {
 namespace {
@@ -43,9 +44,9 @@ TEST(NdpClusterSim, RecoveryMixFollowsPLocal) {
   EXPECT_GT(all_io.io_recoveries, 0u);
 }
 
-// A node loss restores every rank from the agents' drained IO copies.
-// The sim reads those through NdpAgent::decode_io, so the chunk size the
-// agents wrote with (ndp_chunk_bytes, not the codec default) decodes.
+// A node loss restores the lost rank from its agent's drained IO copy.
+// The containers record the chunk size the agents wrote with
+// (ndp_chunk_bytes, not the codec default), so recover() decodes them.
 TEST(NdpClusterSim, NodeLossRestoresFromIo) {
   auto cfg = small_config();
   cfg.p_local_recovery = 0.0;
@@ -210,6 +211,32 @@ TEST(NdpClusterSim, OversizedImageThrows) {
   auto cfg = small_config();
   cfg.nvm_capacity_bytes = cfg.state_bytes_per_rank / 2;
   EXPECT_THROW(NdpClusterSim(cfg).run(), std::runtime_error);
+}
+
+// Two images fit the NVM but three do not, and a drain outlasts two
+// checkpoint intervals: the drain pins the oldest entry, and everything
+// behind it, when the next commit arrives. The host waits for the drain
+// to let go, as it would for a full circular buffer; nothing throws.
+TEST(NdpClusterSim, HostStallsBehindAPinnedDrain) {
+  auto cfg = small_config();
+  const std::size_t image =
+      workloads::make_miniapp(cfg.app, cfg.state_bytes_per_rank, cfg.seed)
+          ->checkpoint()
+          .size();
+  cfg.nvm_capacity_bytes = image * 5 / 2;
+  cfg.ndp_compress_bw = 4e3;  // ~27 s per drain, 8.5 s per interval
+  cfg.aggregate_io_bw = cfg.node_count * 4e3;
+  cfg.node_mttf = 1e15;
+  cfg.total_steps = 200;
+  NdpClusterResult r;
+  ASSERT_NO_THROW(r = NdpClusterSim(cfg).run());
+  EXPECT_EQ(r.failures, 0u);
+  EXPECT_TRUE(r.state_verified);
+  EXPECT_GT(r.io_checkpoints, 0u);
+  // Every second beyond compute and commits is a stall.
+  const double unstalled =
+      200.0 + static_cast<double>(r.checkpoints) * cfg.local_commit_time;
+  EXPECT_GT(r.virtual_seconds, unstalled + 1.0);
 }
 
 }  // namespace

@@ -2,9 +2,10 @@
 //
 //   bench_diff OLD.json NEW.json [--threshold PCT] [--fail-on-regress PCT]
 //
-// Rows are matched within each section by their non-numeric (key) cells,
-// falling back to row index when keys collide or vanish; every numeric
-// column prints old -> new with the relative change. Rows whose change
+// Rows are matched within each section by their configuration cells -
+// labels, and integers such as thread counts outside the measured columns
+// (below) - falling back to row index when keys collide or vanish; every
+// decimal column prints old -> new with the relative change. Rows whose change
 // exceeds the threshold (default 10%) are flagged WARN. The tool is
 // warn-only by default: bench numbers on shared CI hosts are noisy, so
 // out of the box it never fails a build - it exists to make a perf
@@ -20,6 +21,11 @@
 // moved by less than the larger of its old and new IQR, the row's moves
 // are inside the recorded noise band: it prints `noise` instead of WARN
 // or FAIL and counts toward neither.
+//
+// Reports stamped with their host (BenchReport::stamp_host) carry a
+// `parallelism` probe in effective CPUs. When the two probes differ by
+// more than 0.5, a `WARN host` line says so: the hosts differed, so
+// multi-thread rows compare the hosts as much as the code.
 
 #include <cctype>
 #include <cmath>
@@ -182,15 +188,30 @@ int column(const Section& sec, const std::string& name) {
   return -1;
 }
 
+// A column whose cells are measurements, not configuration: timings and
+// their spread (median_/iqr_/min_/cpu_), minor-fault counts, and rates and
+// durations (a `_s` suffix: fails_per_s, wall_s, comp_mib_s). Such a cell
+// may print as an integer, yet a re-recorded row that moved it is still
+// the same row.
+bool measured_column(const std::string& name) {
+  for (const char* prefix : {"median_", "iqr_", "min_", "cpu_"}) {
+    if (name.rfind(prefix, 0) == 0) return true;
+  }
+  return name == "minflt" ||
+         (name.size() > 2 && name.compare(name.size() - 2, 2, "_s") == 0);
+}
+
 // The cells of `row` under the columns named `names` (the columns both
 // reports share, so a section that gains a column still matches its old
 // rows). Non-numeric cells identify the configuration (codec names,
 // modes); thread counts are numeric but positional - keep integers too
 // when they look like labels: pool_threads etc. are part of the key.
+// Measured columns never are.
 std::string row_key(const Section& sec, const std::vector<std::string>& row,
                     const std::vector<std::string>& names) {
   std::string key;
   for (const auto& name : names) {
+    if (measured_column(name)) continue;
     const int c = column(sec, name);
     if (c < 0 || static_cast<std::size_t>(c) >= row.size()) continue;
     const std::string& cell = row[static_cast<std::size_t>(c)];
@@ -235,7 +256,8 @@ bool within_noise(const Section& sec_a, const std::vector<std::string>& old_row,
   return any;
 }
 
-bool load_report(const char* path, Report& report, std::string& meta) {
+bool load_report(const char* path, Report& report, std::string& meta,
+                 double& parallelism) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "bench_diff: cannot open %s\n", path);
@@ -252,6 +274,9 @@ bool load_report(const char* path, Report& report, std::string& meta) {
   if (const Json* m = root.find("meta")) {
     if (const Json* b = m->find("bench")) meta = b->str;
     if (const Json* cfg = m->find("config")) meta += " config=" + cfg->str;
+    if (const Json* host = m->find("host")) {
+      if (const Json* p = host->find("parallelism")) parallelism = p->number;
+    }
   }
   const Json* sections = root.find("sections");
   if (!sections || sections->kind != Json::Kind::kArray) {
@@ -305,12 +330,19 @@ int main(int argc, char** argv) {
   Report after;
   std::string meta_a;
   std::string meta_b;
-  if (!load_report(files[0], before, meta_a) ||
-      !load_report(files[1], after, meta_b)) {
+  double par_a = std::nan("");  // NaN: the report carries no host stamp
+  double par_b = std::nan("");
+  if (!load_report(files[0], before, meta_a, par_a) ||
+      !load_report(files[1], after, meta_b, par_b)) {
     return 2;
   }
   std::printf("bench_diff: %s (%s) vs %s (%s), warn at %.0f%%\n", files[0],
               meta_a.c_str(), files[1], meta_b.c_str(), threshold);
+  if (std::fabs(par_a - par_b) > 0.5) {
+    std::printf("WARN  host parallelism %.2f -> %.2f: multi-thread rows "
+                "compare the hosts too\n",
+                par_a, par_b);
+  }
   if (fail_threshold >= 0.0) {
     std::printf("gating: fail at %.0f%%\n", fail_threshold);
   }
@@ -358,6 +390,8 @@ int main(int argc, char** argv) {
         const bool is_num =
             numeric(row[c], nv) && row[c].find('.') != std::string::npos;
         if (!is_num) {
+          // A measured integer (minflt) is neither label nor delta.
+          if (measured_column(sec_b.header[c])) continue;
           if (!label.empty()) label += ' ';
           label += row[c];
           continue;
