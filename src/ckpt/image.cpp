@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/buffer_pool.hpp"
 #include "common/crc32.hpp"
 
 namespace ndpcr::ckpt {
@@ -33,8 +34,14 @@ const char* to_string(PayloadKind kind) {
 
 Bytes CheckpointImage::build(const CheckpointMeta& meta, ByteSpan payload,
                              std::uint32_t* framed_crc) {
+  // A full image's size follows the configuration, so its buffer comes
+  // from the pool; a delta image's follows the content (buffer_pool.hpp).
   Bytes out;
-  out.reserve(kHeaderSize + payload.size());
+  if (meta.kind == PayloadKind::kFull) {
+    out = BufferPool::global().acquire(kHeaderSize + payload.size());
+  } else {
+    out.reserve(kHeaderSize + payload.size());
+  }
   append_le<std::uint32_t>(out, kMagic);
   append_le<std::uint64_t>(out, meta.app_id);
   append_le<std::uint32_t>(out, meta.rank);

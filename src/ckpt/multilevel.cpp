@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "ckpt/store_writer.hpp"
+#include "common/buffer_pool.hpp"
 #include "exec/task_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -525,16 +526,16 @@ auto copy_of(const Bytes& source, ByteLedger& ledger) {
 
 // XOR parity of images [first, last), as wide as the longest member: the
 // first member is copied, the rest fold in word-wide, each acting as if
-// zero-padded past its end - bit-identical to XORing padded copies.
+// zero-padded past its end - bit-identical to XORing padded copies. The
+// copy is drawn from the buffer pool when the width is a pooled image
+// capacity (full images); a delta group's width follows the content.
 Bytes group_parity(const std::vector<Bytes>& images, std::uint32_t first,
                    std::uint32_t last, ByteLedger& ledger) {
   std::size_t width = 0;
   for (std::uint32_t r = first; r < last; ++r) {
     width = std::max(width, images[r].size());
   }
-  Bytes parity;
-  parity.reserve(width);
-  parity.assign(images[first].begin(), images[first].end());
+  Bytes parity = BufferPool::global().copy(images[first], width);
   parity.resize(width, std::byte{0});
   ledger.copied += images[first].size();
   for (std::uint32_t r = first + 1; r < last; ++r) {
@@ -981,11 +982,13 @@ bool MultilevelManager::commit_io(std::uint64_t id,
     }
     // Attempt 0 hands the compressed stream over as is; a retry
     // recompresses from the caller's image. A raw image is still read by
-    // the local level, so every attempt gets its own copy.
+    // the local level, so every attempt gets its own copy, in the image's
+    // capacity class (BufferPool::copy).
     const auto bytes = [&](std::uint32_t attempt) -> Bytes {
       if (!codec) {
         ledger.copied += images[rank].size();
-        return images[rank];
+        return BufferPool::global().copy(images[rank],
+                                         images[rank].capacity());
       }
       return attempt == 0 ? std::move(packed[rank])
                           : codec->compress(images[rank]);
@@ -1276,7 +1279,8 @@ std::optional<CheckpointImage> MultilevelManager::try_remote_rank(
 
 std::optional<Bytes> MultilevelManager::resolve_payload(
     std::uint32_t rank, std::uint64_t id, bool local_only,
-    RecoveryLevel& level_out, std::size_t& links_out) const {
+    RecoveryLevel& level_out, std::size_t& links_out,
+    std::optional<CheckpointImage> head) const {
   level_out = RecoveryLevel::kLocal;
   links_out = 0;
   // Walk base_id links back to the full anchor, keeping the delta images
@@ -1292,7 +1296,8 @@ std::optional<Bytes> MultilevelManager::resolve_payload(
   for (;;) {
     if (links.size() >= kMaxChainLinks) return std::nullopt;
     RecoveryLevel level = RecoveryLevel::kLocal;
-    std::optional<CheckpointImage> image = fetch_local(rank, cur);
+    std::optional<CheckpointImage> image =
+        head ? std::exchange(head, std::nullopt) : fetch_local(rank, cur);
     if (!image && !local_only) image = try_remote_rank(rank, cur, level);
     if (!image) return std::nullopt;
     deepest = deeper(deepest, level);
@@ -1345,28 +1350,44 @@ std::optional<MultilevelManager::Recovery> MultilevelManager::recover()
     // delta chain - from its own NVM in parallel. Pure local reads, no
     // fault-scheduled store operations, so the fan-out cannot perturb a
     // replay; chain stats come back through per-rank slots and fold
-    // serially below.
+    // serially below. When some rank has no local copy, the try reads the
+    // remote levels and may still fail: a full image is then only checked
+    // here, in place, and its payload copied once every rank has resolved,
+    // so a failed try costs no copies. Otherwise the copies ride in this
+    // fan-out.
     std::vector<std::optional<Bytes>> payload(config_.node_count);
+    std::vector<std::optional<CheckpointImage>> local_full(config_.node_count);
     std::vector<std::size_t> links(config_.node_count, 0);
     std::vector<RecoveryLevel> levels(config_.node_count,
                                       RecoveryLevel::kLocal);
     std::size_t local_bytes = 0;
+    bool all_local = true;
     for (std::uint32_t r = 0; r < config_.node_count; ++r) {
-      if (const auto span = local_[r]->get(id)) local_bytes += span->size();
+      if (const auto span = local_[r]->get(id)) {
+        local_bytes += span->size();
+      } else {
+        all_local = false;
+      }
     }
     {
       std::vector<obs::TraceBuffer> tbs =
           trace_->task_buffers(config_.node_count);
       for_tasks(config_.node_count, [&](std::size_t rank) {
-        RecoveryLevel level = RecoveryLevel::kLocal;
-        payload[rank] =
-            resolve_payload(static_cast<std::uint32_t>(rank), id,
-                            /*local_only=*/true, level, links[rank]);
+        const auto r = static_cast<std::uint32_t>(rank);
+        std::optional<CheckpointImage> head = fetch_local(r, id);
+        if (head && !all_local && head->meta().kind == PayloadKind::kFull) {
+          local_full[rank] = std::move(head);
+        } else if (head) {
+          RecoveryLevel level = RecoveryLevel::kLocal;
+          payload[rank] = resolve_payload(r, id, /*local_only=*/true, level,
+                                          links[rank], std::move(head));
+        }
         if (!tbs.empty()) {
-          tbs[rank].instant("local_probe", "ckpt.local",
-                            1 + static_cast<std::uint32_t>(rank),
+          tbs[rank].instant("local_probe", "ckpt.local", 1 + r,
                             {obs::u64("rank", rank),
-                             obs::u64("hit", payload[rank] ? 1 : 0),
+                             obs::u64("hit",
+                                      payload[rank] || local_full[rank] ? 1
+                                                                        : 0),
                              obs::u64("links", links[rank])});
         }
       }, local_bytes);
@@ -1380,7 +1401,7 @@ std::optional<MultilevelManager::Recovery> MultilevelManager::recover()
     // (decode_io_stream).
     bool ok = true;
     for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
-      if (payload[rank]) continue;
+      if (payload[rank] || local_full[rank]) continue;
       payload[rank] = resolve_payload(rank, id, /*local_only=*/false,
                                       levels[rank], links[rank]);
       if (!payload[rank]) {
@@ -1393,6 +1414,13 @@ std::optional<MultilevelManager::Recovery> MultilevelManager::recover()
       }
     }
     if (!ok) continue;
+    if (!all_local) {
+      for_tasks(config_.node_count, [&](std::size_t rank) {
+        if (!local_full[rank]) return;
+        const ByteSpan bytes = local_full[rank]->payload();
+        payload[rank].emplace(bytes.begin(), bytes.end());
+      }, local_bytes);
+    }
     for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
       data_stats_.chain_links += links[rank];
       if (links[rank] > 0) ++data_stats_.chain_replays;

@@ -425,10 +425,12 @@ class MultilevelManager {
   // each link falls back local -> partner -> io. `level_out` reports the
   // deepest level any link came from, `links_out` the delta links walked
   // (0 for a directly-full image). Chain stats go through `links_out`, not
-  // data_stats_, so the parallel phase-1 probes stay race-free.
+  // data_stats_, so the parallel phase-1 probes stay race-free. `head`,
+  // when set, is id's local image as the caller already fetched it.
   [[nodiscard]] std::optional<Bytes> resolve_payload(
       std::uint32_t rank, std::uint64_t id, bool local_only,
-      RecoveryLevel& level_out, std::size_t& links_out) const;
+      RecoveryLevel& level_out, std::size_t& links_out,
+      std::optional<CheckpointImage> head = std::nullopt) const;
   // Raw image bytes from one stored IO entry: dedup recipe assembly
   // (block reads through checked_get) and chunked decompression, but no
   // CRC/meta validation yet.

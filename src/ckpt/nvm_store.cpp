@@ -4,10 +4,13 @@
 #include <stdexcept>
 
 #include "ckpt/stores.hpp"
+#include "common/buffer_pool.hpp"
 
 namespace ndpcr::ckpt {
 
 NvmStore::NvmStore(std::size_t capacity_bytes) : capacity_(capacity_bytes) {}
+
+NvmStore::~NvmStore() { clear(); }
 
 bool NvmStore::put(std::uint64_t checkpoint_id, Bytes&& data) {
   std::size_t size = data.size();
@@ -28,6 +31,7 @@ bool NvmStore::put(std::uint64_t checkpoint_id, Bytes&& data) {
   const auto [evict, admitted] = plan_eviction(size);
   for (std::size_t i = 0; i < evict; ++i) {
     used_ -= entries_.front().data.size();
+    BufferPool::global().retire(std::move(entries_.front().data));
     entries_.pop_front();
     ++evictions_;
   }
@@ -116,10 +120,13 @@ void NvmStore::erase(std::uint64_t checkpoint_id) {
     throw std::logic_error("erase: checkpoint is locked");
   }
   used_ -= it->data.size();
+  BufferPool::global().retire(std::move(it->data));
   entries_.erase(it);
 }
 
 void NvmStore::clear() {
+  BufferPool& pool = BufferPool::global();
+  for (Entry& e : entries_) pool.retire(std::move(e.data));
   entries_.clear();
   used_ = 0;
 }

@@ -24,6 +24,11 @@ namespace ndpcr::ckpt {
 class NvmStore {
  public:
   explicit NvmStore(std::size_t capacity_bytes);
+  // Retires every entry's buffer to the process buffer pool, as eviction,
+  // erase() and clear() do (common/buffer_pool.hpp).
+  ~NvmStore();
+  NvmStore(const NvmStore&) = delete;
+  NvmStore& operator=(const NvmStore&) = delete;
 
   // Append a checkpoint, taking `data` over. Evicts the oldest *unlocked*
   // checkpoints (FIFO) until the new one fits. Returns false if it

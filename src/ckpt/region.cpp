@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/buffer_pool.hpp"
+
 namespace ndpcr::ckpt {
 
 void RegionRegistry::register_region(std::string name, void* data,
@@ -38,8 +40,11 @@ void* RegionRegistry::current_extent(const Region& region) {
 }
 
 Bytes RegionRegistry::capture() const {
-  Bytes out;
-  out.reserve(total_bytes() + 64 * regions_.size());
+  // Exactly the payload's size, so the buffer a store retires serves the
+  // next capture of the same layout (common/buffer_pool.hpp).
+  std::size_t size = 4;
+  for (const auto& r : regions_) size += 4 + r.name.size() + 8 + r.size;
+  Bytes out = BufferPool::global().acquire(size);
   append_le<std::uint32_t>(out, static_cast<std::uint32_t>(regions_.size()));
   for (const auto& r : regions_) {
     const void* data = current_extent(r);

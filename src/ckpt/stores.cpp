@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
+#include "common/buffer_pool.hpp"
 #include "common/crc32.hpp"
 
 namespace ndpcr::ckpt {
@@ -20,6 +22,8 @@ const char* to_string(MutationOp op) {
   return "?";
 }
 
+KvStore::~KvStore() { KvStore::clear(); }
+
 StoreStatus KvStore::put(std::uint32_t rank, std::uint64_t checkpoint_id,
                          Bytes data) {
   if (gate_) {
@@ -32,7 +36,8 @@ StoreStatus KvStore::put(std::uint32_t rank, std::uint64_t checkpoint_id,
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     used_ -= it->second.size();
-    it->second = std::move(data);
+    BufferPool::global().retire(
+        std::exchange(it->second, std::move(data)));
     used_ += it->second.size();
   } else {
     used_ += data.size();
@@ -92,10 +97,13 @@ void KvStore::erase(std::uint32_t rank, std::uint64_t checkpoint_id) {
   auto it = entries_.find(std::make_pair(rank, checkpoint_id));
   if (it == entries_.end()) return;
   used_ -= it->second.size();
+  BufferPool::global().retire(std::move(it->second));
   entries_.erase(it);
 }
 
 void KvStore::clear() {
+  BufferPool& pool = BufferPool::global();
+  for (auto& [key, data] : entries_) pool.retire(std::move(data));
   entries_.clear();
   used_ = 0;
 }

@@ -42,7 +42,10 @@ struct EntryDigest {
 class KvStore {
  public:
   KvStore() = default;
-  virtual ~KvStore() = default;
+  // Every buffer a store drops - overwritten, erased, cleared or held at
+  // destruction - is retired to the process buffer pool
+  // (common/buffer_pool.hpp).
+  virtual ~KvStore();
   KvStore(const KvStore&) = delete;
   KvStore& operator=(const KvStore&) = delete;
 

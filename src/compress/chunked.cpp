@@ -3,6 +3,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/buffer_pool.hpp"
 #include "compress/lz4_style.hpp"
 #include "exec/task_pool.hpp"
 
@@ -50,15 +51,24 @@ void ChunkedCodec::begin(Bytes& out, std::size_t input_size) const {
   out.clear();
   // Room for every chunk stream at the codec's payload_reserve(), the
   // figure its own headroom check asks for, so no chunk reallocates the
-  // container. For ngzip that is the input size, which compressible data
-  // never exceeds: a worst-case figure (input + 1/16) pushed a 1 MiB NDP
-  // drain container past glibc's mmap threshold, so every drain faulted
-  // in fresh pages (campaign_ndp: 31k -> 38k minor faults per unit).
+  // container. For nlz4 that is its worst case, so not even incompressible
+  // input moves it; ngzip reserves the input size (docs/PERF.md,
+  // "Container reservation").
   std::size_t room = header_bytes(count) + count * kFrameHeaderSize;
   for (std::size_t i = 0; i < count; ++i) {
     room += codec_->payload_reserve(chunk_extent(input_size, i).second);
   }
-  out.reserve(room);
+  // The room depends only on the input size, so a container the stores
+  // retired serves the next one begun for the same size. Only inputs the
+  // pool serves (captures, full images) get pooled containers: one per
+  // content-sized input (a delta image, a dedup block) would leave a bin
+  // per size ever seen (common/buffer_pool.hpp).
+  if (out.capacity() != room) {
+    BufferPool& pool = BufferPool::global();
+    pool.retire(std::move(out));
+    out = pool.serves(input_size) ? pool.acquire(room) : Bytes{};
+    out.reserve(room);
+  }
   append_le<std::uint32_t>(out, kMagic);
   out.push_back(static_cast<std::byte>(id_));
   out.push_back(static_cast<std::byte>(level_));

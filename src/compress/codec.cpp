@@ -1,5 +1,7 @@
 #include "compress/codec.hpp"
 
+#include <algorithm>
+
 #include "common/crc32.hpp"
 #include "compress/scratch.hpp"
 
@@ -52,7 +54,7 @@ bool plausible_decoded_size(std::uint64_t declared, std::size_t stream_bytes) {
 
 Bytes Codec::compress(ByteSpan input) const {
   Bytes out;
-  out.reserve(kFrameHeaderSize + input.size() / 2);
+  out.reserve(kFrameHeaderSize + payload_reserve(input.size()));
   compress_append(input, out);
   return out;
 }
@@ -65,6 +67,11 @@ void Codec::compress_append(ByteSpan input, Bytes& out) const {
   append_le<std::uint64_t>(out, input.size());
   append_le<std::uint32_t>(out, Crc32::compute(input));
   compress_payload(input, out, *scratch);
+}
+
+void Codec::reserve_payload(Bytes& out, std::size_t input_size) const {
+  const std::size_t need = out.size() + payload_reserve(input_size);
+  if (need > out.capacity()) out.reserve(std::max(need, 2 * out.size()));
 }
 
 Bytes Codec::decompress(ByteSpan framed) const {

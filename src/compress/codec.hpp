@@ -66,9 +66,9 @@ class Codec {
 
   // Payload bytes a caller reserves for compressing `input_size` bytes so
   // that compress_append() does not reallocate `out`: the codec's own
-  // headroom check asks for no more. The default is the input size, which
-  // compressible data never exceeds (an expanding stream grows `out`
-  // itself); nlz4 returns its true worst case.
+  // headroom check (reserve_payload) asks for no more. The default is the
+  // input size, which compressible data never exceeds (an expanding
+  // stream grows `out` itself); nlz4 returns its true worst case.
   [[nodiscard]] virtual std::size_t payload_reserve(
       std::size_t input_size) const {
     return input_size;
@@ -101,6 +101,11 @@ class Codec {
   // and verifies the CRC.
   virtual void compress_payload(ByteSpan input, Bytes& out,
                                 CodecScratch& scratch) const = 0;
+  // Make room on the end of `out` for payload_reserve(input_size) bytes.
+  // A no-op in a container begun for this codec; otherwise growth is at
+  // least geometric, since a chunked container appends one stream per
+  // chunk and exact-size growth would copy it once per chunk.
+  void reserve_payload(Bytes& out, std::size_t input_size) const;
   virtual std::size_t decompress_payload(ByteSpan payload, std::byte* dst,
                                          std::size_t original_size,
                                          CodecScratch& scratch) const = 0;

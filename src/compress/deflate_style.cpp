@@ -94,9 +94,7 @@ DeflateStyleCodec::DeflateStyleCodec(int level) : level_(level) {
 
 void DeflateStyleCodec::compress_payload(ByteSpan input, Bytes& out,
                                          CodecScratch& scratch) const {
-  // Typical text/state compresses ~2:1 or better; reserving half the input
-  // up front keeps the hot BitWriter appends from reallocating mid-block.
-  out.reserve(out.size() + input.size() / 2 + 64);
+  reserve_payload(out, input.size());
   // One match finder across the whole input so matches can cross block
   // boundaries (the window is what bounds distances).
   MatchFinder finder(input, kWindow, kMinMatch, kMaxMatch,

@@ -28,29 +28,32 @@ int skip_trigger_for(int level, bool accelerate) {
   return level == 1 ? kDefaultSkipTrigger : kExhaustiveSkipTrigger;
 }
 
-void write_length(Bytes& out, std::size_t len) {
+// The writers below store through a cursor into the span compress_payload
+// reserved: payload_reserve() bounds the whole stream, so every write
+// lands inside it without a capacity check.
+std::byte* write_length(std::byte* out, std::size_t len) {
   // 255-block continuation, as in LZ4.
-  while (len >= 255) {
-    out.push_back(std::byte{255});
-    len -= 255;
-  }
-  out.push_back(static_cast<std::byte>(len));
+  for (; len >= 255; len -= 255) *out++ = std::byte{255};
+  *out++ = static_cast<std::byte>(len);
+  return out;
 }
 
-void emit_sequence(Bytes& out, ByteSpan literals, std::uint32_t match_len,
-                   std::uint32_t distance) {
+std::byte* emit_sequence(std::byte* out, ByteSpan literals,
+                         std::uint32_t match_len, std::uint32_t distance) {
   const std::size_t lit_len = literals.size();
   const std::size_t match_code = match_len ? match_len - kMinMatch : 0;
   const std::uint8_t token =
       static_cast<std::uint8_t>(std::min<std::size_t>(lit_len, 15) << 4 |
                                 std::min<std::size_t>(match_code, 15));
-  out.push_back(static_cast<std::byte>(token));
-  if (lit_len >= 15) write_length(out, lit_len - 15);
-  out.insert(out.end(), literals.begin(), literals.end());
-  if (match_len == 0) return;  // terminal literals-only sequence
-  out.push_back(static_cast<std::byte>(distance & 0xFF));
-  out.push_back(static_cast<std::byte>(distance >> 8));
-  if (match_code >= 15) write_length(out, match_code - 15);
+  *out++ = static_cast<std::byte>(token);
+  if (lit_len >= 15) out = write_length(out, lit_len - 15);
+  if (lit_len != 0) std::memcpy(out, literals.data(), lit_len);
+  out += lit_len;
+  if (match_len == 0) return out;  // terminal literals-only sequence
+  *out++ = static_cast<std::byte>(distance & 0xFF);
+  *out++ = static_cast<std::byte>(distance >> 8);
+  if (match_code >= 15) out = write_length(out, match_code - 15);
+  return out;
 }
 
 std::uint32_t chain_depth_for_level(int level) {
@@ -77,12 +80,13 @@ Lz4StyleCodec::Lz4StyleCodec(int level, bool accelerate)
 
 void Lz4StyleCodec::compress_payload(ByteSpan input, Bytes& out,
                                      CodecScratch& scratch) const {
-  // Growth is at least geometric: a chunked container appends one stream
-  // per chunk, and exact-size growth would copy it once per chunk. A
-  // container begun for this codec already holds the room, so this never
-  // reallocates it.
-  const std::size_t need = out.size() + payload_reserve(input.size());
-  if (need > out.capacity()) out.reserve(std::max(need, 2 * out.size()));
+  // Open the worst-case span (a container begun for this codec already
+  // holds it), write the sequences through a cursor, then trim to what was
+  // written.
+  reserve_payload(out, input.size());
+  const std::size_t base = out.size();
+  out.resize(base + payload_reserve(input.size()));
+  std::byte* cursor = out.data() + base;
   MatchFinder finder(input, kWindow, kMinMatch, /*max_match=*/65535,
                      chain_depth_for_level(level_), scratch.match_head,
                      scratch.match_prev);
@@ -95,9 +99,9 @@ void Lz4StyleCodec::compress_payload(ByteSpan input, Bytes& out,
     // (matched or emitted as a literal) - find_and_insert hashes once.
     const Match m = finder.find_and_insert(pos);
     if (m.length >= kMinMatch) {
-      emit_sequence(out,
-                    input.subspan(literal_start, pos - literal_start),
-                    m.length, m.distance);
+      cursor = emit_sequence(
+          cursor, input.subspan(literal_start, pos - literal_start),
+          m.length, m.distance);
       // Insert the positions the match covers so later data can refer into
       // it (pos itself was inserted by find_and_insert). Cap insertions for
       // speed at low levels (LZ4-style skipping).
@@ -115,7 +119,8 @@ void Lz4StyleCodec::compress_payload(ByteSpan input, Bytes& out,
   }
   // Terminal literals-only sequence (always present, possibly empty).
   // The skip ramp can step pos past the end, so bound by the input size.
-  emit_sequence(out, input.subspan(literal_start), 0, 0);
+  cursor = emit_sequence(cursor, input.subspan(literal_start), 0, 0);
+  out.resize(static_cast<std::size_t>(cursor - out.data()));
 }
 
 std::size_t Lz4StyleCodec::decompress_payload(ByteSpan payload, std::byte* dst,

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "ckpt/store_writer.hpp"
+#include "common/buffer_pool.hpp"
 #include "obs/trace.hpp"
 
 namespace ndpcr::ndp {
@@ -217,6 +218,7 @@ void NdpAgent::finish_drain() {
   if (d.put_attempts == 0) {
     // Every attempt ships the same container: digest it once.
     d.digest = ckpt::digest_of(ByteSpan(d.compressed));
+    d.capacity = d.compressed.capacity();
     // Stage the compressed image in the compressed partition (section
     // 4.3's second circular buffer) - best effort: a full partition only
     // costs the fast-restore staging. Done once, before the IO write can
@@ -231,13 +233,16 @@ void NdpAgent::finish_drain() {
   // same stage the host commit path's IO puts run (docs/PERF.md), so
   // a drained checkpoint hits the IO device with the identical op
   // sequence a host-side commit would. Each attempt hands the store its
-  // own copy of the container. A staged entry outlives the drain's
+  // own copy of the container, in a buffer of the container's capacity
+  // drawn from the pool: when the IO store drops it, it serves a later
+  // container or copy instead of leaving a content-sized hole in the heap
+  // (common/buffer_pool.hpp). A staged entry outlives the drain's
   // retries: the drain is the partition's only writer, and reset() drops
   // both together.
   const ByteSpan container =
       d.staged ? *compressed_.get(id) : ByteSpan(d.compressed);
   const ckpt::PutOutcome out = ckpt::verified_put_once(
-      io_, cfg_.rank, id, Bytes(container.begin(), container.end()),
+      io_, cfg_.rank, id, BufferPool::global().copy(container, d.capacity),
       d.digest, /*verify=*/true);
   const bool ok = out.ok;
   const bool permanent = out.put_permanent || out.read_error_permanent;

@@ -189,6 +189,7 @@ class NdpAgent {
     Bytes compressed;
     bool staged = false;
     ckpt::EntryDigest digest;  // of the container, taken once per drain
+    std::size_t capacity = 0;  // of the container, for the IO copies
     double remaining_seconds = 0.0;  // put retry backoff countdown
     bool locked = false;
     std::uint32_t put_attempts = 0;  // IO writes tried for this drain

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <optional>
 #include <string>
@@ -13,10 +14,16 @@
 #include "ckpt/region.hpp"
 #include "ckpt/stores.hpp"
 #include "ckpt/tenant_store.hpp"
+#include "common/buffer_pool.hpp"
 #include "common/rng.hpp"
 #include "compress/chunked.hpp"
+#include "exec/task_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace ndpcr::ckpt {
 namespace {
@@ -291,6 +298,211 @@ TEST(NvmStore, ExactCapacityFillRefundAndReuse) {
   EXPECT_EQ(store.used_bytes(), 0u);
   ASSERT_TRUE(store.put(3, Bytes(100)));
   EXPECT_EQ(store.used_bytes(), 100u);
+}
+
+// --- buffer lifecycle (common/buffer_pool.hpp) ---
+
+#if defined(__SANITIZE_ADDRESS__)
+#define NDPCR_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define NDPCR_TEST_ASAN 1
+#endif
+#endif
+
+// Capacities unique to each test: the global pool outlives every test in
+// this binary, and its bins are keyed by exact capacity.
+TEST(BufferPool, CaptureNvmEvictCycleStopsAllocatingAfterTheFirstTurn) {
+  // The paper's circular buffer reuses the space of the checkpoint it
+  // overwrites. A capture -> put -> FIFO-evict ring of K entries needs
+  // K + 1 buffers (K stored, one being captured); once the first turn has
+  // made them, the pool serves every later capture from retired ones.
+  std::vector<double> state(3001, 1.5);
+  RegionRegistry registry;
+  registry.register_vector("state", state);
+  const std::size_t image = registry.capture().size();
+  constexpr std::size_t kRing = 4;
+  BufferPool& pool = BufferPool::global();
+  {
+    NvmStore nvm(kRing * image);
+    std::uint64_t id = 0;
+    const auto turn = [&] {
+      for (std::size_t i = 0; i < kRing; ++i) {
+        state[i] += 1.0;
+        Bytes bytes = registry.capture();
+        ASSERT_EQ(bytes.capacity(), image);
+        ASSERT_TRUE(nvm.put(++id, std::move(bytes)));
+      }
+    };
+    turn();
+    Bytes in_flight = registry.capture();  // the ring's (K + 1)-th buffer
+    ASSERT_TRUE(nvm.put(++id, std::move(in_flight)));
+    const BufferPool::Stats warm = pool.stats();
+    for (int t = 0; t < 3; ++t) turn();
+    const BufferPool::Stats after = pool.stats();
+    EXPECT_EQ(after.misses, warm.misses);
+    EXPECT_EQ(after.hits - warm.hits, 3 * kRing);
+    EXPECT_EQ(nvm.eviction_count(), 3 * kRing + 1);
+    // Recycled buffers hold this capture's bytes, not an earlier tenant's.
+    RegionRegistry check;
+    std::vector<double> restored(state.size());
+    check.register_vector("state", restored);
+    check.restore(*nvm.get(id));
+    EXPECT_EQ(restored, state);
+  }
+  // ~NvmStore retires what it held: the next ring turn allocates nothing.
+  const BufferPool::Stats retired = pool.stats();
+  NvmStore next(kRing * image);
+  for (std::uint64_t id = 1; id <= kRing; ++id) {
+    ASSERT_TRUE(next.put(id, registry.capture()));
+  }
+  EXPECT_EQ(pool.stats().misses, retired.misses);
+  EXPECT_EQ(pool.stats().hits - retired.hits, kRing);
+}
+
+TEST(BufferPool, KvStoreRetiresWhatItDrops) {
+  // Overwrite, erase, clear and destruction each hand the dropped buffer
+  // back; the next acquire of that capacity is a hit.
+  constexpr std::size_t kCap = 70001;
+  BufferPool& pool = BufferPool::global();
+  std::vector<Bytes> made;
+  for (int i = 0; i < 5; ++i) made.push_back(pool.acquire(kCap));
+  const BufferPool::Stats before = pool.stats();
+  {
+    KvStore store;
+    store.put(0, 1, std::move(made[0]));
+    store.put(0, 1, std::move(made[1]));  // overwrite retires made[0]
+    store.put(0, 2, std::move(made[2]));
+    store.erase(0, 2);
+    store.put(1, 1, std::move(made[3]));
+    store.clear();                        // retires made[1] and made[3]
+    store.put(2, 1, std::move(made[4]));
+  }                                       // destruction retires made[4]
+  const BufferPool::Stats after = pool.stats();
+  EXPECT_EQ(after.kept - before.kept, 5u);
+  EXPECT_EQ(after.retained_bytes - before.retained_bytes, 5 * kCap);
+  for (int i = 0; i < 5; ++i) {
+    const Bytes again = pool.acquire(kCap);
+    EXPECT_EQ(again.size(), 0u);
+    EXPECT_EQ(again.capacity(), kCap);
+  }
+  EXPECT_EQ(pool.stats().hits - after.hits, 5u);
+  EXPECT_EQ(pool.stats().misses, after.misses);
+}
+
+TEST(BufferPool, RetainedBytesNeverExceedTheBound) {
+  // Seeded acquire/retire traffic over a few capacities, plus buffers the
+  // pool never made (same capacities): a bin never keeps more buffers
+  // than the pool created for it, so retained <= sum(capacity x created).
+  BufferPool pool;
+  const std::size_t caps[] = {4096, 5000, 123457};
+  Rng rng(11);
+  std::vector<Bytes> live;
+  std::map<std::size_t, std::uint64_t> created;
+  for (int op = 0; op < 4000; ++op) {
+    const std::size_t cap = caps[rng.next_u64() % 3];
+    switch (rng.next_u64() % 3) {
+      case 0: {
+        const BufferPool::Stats s = pool.stats();
+        live.push_back(pool.acquire(cap));
+        if (pool.stats().misses > s.misses) ++created[cap];
+        ASSERT_EQ(live.back().capacity(), cap);
+        ASSERT_TRUE(live.back().empty());
+        live.back().resize(cap / 2, std::byte{0x5A});
+        break;
+      }
+      case 1:
+        if (!live.empty()) {
+          const std::size_t i = rng.next_u64() % live.size();
+          pool.retire(std::move(live[i]));
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        break;
+      default: {
+        Bytes foreign;
+        foreign.reserve(cap);
+        pool.retire(std::move(foreign));
+        break;
+      }
+    }
+    const BufferPool::Stats s = pool.stats();
+    std::size_t bound = 0;
+    for (const auto& [c, n] : created) bound += c * n;
+    ASSERT_EQ(s.bound_bytes, bound);
+    ASSERT_LE(s.retained_bytes, s.bound_bytes) << "op " << op;
+  }
+  const BufferPool::Stats s = pool.stats();
+  EXPECT_GT(s.hits, 0u);
+  EXPECT_GT(s.dropped, 0u);  // foreign buffers beyond a bin's share
+}
+
+TEST(BufferPool, ACapacityNoAcquireAskedForIsNotKept) {
+  BufferPool pool;
+  Bytes stranger;
+  stranger.reserve(9999);
+  pool.retire(std::move(stranger));
+  EXPECT_EQ(pool.stats().kept, 0u);
+  EXPECT_EQ(pool.stats().dropped, 1u);
+  EXPECT_EQ(pool.stats().retained_bytes, 0u);
+  // A pooled buffer that outgrew its capacity no longer matches its bin.
+  Bytes grown = pool.acquire(100);
+  grown.resize(101);
+  pool.retire(std::move(grown));
+  EXPECT_EQ(pool.stats().kept, 0u);
+  EXPECT_EQ(pool.stats().retained_bytes, 0u);
+  // One that kept its capacity comes back empty.
+  Bytes kept = pool.acquire(100);
+  kept.assign(100, std::byte{7});
+  pool.retire(std::move(kept));
+  EXPECT_EQ(pool.stats().retained_bytes, 100u);
+  const Bytes again = pool.acquire(100);
+  EXPECT_TRUE(again.empty());
+  EXPECT_EQ(again.capacity(), 100u);
+}
+
+TEST(BufferPool, ConcurrentAcquireRetireFromTaskPoolWorkers) {
+  // Workers share one pool (the agents and the manager's fan-out do):
+  // every acquire is counted once, every buffer comes back empty and
+  // exact, and the bound holds when the traffic settles.
+  BufferPool pool;
+  exec::TaskPool workers(4);
+  constexpr std::size_t kTasks = 64;
+  constexpr int kRounds = 50;
+  std::atomic<int> bad{0};
+  workers.parallel_for(kTasks, [&](std::size_t t) {
+    for (int r = 0; r < kRounds; ++r) {
+      const std::size_t cap =
+          1024 * (1 + (t + static_cast<std::size_t>(r)) % 3);
+      Bytes b = pool.acquire(cap);
+      if (!b.empty() || b.capacity() != cap) ++bad;
+      b.assign(cap, static_cast<std::byte>(t));
+      pool.retire(std::move(b));
+    }
+  });
+  EXPECT_EQ(bad.load(), 0);
+  const BufferPool::Stats s = pool.stats();
+  EXPECT_EQ(s.hits + s.misses, kTasks * kRounds);
+  EXPECT_EQ(s.kept + s.dropped, kTasks * kRounds);
+  EXPECT_EQ(s.dropped, 0u);  // every buffer came back to its own bin
+  EXPECT_EQ(s.retained_bytes, s.bound_bytes);
+}
+
+TEST(BufferPool, StaleSpanIntoAnEvictedEntryIsPoisoned) {
+#ifdef NDPCR_TEST_ASAN
+  // A retained buffer's storage stays poisoned until it is handed out
+  // again, so a span kept past eviction still trips AddressSanitizer.
+  const Bytes payload(33333, std::byte{1});
+  NvmStore nvm(CheckpointImage::kHeaderSize + payload.size());
+  ASSERT_TRUE(nvm.put(1, CheckpointImage::build(
+                             CheckpointMeta{.checkpoint_id = 1}, payload)));
+  const ByteSpan stale = *nvm.get(1);
+  ASSERT_TRUE(nvm.put(2, CheckpointImage::build(
+                             CheckpointMeta{.checkpoint_id = 2}, payload)));
+  EXPECT_NE(__asan_address_is_poisoned(stale.data()), 0);
+  EXPECT_NE(__asan_address_is_poisoned(stale.data() + stale.size() - 1), 0);
+#else
+  GTEST_SKIP() << "AddressSanitizer build only";
+#endif
 }
 
 TEST(KvStore, PutGetNewest) {
