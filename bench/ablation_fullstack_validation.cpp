@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "cluster/ndp_cluster_sim.hpp"
+#include "cluster/cluster_sim.hpp"
 #include "common/table.hpp"
 #include "sim/timeline.hpp"
 
@@ -19,7 +19,13 @@ int main() {
 
   // A scaled scenario both implementations can express: checkpoint
   // 128 kB/rank at step granularity.
-  cluster::NdpClusterConfig fc;
+  cluster::ClusterSimConfig fc;
+  fc.ndp_agents = true;  // the agents write the IO level
+  fc.io_every = 0;
+  fc.partner_every = 0;
+  fc.app = "hpccg";
+  fc.seed = 13;
+  fc.nvm_capacity_bytes = 4ull << 20;
   fc.node_count = 4;
   fc.state_bytes_per_rank = 128 * 1024;
   fc.total_steps = 4000;
@@ -29,7 +35,7 @@ int main() {
   fc.local_restore_time = 0.5;
   fc.ndp_compress_bw = 512e3;
   fc.aggregate_io_bw = 4 * 64e3;  // 64 kB/s per node
-  fc.codec = compress::CodecId::kLz4Style;
+  fc.io_codec = compress::CodecId::kLz4Style;
 
   TextTable table({"MTTF/node", "P(local)", "full-stack", "timeline model",
                    "gap"});
@@ -38,7 +44,7 @@ int main() {
       auto fcc = fc;
       fcc.node_mttf = mttf;
       fcc.p_local_recovery = p;
-      const auto full = cluster::NdpClusterSim(fcc).run();
+      const auto full = cluster::ClusterSim(fcc).run();
 
       // The equivalent timeline configuration. The functional run tells
       // us the realized compression factor; the model needs it as input.
@@ -47,7 +53,7 @@ int main() {
       tc.strategy = sim::Strategy::kLocalIoNdp;
       tc.mtti = mttf / fc.node_count;
       tc.checkpoint_bytes = image_bytes;
-      tc.local_bw = image_bytes / fc.local_commit_time;
+      tc.local_bw = image_bytes / *fc.local_commit_time;
       tc.io_bw = fc.aggregate_io_bw / fc.node_count;
       tc.local_interval = fc.steps_per_checkpoint * fc.step_time;
       // lz4-class factor on this workload, measured by the agents:

@@ -51,19 +51,6 @@ void settle_level(LevelHealth& health, bool level_ok, obs::TraceBuffer* rb,
   }
 }
 
-// Fold one task's private health delta into the level's counters. Always
-// called in index order after the batch barrier, so every counter - the
-// floating-point backoff sum included - is reduced in one fixed order and
-// the totals are bit-identical at any thread count.
-void merge_level(LevelHealth& into, const LevelHealth& delta) {
-  into.puts += delta.puts;
-  into.put_retries += delta.put_retries;
-  into.put_failures += delta.put_failures;
-  into.verify_failures += delta.verify_failures;
-  into.quarantined += delta.quarantined;
-  into.read_retries += delta.read_retries;
-  into.backoff_seconds += delta.backoff_seconds;
-}
 
 // Parse + CRC-check raw image bytes; the image iff they are rank/id's
 // checkpoint. A ByteSpan is borrowed, Bytes&& owned (CheckpointImage::parse).
@@ -119,6 +106,24 @@ const char* to_string(LevelState state) {
       return "degraded";
   }
   return "?";
+}
+
+// The manager folds each task's private delta in index order after the
+// batch barrier, so every counter - the floating-point backoff sum
+// included - is reduced in one fixed order and the totals are
+// bit-identical at any thread count.
+LevelHealth& LevelHealth::operator+=(const LevelHealth& other) {
+  if (other.degraded()) state = LevelState::kDegraded;
+  puts += other.puts;
+  put_retries += other.put_retries;
+  put_failures += other.put_failures;
+  verify_failures += other.verify_failures;
+  quarantined += other.quarantined;
+  read_retries += other.read_retries;
+  degraded_commits += other.degraded_commits;
+  repairs += other.repairs;
+  backoff_seconds += other.backoff_seconds;
+  return *this;
 }
 
 void record_health(obs::MetricsRegistry& metrics, const HealthReport& report,
@@ -397,8 +402,24 @@ void MultilevelManager::retire_generations() {
   // newest complete generation of another level (where a multi-node
   // loss rolls back to), or a delta link one of those needs.
   constexpr std::size_t kLevels = 3;
+  constexpr std::size_t kIoSlot = slot(RecoveryLevel::kIo);
   const std::array<std::uint32_t, kLevels> writes_every = {
       1, config_.partner_every, config_.io_every};
+  // An IO level the manager does not write but finds entries on is the
+  // one NDP agents drain: its completeness comes from the store, as on a
+  // restart, and every drained id gets a record - one whose record was
+  // dropped while a drain lock pinned its NVM entry included.
+  bool drained_io = false;
+  if (config_.io_every == 0) {
+    std::map<std::uint64_t, std::uint32_t> holders;  // id -> ranks
+    for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
+      for (const std::uint64_t id : io_->list(rank)) ++holders[id];
+    }
+    for (const auto& [id, ranks] : holders) {
+      generations_[id].complete[kIoSlot] = ranks == config_.node_count;
+    }
+    drained_io = !holders.empty();
+  }
   std::array<std::uint64_t, kLevels> newest{};  // 0 = none
   for (auto it = generations_.rbegin(); it != generations_.rend(); ++it) {
     for (std::size_t l = 0; l < kLevels; ++l) {
@@ -428,6 +449,9 @@ void MultilevelManager::retire_generations() {
     }
   }
   const auto kept = [&](std::size_t l, std::uint64_t id) {
+    // A drain newer than the newest complete one is still in flight on
+    // other ranks.
+    if (l == kIoSlot && drained_io && id > newest[l]) return true;
     for (const auto& [lo, hi] : keep[l]) {
       if (lo <= id && id <= hi) return true;
     }
@@ -435,8 +459,8 @@ void MultilevelManager::retire_generations() {
   };
   obs::TraceBuffer* rb = trace_->root();
   for (std::size_t l = 0; l < kLevels; ++l) {
-    // A level this manager does not write holds others' entries (drains).
-    if (writes_every[l] == 0) continue;
+    // A level nobody writes holds nothing to retire.
+    if (writes_every[l] == 0 && !(l == kIoSlot && drained_io)) continue;
     const auto level = static_cast<RecoveryLevel>(l);
     for (auto& [id, gen] : generations_) {
       if (kept(l, id)) continue;
@@ -704,7 +728,7 @@ bool MultilevelManager::commit_local(std::uint64_t id, bool as_delta,
   trace_->splice(tbs);
   bool complete = true;
   for (std::uint32_t rank = 0; rank < config_.node_count; ++rank) {
-    merge_level(health_.local, deltas[rank]);
+    health_.local += deltas[rank];
     data_stats_.local += ledgers[rank];
     if (ok[rank]) {
       data_stats_.local_bytes_written += digests[rank].size;
@@ -801,7 +825,7 @@ bool MultilevelManager::commit_partner(
     }, image_bytes);
     trace_->splice(tbs);
     for (std::size_t g = 0; g < groups; ++g) {
-      merge_level(health, deltas[g]);
+      health += deltas[g];
       data_stats_.partner += ledgers[g];
       if (ok[g]) {
         data_stats_.partner_bytes_written += bytes[g];
@@ -998,7 +1022,7 @@ bool MultilevelManager::commit_io(std::uint64_t id,
     LevelHealth delta;
     const bool ok = checked_put(*io_, delta, ledger, rank, id, bytes,
                                 expected[rank], probe, tc);
-    merge_level(health, delta);
+    health += delta;
     if (ok) {
       data_stats_.io_bytes_written += size;
     } else {

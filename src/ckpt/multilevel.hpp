@@ -21,8 +21,9 @@
 // once a commit settles, every generation recovery can no longer reach
 // first is erased from each level - like the paper's NVM circular buffer
 // (section 4.2) and SCR's bounded cache - so new commits write into
-// recycled buffers instead of ever-fresh pages. A level the manager does
-// not write (partner_every or io_every at 0) is never retired.
+// recycled buffers instead of ever-fresh pages. An IO level the manager
+// does not write (io_every at 0) but finds entries on is the one NDP
+// agents drain out of its local NVM; it is retired by the same rule.
 //
 // The data path is self-healing (docs/FAULTS.md): store writes go through
 // bounded retry with exponential backoff (virtual - counted, never slept),
@@ -110,6 +111,10 @@ struct LevelHealth {
   [[nodiscard]] bool degraded() const {
     return state == LevelState::kDegraded;
   }
+
+  // Add another report's counters (a task's private delta, or one NDP
+  // agent's drain health); the sum is degraded if either side is.
+  LevelHealth& operator+=(const LevelHealth& other);
 };
 
 // Health of the whole multilevel data path; consumed by the cluster

@@ -304,7 +304,6 @@ void NdpAgent::finish_drain() {
   // Permanent outage or retries exhausted: hand the compressed image back
   // to the host write path and move on to the next checkpoint.
   ++stats_.drain_put_failures;
-  ++stats_.host_fallbacks;
   io_degraded_ = true;
   if (rb) {
     rb->span_at(d.start_v, vclock_, "drain_failed", "ndp", cfg_.trace_track,

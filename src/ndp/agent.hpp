@@ -88,7 +88,7 @@ struct AgentStats {
   std::uint64_t bytes_compressed = 0;
   std::uint64_t bytes_to_io = 0;
   std::uint64_t drain_put_retries = 0;   // IO writes retried after failure
-  std::uint64_t drain_put_failures = 0;  // drains handed back to the host
+  std::uint64_t drain_put_failures = 0;  // HostFallback handoffs staged
   double retry_backoff_seconds = 0.0;    // virtual backoff accumulated
   // Health-style counters for the drain's IO write path, so chaos runs
   // can assert on fallback/retry behaviour the way they do on the
@@ -96,7 +96,6 @@ struct AgentStats {
   std::uint64_t io_put_attempts = 0;     // IO puts issued (incl. retries)
   std::uint64_t io_verify_failures = 0;  // readback mismatched the drain
   std::uint64_t io_quarantined = 0;      // torn IO entries erased
-  std::uint64_t host_fallbacks = 0;      // HostFallback handoffs staged
   std::uint64_t io_repairs = 0;          // degraded -> healthy transitions
 };
 

@@ -374,14 +374,15 @@ TEST(NdpAgent, RestoresComeFromLocalNvmThenDrainedIo) {
     return id;
   };
 
+  using Ids = std::vector<std::uint64_t>;
   for (int c = 0; c < 6; ++c) commit_next(/*drain=*/true);
-  const std::vector<std::uint64_t> drained = {1, 2, 3, 4, 5, 6};
   for (std::uint32_t r = 0; r < kRanks; ++r) {
     EXPECT_EQ(agents[r]->stats().drains_completed, 6u);
-    // The manager retires the local level it writes, never the drained
-    // copies it does not.
-    EXPECT_EQ(nvm[r]->ids(), (std::vector<std::uint64_t>{5, 6}));
-    EXPECT_EQ(pfs.list(r), drained) << "rank " << r;
+    // The manager retires both levels, the drained one too: checkpoint
+    // 6's commit kept 5 (the newest complete drain) and 4 (its fallback)
+    // on IO, and 6 has landed since.
+    EXPECT_EQ(nvm[r]->ids(), (Ids{5, 6}));
+    EXPECT_EQ(pfs.list(r), (Ids{4, 5, 6})) << "rank " << r;
   }
 
   // Checkpoint 7 is in NVM but not yet drained: every rank restores it
@@ -409,6 +410,63 @@ TEST(NdpAgent, RestoresComeFromLocalNvmThenDrainedIo) {
         << "rank " << r;
     EXPECT_EQ(rec->payloads[r], committed[6][r]) << "rank " << r;
   }
+
+  // Checkpoints 7 and 8 reach IO on ranks 0 and 2 only (rank 1's drain
+  // of 7 died with its node): newer than the newest complete drain (6),
+  // they are drains in flight, which retention keeps beside 6 and its
+  // fallback (5).
+  commit_next(/*drain=*/false);
+  agents[0]->pump(1e9);
+  agents[2]->pump(1e9);
+  ASSERT_EQ(commit_next(/*drain=*/false), 9u);
+  EXPECT_EQ(pfs.list(0), (Ids{5, 6, 7, 8}));
+  EXPECT_EQ(pfs.list(1), (Ids{5, 6}));
+  EXPECT_EQ(pfs.list(2), (Ids{5, 6, 7, 8}));
+  // Once every rank drained 8 and 9, the next commit retires 5 and 6,
+  // and the partial 7, now older than the newest complete drain.
+  for (auto& agent : agents) agent->pump(1e9);
+  commit_next(/*drain=*/false);
+  for (std::uint32_t r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(pfs.list(r), (Ids{8, 9})) << "rank " << r;
+  }
+}
+
+// A drain that outlives its generation's record: while the agent's lock
+// pins checkpoint 1 in NVM, the commits of 3 and 4 retire its record. The
+// NVM entry and the copy the drain lands later are still retired, once
+// newer generations supersede them.
+TEST(NdpAgent, RetentionRetiresADrainThatOutlivedItsRecord) {
+  using Ids = std::vector<std::uint64_t>;
+  ckpt::KvStore pfs;
+  auto nvm = std::make_shared<ckpt::NvmStore>(1 << 20);
+  NdpAgent agent(test_config(), pfs, nvm);
+  ckpt::MultilevelConfig mc;
+  mc.partner_every = 0;
+  mc.io_every = 0;
+  mc.nvm_factory = [&](std::uint32_t) { return nvm; };
+  mc.store_factory = [&](ckpt::StoreLevel level, std::uint32_t) {
+    return level == ckpt::StoreLevel::kIo
+               ? std::make_unique<ckpt::ForwardingKvStore>(pfs)
+               : std::make_unique<ckpt::KvStore>();
+  };
+  ckpt::MultilevelManager mgr(mc);
+  const auto commit = [&](std::uint64_t seed) {
+    const Bytes payload = compressible_image(40 * 1024, seed);
+    const std::uint64_t id = mgr.commit({ByteSpan(payload)});
+    agent.local_committed(id);
+    return id;
+  };
+
+  for (std::uint64_t c = 1; c <= 4; ++c) commit(c);  // drain of 1 pinned
+  EXPECT_TRUE(nvm->is_locked(1));
+  agent.pump(1e9);  // lands 1, then 4 (2 and 3 were superseded)
+  EXPECT_EQ(pfs.list(0), (Ids{1, 4}));
+  commit(5);  // 1 is no restore point the NVM must keep
+  EXPECT_FALSE(nvm->contains(1));
+  EXPECT_EQ(pfs.list(0), (Ids{1, 4}));  // the IO level's fallback
+  agent.pump(1e9);
+  commit(6);  // 5 and its fallback 4 supersede 1 on IO too
+  EXPECT_EQ(pfs.list(0), (Ids{4, 5}));
 }
 
 TEST(NdpAgent, InvalidConfigThrows) {

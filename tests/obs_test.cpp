@@ -342,7 +342,7 @@ TEST(ObsNdpAgent, DrainEmitsOverlappedStageSpans) {
     EXPECT_TRUE(has_event(json, name)) << name;
   }
   EXPECT_EQ(agent.stats().io_put_attempts, 1u);
-  EXPECT_EQ(agent.stats().host_fallbacks, 0u);
+  EXPECT_EQ(agent.stats().drain_put_failures, 0u);
   EXPECT_EQ(agent.drain_health().state, ckpt::LevelState::kHealthy);
 }
 
@@ -355,7 +355,7 @@ TEST(ObsNdpAgent, FallbackCountedAndTraced) {
   ASSERT_TRUE(agent.host_commit(1, compressible_image(100 * 1024, 3)));
   agent.pump(1e9);
 
-  EXPECT_EQ(agent.stats().host_fallbacks, 1u);
+  EXPECT_EQ(agent.stats().drain_put_failures, 1u);
   EXPECT_EQ(agent.stats().io_put_attempts, 1u);
   const auto health = agent.drain_health();
   EXPECT_EQ(health.state, ckpt::LevelState::kDegraded);

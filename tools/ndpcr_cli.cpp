@@ -403,7 +403,7 @@ int cmd_faults(const Options& opts) {
               "fallbacks, %.2f virtual s\n",
               static_cast<unsigned long long>(as.io_put_attempts),
               static_cast<unsigned long long>(as.drain_put_retries),
-              static_cast<unsigned long long>(as.host_fallbacks),
+              static_cast<unsigned long long>(as.drain_put_failures),
               drain_s);
   std::printf("fingerprint %08x, violations %llu\n", report.fingerprint,
               static_cast<unsigned long long>(report.violations));
@@ -423,7 +423,7 @@ int cmd_faults(const Options& opts) {
     metrics.counter("ndp.drain.put_failures").add(dh.put_failures);
     metrics.counter("ndp.drain.verify_failures").add(dh.verify_failures);
     metrics.counter("ndp.drain.quarantined").add(dh.quarantined);
-    metrics.counter("ndp.drain.host_fallbacks").add(as.host_fallbacks);
+    metrics.counter("ndp.drain.host_fallbacks").add(as.drain_put_failures);
     metrics.gauge("ndp.drain.backoff_seconds").set(dh.backoff_seconds);
     exec::RunMeta meta;
     meta.bench = "chaos";
