@@ -89,8 +89,8 @@ int main(int argc, char** argv) {
     base.seed = seed;
     base.cascade.probability = 0.05;
     exec::TaskPool serial(1);
-    const auto s = run_failure_replicates(base, replicates, &serial);
-    const auto p = run_failure_replicates(base, replicates, nullptr);
+    const auto s = run_failure_replicates(base, replicates, serial);
+    const auto p = run_failure_replicates(base, replicates);
     const bool identical =
         s.total_failures == p.total_failures &&
         s.total_local_recoverable == p.total_local_recoverable &&

@@ -298,13 +298,13 @@ int main(int argc, char** argv) {
     exec::TaskPool serial(1);
     FailureReplicateSummary sum;
     const double serial_wall = best_seconds(trials, [&] {
-      sum = run_failure_replicates(base, replicates, &serial);
+      sum = run_failure_replicates(base, replicates, serial);
     });
     report.add_row({"serial", std::to_string(replicates),
                     std::to_string(sum.total_failures),
                     fmt("%.4f", sum.p_local()), fmt("%.4f", serial_wall)});
     const double pool_wall = best_seconds(trials, [&] {
-      sum = run_failure_replicates(base, replicates, nullptr);
+      sum = run_failure_replicates(base, replicates);
     });
     report.add_row({"pool", std::to_string(replicates),
                     std::to_string(sum.total_failures),

@@ -67,6 +67,7 @@
 
 #include "bench_util.hpp"
 #include "ckpt/multilevel.hpp"
+#include "ckpt/nvm_store.hpp"
 #include "ckpt/region.hpp"
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
@@ -611,9 +612,22 @@ int main(int argc, char** argv) {
     const std::vector<Bytes> captures =
         kernel_captures(8, smoke ? (256ull << 10) : (1ull << 20), seed + 98);
     const int reps = smoke ? 2 : 9;
+    // An agent draining its node's NVM, where `image` was committed as
+    // checkpoint 1 (the composition every NDP configuration uses).
+    const auto agent_over = [](const ndp::AgentConfig& cfg, ckpt::KvStore& io,
+                               std::size_t nvm_bytes, const Bytes& image) {
+      auto nvm = std::make_shared<ckpt::NvmStore>(nvm_bytes);
+      if (!nvm->put(1, Bytes(image))) {
+        throw std::runtime_error("drain: image exceeds the node NVM");
+      }
+      auto agent = std::make_unique<ndp::NdpAgent>(cfg, io, std::move(nvm));
+      agent->local_committed(1);
+      return agent;
+    };
     struct Row {
       const char* mode;
       ndp::AgentConfig cfg;
+      std::size_t nvm_bytes = 64ull << 20;  // each agent's node NVM
       std::vector<Bytes> images;
       std::unique_ptr<ckpt::KvStore> io;  // outlives the agents' drains
       std::vector<std::unique_ptr<ndp::NdpAgent>> agents;
@@ -627,7 +641,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < 2; ++i) {
       Row& row = rows[i];
       row.mode = i == 0 ? "overlap" : "serial";
-      row.cfg.uncompressed_capacity = bytes * 2;
+      row.nvm_bytes = bytes * 2;
       row.cfg.compressed_capacity = bytes * 2;
       row.cfg.codec = compress::CodecId::kLz4Style;
       row.cfg.chunk_bytes = 256ull << 10;
@@ -642,16 +656,14 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
       Row& row = rows[i];
       for (const Bytes& b : row.images) row.bytes += b.size();
-      stage_fns.push_back([&row] {
+      stage_fns.push_back([&row, &agent_over] {
         row.agents.clear();
         row.io = std::make_unique<ckpt::KvStore>();
         for (std::uint32_t r = 0; r < row.images.size(); ++r) {
           ndp::AgentConfig cfg = row.cfg;
           cfg.rank = r;
-          row.agents.push_back(std::make_unique<ndp::NdpAgent>(cfg, *row.io));
-          if (!row.agents.back()->host_commit(1, row.images[r])) {
-            throw std::runtime_error("drain: host_commit refused");
-          }
+          row.agents.push_back(
+              agent_over(cfg, *row.io, row.nvm_bytes, row.images[r]));
         }
       });
       pump_fns.push_back(counting_faults(
@@ -687,9 +699,8 @@ int main(int argc, char** argv) {
         ndp::AgentConfig cfg = row.cfg;
         cfg.compress_bw = 1e6;
         cfg.io_bw = 0.5e6;
-        ndp::NdpAgent timed(cfg, io);
-        (void)timed.host_commit(1, image);
-        virtual_s = fmt(timed.pump(1e9), 3);
+        virtual_s =
+            fmt(agent_over(cfg, io, row.nvm_bytes, image)->pump(1e9), 3);
       }
       std::vector<std::string> cells = {
           row.mode, std::to_string(row.images.size()),

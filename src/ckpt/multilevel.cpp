@@ -596,13 +596,6 @@ exec::TaskPool& MultilevelManager::pool() const {
 void MultilevelManager::for_tasks(
     std::size_t n, const std::function<void(std::size_t)>& body,
     std::size_t work_bytes) const {
-  if (exec::TaskPool::in_worker()) {
-    // Already running as someone's task (the chaos suite executes whole
-    // replicates on the pool): nested parallel_for is rejected, and the
-    // per-index-slot structure makes inline execution bit-identical.
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
   pool().parallel_for(n, body, grain_for(n, work_bytes));
 }
 

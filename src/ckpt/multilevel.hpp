@@ -266,8 +266,8 @@ struct MultilevelConfig {
   // Execution engine for the parallel data path (null = the process-wide
   // exec::global_pool()). Thread count is an execution detail: committed
   // bytes, checkpoint ids and HealthReport counters are bit-identical at
-  // any size, and commit/recover fall back to inline execution when
-  // called from inside a pool worker.
+  // any size, and commit/recover run inline when called from inside a
+  // pool task.
   exec::TaskPool* pool = nullptr;
 
   // Factory for the remote stores (one partner space per hosting node,
@@ -402,8 +402,8 @@ class MultilevelManager {
   void adopt_existing_state();
   // The configured pool, or exec::global_pool() when none is.
   [[nodiscard]] exec::TaskPool& pool() const;
-  // Run body(i) for i in [0, n) on the configured pool, or inline when
-  // already inside a pool worker (nested parallel_for is rejected).
+  // Run body(i) for i in [0, n) on the configured pool (inline when
+  // already inside a pool task, as every nested parallel_for runs).
   // `work_bytes` estimates the batch's total work: when per-index work
   // is tiny, indices are claimed in blocks (TaskPool grain) so pool
   // handoff overhead cannot dominate - small batches degrade all the way

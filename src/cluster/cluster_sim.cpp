@@ -100,12 +100,25 @@ ClusterSimResult ClusterSim::run() {
         plan, faults::io_target(), std::move(io_store));
   }
   ckpt::KvStore& io = *io_store;
+  // Moving `id` to or from the PFS takes its largest rank copy (of the
+  // ranks `from_pfs` selects) through one node's share of the IO
+  // bandwidth, whoever wrote it: the manager's IO level or an agent.
+  const double io_share = cfg_.aggregate_io_bw / n;
+  auto io_seconds = [&](std::uint64_t id, const auto& from_pfs) {
+    std::size_t bytes = 0;
+    for (std::uint32_t r = 0; r < n; ++r) {
+      if (!from_pfs(r)) continue;
+      if (const auto entry = pfs.get(r, id)) {
+        bytes = std::max(bytes, entry->size());
+      }
+    }
+    return static_cast<double>(bytes) / io_share;
+  };
 
   // Each node's NVM is the manager's local level and, with agents on,
   // the agent drains it: the agent reads what the manager committed.
   std::vector<std::shared_ptr<ckpt::NvmStore>> nvm;
   std::vector<std::unique_ptr<ndp::NdpAgent>> agents;
-  const double io_share = cfg_.aggregate_io_bw / n;
   for (std::uint32_t r = 0; r < n; ++r) {
     nvm.push_back(std::make_shared<ckpt::NvmStore>(cfg_.nvm_capacity_bytes));
     if (!cfg_.ndp_agents) continue;
@@ -229,9 +242,6 @@ ClusterSimResult ClusterSim::run() {
       return;
     }
     ++result.recoveries;
-    // Coordinated restore time; with agents, an IO read through a node's
-    // share of the bandwidth dominates.
-    std::size_t io_bytes = 0;
     std::uint64_t io_ranks = 0;
     for (std::uint32_t r = 0; r < n; ++r) {
       ranks[r]->restore(rec->payloads[r]);
@@ -245,16 +255,15 @@ ClusterSimResult ClusterSim::run() {
         case ckpt::RecoveryLevel::kIo:
           ++result.io_level_ranks;
           ++io_ranks;
-          if (cfg_.ndp_agents) {
-            io_bytes =
-                std::max(io_bytes, pfs.get(r, rec->checkpoint_id)->size());
-          }
           break;
       }
     }
     if (io_ranks > 0) ++result.io_recoveries;
+    // Coordinated restore time; an IO read, if any, dominates.
     now += std::max(cfg_.local_restore_time,
-                    static_cast<double>(io_bytes) / io_share);
+                    io_seconds(rec->checkpoint_id, [&](std::uint32_t r) {
+                      return rec->levels[r] == ckpt::RecoveryLevel::kIo;
+                    }));
     const std::uint64_t restored_step = ranks[0]->step_count();
     result.steps_rerun += step - restored_step;
     tracer.instant_at(now, "recovery", "cluster", sim_track,
@@ -316,6 +325,8 @@ ClusterSimResult ClusterSim::run() {
       }
     }
     const std::uint64_t id = manager.commit(views);
+    // The host waits for its own IO write; agents drain after this point.
+    now += io_seconds(id, [](std::uint32_t) { return true; });
     ++result.checkpoints;
     tracer.instant_at(now, "checkpoint", "cluster", sim_track,
                       {obs::u64("id", id), obs::u64("step", step)});

@@ -45,8 +45,9 @@ struct ClusterSimConfig {
   double step_time = 1.0;          // virtual seconds per app step
   std::uint32_t steps_per_checkpoint = 10;
   // Virtual seconds the host blocks per coordinated commit (unset:
-  // 0.1 x step_time) and per restart (an NDP restart from IO takes at
-  // least its read time).
+  // 0.1 x step_time) and per restart, before any IO transfer: a commit
+  // that writes IO adds its write time, and a restart from IO takes at
+  // least its read time (`aggregate_io_bw`).
   std::optional<double> local_commit_time;
   double local_restore_time = 0.0;
   // Share of failures that keep every node's NVM (transient); the rest
@@ -60,9 +61,10 @@ struct ClusterSimConfig {
   compress::CodecId io_codec = compress::CodecId::kLz4Style;
   int io_codec_level = 1;
   std::size_t nvm_capacity_bytes = 8ull << 20;
-  // NDP agents drain the IO level. Each gets an even share of the
-  // aggregate IO bandwidth, which also times host fallback writes and
-  // restores from IO.
+  // NDP agents drain the IO level. Each node gets an even share of the
+  // aggregate IO bandwidth; it times every IO transfer: the host's IO
+  // commits, the agents' drains and host fallback writes, and restores
+  // from IO, in both modes.
   bool ndp_agents = false;
   double ndp_compress_bw = 256e3;  // uncompressed bytes per virtual second
   double aggregate_io_bw = 256e3;

@@ -5,40 +5,17 @@
 #include "exec/task_pool.hpp"
 
 namespace ndpcr::cluster {
-namespace {
-
-exec::TaskPool* resolve_pool(exec::TaskPool* pool) {
-  if (pool != nullptr) return pool;
-  return exec::TaskPool::in_worker() ? nullptr : &exec::global_pool();
-}
-
-template <typename Result, typename RunFn>
-std::vector<Result> run_replicated(int replicates, exec::TaskPool* pool,
-                                   const RunFn& run_one) {
-  const auto n = static_cast<std::size_t>(std::max(replicates, 0));
-  pool = resolve_pool(pool);
-  if (pool == nullptr || n <= 1) {
-    std::vector<Result> runs;
-    runs.reserve(n);
-    for (std::size_t r = 0; r < n; ++r) runs.push_back(run_one(r));
-    return runs;
-  }
-  return pool->parallel_map(n, run_one);
-}
-
-}  // namespace
 
 ClusterReplicateSummary run_cluster_replicates(const ClusterSimConfig& base,
                                                int replicates,
-                                               exec::TaskPool* pool) {
+                                               exec::TaskPool& pool) {
   ClusterReplicateSummary s;
-  s.runs = run_replicated<ClusterSimResult>(replicates, pool,
-                                            [&](std::size_t r) {
-                                              ClusterSimConfig cfg = base;
-                                              cfg.seed =
-                                                  exec::sub_seed(base.seed, r);
-                                              return ClusterSim(cfg).run();
-                                            });
+  s.runs = pool.parallel_map(
+      static_cast<std::size_t>(std::max(replicates, 0)), [&](std::size_t r) {
+        ClusterSimConfig cfg = base;
+        cfg.seed = exec::sub_seed(base.seed, r);
+        return ClusterSim(cfg).run();
+      });
   if (s.runs.empty()) return s;
   s.all_verified = true;
   for (const auto& r : s.runs) {
@@ -62,10 +39,10 @@ ClusterReplicateSummary run_cluster_replicates(const ClusterSimConfig& base,
 
 FailureReplicateSummary run_failure_replicates(
     const FailureAnalysisConfig& base, int replicates,
-    exec::TaskPool* pool) {
+    exec::TaskPool& pool) {
   FailureReplicateSummary s;
-  s.runs = run_replicated<FailureAnalysisResult>(
-      replicates, pool, [&](std::size_t r) {
+  s.runs = pool.parallel_map(
+      static_cast<std::size_t>(std::max(replicates, 0)), [&](std::size_t r) {
         FailureAnalysisConfig cfg = base;
         cfg.seed = exec::sub_seed(base.seed, r);
         cfg.metrics = nullptr;  // single-writer; never shared across tasks

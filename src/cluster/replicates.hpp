@@ -15,6 +15,7 @@
 
 namespace ndpcr::exec {
 class TaskPool;
+TaskPool& global_pool();
 }  // namespace ndpcr::exec
 
 namespace ndpcr::cluster {
@@ -77,17 +78,17 @@ struct FailureReplicateSummary {
 };
 
 // Run `replicates` independent ClusterSim instances of
-// `base` (seed = sub_seed(base.seed, r)) across `pool`; nullptr = the
-// global engine pool, or serial when called from inside a pool task.
+// `base` (seed = sub_seed(base.seed, r)) across `pool` (inline when
+// called from inside a pool task).
 ClusterReplicateSummary run_cluster_replicates(
     const ClusterSimConfig& base, int replicates,
-    exec::TaskPool* pool = nullptr);
+    exec::TaskPool& pool = exec::global_pool());
 
 // Replicated failure analysis. Each replicate drops `base.metrics`
 // (registries are single-writer); pass a registry in `base` only if you
 // also keep replicates == 1.
 FailureReplicateSummary run_failure_replicates(
     const FailureAnalysisConfig& base, int replicates,
-    exec::TaskPool* pool = nullptr);
+    exec::TaskPool& pool = exec::global_pool());
 
 }  // namespace ndpcr::cluster

@@ -199,12 +199,10 @@ Bytes ChunkedCodec::decode(ByteSpan framed, exec::TaskPool* pool) {
         framed.subspan(extents[i].first, extents[i].second), out.data() + at,
         std::min<std::uint64_t>(chunk_len, original_size - at));
   };
-  // A pool worker may not nest parallel_for: decode inline (same bytes).
-  if (pool && !exec::TaskPool::in_worker()) {
-    pool->parallel_for(chunks, decode_chunk);
-  } else {
-    for (std::size_t i = 0; i < chunks; ++i) decode_chunk(i);
-  }
+  // No pool given: decode inline, on a pool with no workers (which keeps
+  // no batch state, so every thread may share it).
+  static exec::TaskPool inline_pool(1);
+  (pool ? *pool : inline_pool).parallel_for(chunks, decode_chunk);
   return out;
 }
 

@@ -27,8 +27,7 @@
 //     compress() per rank as a pool task; NdpAgent's drain calls
 //     append_chunk() as each chunk's compress stage arms.
 //   - decode(framed, pool) decodes chunks on `pool`, or inline when
-//     `pool` is null or the caller is already a pool worker (which
-//     rejects nested parallelism).
+//     `pool` is null or the caller is already a pool task.
 
 #include <cstdint>
 #include <memory>

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 
 namespace ndpcr::exec {
@@ -13,6 +12,19 @@ namespace {
 // Set while a thread is executing inside any TaskPool batch (workers for
 // their lifetime, the submitting thread only while it participates).
 thread_local bool tl_in_worker = false;
+
+// Marks the calling thread as inside a batch for the scope's lifetime and
+// restores the previous state on exit, exceptions included.
+class WorkerScope {
+ public:
+  WorkerScope() : outer_(tl_in_worker) { tl_in_worker = true; }
+  ~WorkerScope() { tl_in_worker = outer_; }
+  WorkerScope(const WorkerScope&) = delete;
+  WorkerScope& operator=(const WorkerScope&) = delete;
+
+ private:
+  bool outer_;
+};
 
 }  // namespace
 
@@ -49,8 +61,7 @@ struct TaskPool::Impl {
 
   void run_indices(const std::function<void(std::size_t)>& fn, std::size_t n,
                    std::size_t grain) {
-    const bool outer = tl_in_worker;
-    tl_in_worker = true;
+    const WorkerScope scope;
     bool aborted = false;
     while (!aborted) {
       // One atomic claim per block of `grain` indices; indices inside a
@@ -72,7 +83,6 @@ struct TaskPool::Impl {
         }
       }
     }
-    tl_in_worker = outer;
   }
 
   void worker_loop() {
@@ -127,19 +137,14 @@ void TaskPool::parallel_for(std::size_t n,
                             std::size_t grain) {
   if (n == 0) return;
   if (grain == 0) grain = 1;
-  if (in_worker()) {
-    throw std::logic_error(
-        "TaskPool: nested parallel_for from inside a task is rejected; "
-        "use the serial path (see TaskPool::in_worker)");
-  }
   const std::size_t tasks = (n + grain - 1) / grain;
-  if (impl_->workers.empty() || tasks == 1) {
-    // Serial fast path: same index order, same exception behaviour (the
-    // first throw aborts the remainder), no pool machinery involved.
-    impl_->error = nullptr;
-    impl_->next.store(0, std::memory_order_relaxed);
-    impl_->run_indices(body, n, grain);
-    if (impl_->error) std::rethrow_exception(impl_->error);
+  if (in_worker() || impl_->workers.empty() || tasks == 1) {
+    // Inline: a nested call (the outer batch may still own this pool's
+    // batch state), a pool with no workers, or a single task. A plain
+    // ascending loop touches no batch state, so the first throw aborts
+    // the remainder and propagates as it does from a pooled batch.
+    const WorkerScope scope;
+    for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
   {

@@ -12,12 +12,16 @@
 // fallback, which is what the `engine` test label asserts.
 //
 // Exceptions thrown by a task are captured; the first one (by completion
-// order) is rethrown from parallel_for after the batch drains. Nested use
-// - calling parallel_for from inside a task of any TaskPool - is rejected
-// with std::logic_error: nesting would deadlock a bounded pool, and every
-// layer that may run under the pool (e.g. TimelineSimulator::run_trials
-// inside the Evaluator's ratio search) must choose serial execution
-// explicitly via the in_worker() query instead.
+// order) is rethrown from parallel_for after the batch drains.
+//
+// Nested use runs inline. A parallel_for called from inside a task of any
+// TaskPool (this one included) is a plain ascending loop on the calling
+// thread: the same index order, per-index slots and first-exception
+// behaviour as a one-thread pool, and no batch state of the pool is
+// touched, so the outer batch cannot deadlock on it. Layers therefore call
+// their pool unconditionally; whether that runs in parallel is decided
+// here and nowhere else. A pool without workers (threads == 1) keeps no
+// batch state at all, so any number of threads may share one.
 
 #include <cstddef>
 #include <cstdint>
@@ -71,9 +75,8 @@ class TaskPool {
     return out;
   }
 
-  // True when the calling thread is a worker of any TaskPool. Layers that
-  // both offer parallelism and run under someone else's parallel_for use
-  // this to fall back to their serial path.
+  // True while the calling thread runs a task of any TaskPool (so a
+  // parallel_for it makes now runs inline).
   static bool in_worker();
 
  private:

@@ -10,16 +10,6 @@
 #include "ndp/ndp.hpp"
 
 namespace ndpcr::model {
-namespace {
-
-// The engine pool for a candidate batch: the global pool at top level,
-// serial when this evaluation is itself a task of some pool (the engine
-// rejects nested parallel_for).
-exec::TaskPool* batch_pool() {
-  return exec::TaskPool::in_worker() ? nullptr : &exec::global_pool();
-}
-
-}  // namespace
 
 std::string CrConfig::label() const {
   std::string s;
@@ -106,38 +96,25 @@ double Evaluator::rate_at_interval(const CrConfig& config,
 
 std::vector<double> Evaluator::rates_at_ratios(
     const CrConfig& config, const std::vector<std::uint32_t>& ratios) const {
-  exec::TaskPool* pool = batch_pool();
-  auto one = [&](std::size_t i) {
+  return exec::global_pool().parallel_map(ratios.size(), [&](std::size_t i) {
     const auto tc = timeline_config(config, ratios[i]);
     return sim::TimelineSimulator::run_trials(tc, options_.trials,
-                                              options_.seed, nullptr)
+                                              options_.seed)
         .progress_rate();
-  };
-  if (pool == nullptr) {
-    std::vector<double> rates(ratios.size());
-    for (std::size_t i = 0; i < ratios.size(); ++i) rates[i] = one(i);
-    return rates;
-  }
-  return pool->parallel_map(ratios.size(), one);
+  });
 }
 
 std::vector<double> Evaluator::rates_at_intervals(
     const CrConfig& config, std::uint32_t io_every,
     const std::vector<double>& intervals) const {
-  exec::TaskPool* pool = batch_pool();
-  auto one = [&](std::size_t i) {
-    auto tc = timeline_config(config, io_every);
-    tc.local_interval = intervals[i];
-    return sim::TimelineSimulator::run_trials(tc, options_.trials,
-                                              options_.seed, nullptr)
-        .progress_rate();
-  };
-  if (pool == nullptr) {
-    std::vector<double> rates(intervals.size());
-    for (std::size_t i = 0; i < intervals.size(); ++i) rates[i] = one(i);
-    return rates;
-  }
-  return pool->parallel_map(intervals.size(), one);
+  return exec::global_pool().parallel_map(
+      intervals.size(), [&](std::size_t i) {
+        auto tc = timeline_config(config, io_every);
+        tc.local_interval = intervals[i];
+        return sim::TimelineSimulator::run_trials(tc, options_.trials,
+                                                  options_.seed)
+            .progress_rate();
+      });
 }
 
 double Evaluator::optimal_local_interval(const CrConfig& config,

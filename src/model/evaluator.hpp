@@ -73,9 +73,9 @@ class Evaluator {
 
  private:
   // Progress rates for a batch of candidate ratios / intervals, evaluated
-  // concurrently on the engine (serial when already inside a pool task).
-  // Each candidate runs its trials serially with the same fixed seeds the
-  // serial path uses, so the returned rates are thread-count-invariant.
+  // concurrently on the global pool. Each candidate's trials are a nested
+  // batch, so they run inline on its task with the same fixed seeds, and
+  // the returned rates are thread-count-invariant.
   [[nodiscard]] std::vector<double> rates_at_ratios(
       const CrConfig& config, const std::vector<std::uint32_t>& ratios) const;
   [[nodiscard]] std::vector<double> rates_at_intervals(

@@ -353,23 +353,16 @@ TimelineResult TimelineSimulator::run() {
 
 TimelineResult TimelineSimulator::run_trials(const TimelineConfig& config,
                                              int trials, std::uint64_t seed,
-                                             exec::TaskPool* pool) {
+                                             exec::TaskPool& pool) {
   // The per-trial seed is `seed + t` (the engine's historical serial
   // scheme) and the reduction below folds the per-trial results in trial
   // order, so the aggregate carries no trace of the schedule: any thread
-  // count - including pool == nullptr - produces bit-identical output.
-  auto run_one = [&](std::size_t t) {
-    TimelineSimulator sim(config, seed + static_cast<std::uint64_t>(t));
-    return sim.run();
-  };
-
-  std::vector<TimelineResult> per_trial;
-  if (pool == nullptr || trials <= 1) {
-    per_trial.reserve(static_cast<std::size_t>(std::max(trials, 0)));
-    for (int t = 0; t < trials; ++t) per_trial.push_back(run_one(t));
-  } else {
-    per_trial = pool->parallel_map(static_cast<std::size_t>(trials), run_one);
-  }
+  // count produces bit-identical output.
+  const std::vector<TimelineResult> per_trial = pool.parallel_map(
+      static_cast<std::size_t>(std::max(trials, 0)), [&](std::size_t t) {
+        return TimelineSimulator(config, seed + static_cast<std::uint64_t>(t))
+            .run();
+      });
 
   TimelineResult agg;
   for (const TimelineResult& r : per_trial) {
@@ -386,13 +379,6 @@ TimelineResult TimelineSimulator::run_trials(const TimelineConfig& config,
     agg.breakdown = agg.breakdown.scaled(1.0 / trials);
   }
   return agg;
-}
-
-TimelineResult TimelineSimulator::run_trials(const TimelineConfig& config,
-                                             int trials, std::uint64_t seed) {
-  exec::TaskPool* pool =
-      exec::TaskPool::in_worker() ? nullptr : &exec::global_pool();
-  return run_trials(config, trials, seed, pool);
 }
 
 }  // namespace ndpcr::sim

@@ -32,6 +32,7 @@
 
 namespace ndpcr::exec {
 class TaskPool;
+TaskPool& global_pool();
 }  // namespace ndpcr::exec
 
 namespace ndpcr::sim {
@@ -127,17 +128,12 @@ class TimelineSimulator {
   TimelineResult run();
 
   // Average of `trials` independent runs (seeds seed, seed+1, ...), fanned
-  // out over `pool` (nullptr = serial). Per-trial seeds are fixed by trial
-  // index and the reduction folds results in trial order, so the aggregate
-  // is bit-identical for any thread count, including the serial path.
-  static TimelineResult run_trials(const TimelineConfig& config, int trials,
-                                   std::uint64_t seed, exec::TaskPool* pool);
-
-  // Convenience overload: uses exec::global_pool(), or the serial path
-  // when already running inside a TaskPool task (nested parallelism is
-  // rejected by the engine; see docs/ENGINE.md).
-  static TimelineResult run_trials(const TimelineConfig& config, int trials,
-                                   std::uint64_t seed);
+  // out over `pool` (inline when called from inside a pool task). Per-trial
+  // seeds are fixed by trial index and the reduction folds results in trial
+  // order, so the aggregate is bit-identical for any thread count.
+  static TimelineResult run_trials(
+      const TimelineConfig& config, int trials, std::uint64_t seed,
+      exec::TaskPool& pool = exec::global_pool());
 
   // Derived per-operation costs (exposed for tests and the analytic model).
   [[nodiscard]] double local_commit_time() const;

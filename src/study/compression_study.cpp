@@ -95,8 +95,7 @@ Measurement measure_cell(const std::string& app_name,
 StudyResults run_compression_study(const StudyConfig& config) {
   const auto& apps =
       config.apps.empty() ? workloads::miniapp_names() : config.apps;
-  exec::TaskPool* pool =
-      exec::TaskPool::in_worker() ? nullptr : &exec::global_pool();
+  exec::TaskPool& pool = exec::global_pool();
 
   // Stage 1: capture each app's checkpoints at several points of a short
   // run (the paper takes three, at 25/50/75% of execution). Each app is
@@ -114,15 +113,8 @@ StudyResults run_compression_study(const StudyConfig& config) {
     }
     return images;
   };
-  std::vector<std::vector<Bytes>> per_app_images;
-  if (pool == nullptr) {
-    per_app_images.reserve(apps.size());
-    for (std::size_t a = 0; a < apps.size(); ++a) {
-      per_app_images.push_back(generate(a));
-    }
-  } else {
-    per_app_images = pool->parallel_map(apps.size(), generate);
-  }
+  const std::vector<std::vector<Bytes>> per_app_images =
+      pool.parallel_map(apps.size(), generate);
 
   // Stage 2: the app x codec grid, one cell per task. Rows land at
   // app-major / codec-minor indices regardless of schedule; compression
@@ -137,11 +129,7 @@ StudyResults run_compression_study(const StudyConfig& config) {
     results.rows[i] =
         measure_cell(apps[a], config.codecs[c], per_app_images[a]);
   };
-  if (pool == nullptr || n_codecs == 0) {
-    for (std::size_t i = 0; i < results.rows.size(); ++i) fill_cell(i);
-  } else {
-    pool->parallel_for(results.rows.size(), fill_cell);
-  }
+  pool.parallel_for(results.rows.size(), fill_cell);
   return results;
 }
 

@@ -349,9 +349,9 @@ TEST(Chunked, BegunContainerIsAllocatedOnce) {
 }
 
 TEST(Chunked, CompressInsidePoolWorkerRunsInlineAndMatches) {
-  // A TaskPool worker may not nest parallel_for; decompress(framed, &pool)
-  // called from a task must detect that, run inline, and still return the
-  // input. compress() is a serial loop, so it is safe anywhere.
+  // decompress(framed, &pool) called from a task of that pool is a nested
+  // batch: it runs inline and still returns the input. compress() is a
+  // serial loop, so it is safe anywhere.
   const ChunkedCodec codec(CodecId::kLz4Style, 1, 8192);
   const Bytes data = test_data(100000, 17);
   const Bytes outside = codec.compress(data);

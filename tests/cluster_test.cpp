@@ -352,9 +352,9 @@ TEST(FailureAnalysis, ReplicateAggregatesArePoolSizeInvariant) {
     exec::TaskPool pool1(1);
     exec::TaskPool pool2(2);
     exec::TaskPool pool8(8);
-    const auto a = run_failure_replicates(base, 12, &pool1);
-    const auto b = run_failure_replicates(base, 12, &pool2);
-    const auto c = run_failure_replicates(base, 12, &pool8);
+    const auto a = run_failure_replicates(base, 12, pool1);
+    const auto b = run_failure_replicates(base, 12, pool2);
+    const auto c = run_failure_replicates(base, 12, pool8);
 
     for (const auto* s : {&b, &c}) {
       EXPECT_EQ(a.total_failures, s->total_failures);

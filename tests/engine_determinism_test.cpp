@@ -2,9 +2,10 @@
 // a TaskPool are bit-identical to the serial path for any thread count.
 // These tests pin that promise for the layers refactored onto the engine:
 // TimelineSimulator::run_trials, the Evaluator optimizers, and the cluster
-// replicate drivers.
+// replicate drivers, at top level and called from inside a pool task.
 
 #include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -52,15 +53,16 @@ TEST(EngineDeterminism, RunTrialsBitIdenticalAcrossThreadCounts) {
   constexpr int kTrials = 64;
   constexpr std::uint64_t kSeed = 12345;
 
+  TaskPool one(1);
   const TimelineResult serial =
-      TimelineSimulator::run_trials(cfg, kTrials, kSeed, nullptr);
+      TimelineSimulator::run_trials(cfg, kTrials, kSeed, one);
   EXPECT_EQ(serial.trials, kTrials);
   EXPECT_GT(serial.failures, 0u);  // the workload actually exercises failures
 
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     TaskPool pool(threads);
     const TimelineResult parallel =
-        TimelineSimulator::run_trials(cfg, kTrials, kSeed, &pool);
+        TimelineSimulator::run_trials(cfg, kTrials, kSeed, pool);
     SCOPED_TRACE(threads);
     expect_identical(serial, parallel);
   }
@@ -69,15 +71,16 @@ TEST(EngineDeterminism, RunTrialsBitIdenticalAcrossThreadCounts) {
 TEST(EngineDeterminism, RunTrialsRepeatable) {
   const TimelineConfig cfg = test_config();
   TaskPool pool(4);
-  const auto a = TimelineSimulator::run_trials(cfg, 16, 99, &pool);
-  const auto b = TimelineSimulator::run_trials(cfg, 16, 99, &pool);
+  const auto a = TimelineSimulator::run_trials(cfg, 16, 99, pool);
+  const auto b = TimelineSimulator::run_trials(cfg, 16, 99, pool);
   expect_identical(a, b);
 }
 
 TEST(EngineDeterminism, MeanCountersAreExactMeans) {
   const TimelineConfig cfg = test_config();
   constexpr int kTrials = 10;
-  const auto r = TimelineSimulator::run_trials(cfg, kTrials, 7, nullptr);
+  TaskPool serial(1);
+  const auto r = TimelineSimulator::run_trials(cfg, kTrials, 7, serial);
   EXPECT_EQ(r.trials, kTrials);
   EXPECT_DOUBLE_EQ(r.mean_failures(),
                    static_cast<double>(r.failures) / kTrials);
@@ -124,8 +127,8 @@ TEST(EngineDeterminism, ClusterReplicatesInvariantAcrossThreadCounts) {
 
   TaskPool one(1);
   TaskPool four(4);
-  const auto a = ndpcr::cluster::run_cluster_replicates(base, 6, &one);
-  const auto b = ndpcr::cluster::run_cluster_replicates(base, 6, &four);
+  const auto a = ndpcr::cluster::run_cluster_replicates(base, 6, one);
+  const auto b = ndpcr::cluster::run_cluster_replicates(base, 6, four);
   ASSERT_EQ(a.runs.size(), 6u);
   ASSERT_EQ(b.runs.size(), 6u);
   EXPECT_EQ(a.total_failures, b.total_failures);
@@ -150,6 +153,64 @@ TEST(EngineDeterminism, ClusterReplicatesInvariantAcrossThreadCounts) {
     }
   }
   EXPECT_TRUE(any_difference);
+}
+
+TEST(EngineDeterminism, LayersCalledFromInsideAPoolTaskMatchTopLevel) {
+  // Every layer calls its pool unconditionally; called from a task, its
+  // batches run inline and must reproduce the top-level result exactly.
+  ndpcr::model::CrScenario scenario;
+  ndpcr::model::SimOptions opt;
+  opt.trials = 2;
+  opt.total_work = 50.0 * 3600;
+  const ndpcr::model::Evaluator ev(scenario, opt);
+  const ndpcr::model::CrConfig host{
+      .kind = ndpcr::model::ConfigKind::kLocalIoHost,
+      .compression_factor = 0.73,
+      .p_local_recovery = 0.85};
+  const TimelineConfig cfg = test_config();
+
+  ndpcr::cluster::FailureAnalysisConfig failures;
+  failures.node_count = 2000;
+  failures.node_mttf = 3.0e6;
+  failures.rebuild_time = 1800.0;
+  failures.target_failures = 2000;
+  failures.seed = 5;
+
+  ndpcr::exec::set_global_threads(4);
+  const auto top_eval = ev.evaluate(host);
+  const auto top_trials = TimelineSimulator::run_trials(cfg, 16, 77);
+  const auto top_replicates =
+      ndpcr::cluster::run_failure_replicates(failures, 6);
+
+  TaskPool outer(2);
+  std::vector<ndpcr::model::Evaluation> evals(2);
+  std::vector<TimelineResult> trials(2);
+  std::vector<ndpcr::cluster::FailureReplicateSummary> replicates(2);
+  outer.parallel_for(2, [&](std::size_t i) {
+    evals[i] = ev.evaluate(host);
+    trials[i] = TimelineSimulator::run_trials(cfg, 16, 77);
+    replicates[i] = ndpcr::cluster::run_failure_replicates(failures, 6);
+  });
+  ndpcr::exec::set_global_threads(0);  // restore the default for later tests
+
+  EXPECT_GT(top_eval.io_every, 0u);  // the ratio search ran
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(evals[i].io_every, top_eval.io_every);
+    EXPECT_DOUBLE_EQ(evals[i].interval, top_eval.interval);
+    expect_identical(evals[i].result, top_eval.result);
+    expect_identical(trials[i], top_trials);
+    ASSERT_EQ(replicates[i].runs.size(), top_replicates.runs.size());
+    EXPECT_EQ(replicates[i].total_failures, top_replicates.total_failures);
+    EXPECT_EQ(replicates[i].total_local_recoverable,
+              top_replicates.total_local_recoverable);
+    EXPECT_EQ(replicates[i].total_io_required,
+              top_replicates.total_io_required);
+    EXPECT_EQ(replicates[i].total_events_processed,
+              top_replicates.total_events_processed);
+    EXPECT_DOUBLE_EQ(replicates[i].total_elapsed,
+                     top_replicates.total_elapsed);
+  }
 }
 
 }  // namespace

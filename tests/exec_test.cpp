@@ -3,10 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -83,20 +85,95 @@ TEST(TaskPool, ExceptionOnSerialPathPropagatesToo) {
                std::runtime_error);
 }
 
-TEST(TaskPool, NestedParallelForIsRejected) {
-  TaskPool outer(2);
-  TaskPool inner(2);
-  std::atomic<int> rejected{0};
-  outer.parallel_for(8, [&](std::size_t) {
-    EXPECT_TRUE(TaskPool::in_worker());
-    try {
-      inner.parallel_for(2, [](std::size_t) {});
-    } catch (const std::logic_error&) {
-      rejected.fetch_add(1);
+TEST(TaskPool, NestedParallelForRunsInline) {
+  // A parallel_for made from inside a task, on another pool or on the
+  // pool running the task, is a plain ascending loop on the task's thread;
+  // the outer batch still runs every one of its indices.
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 16;
+  for (unsigned threads : {1u, 4u}) {
+    for (bool same_pool : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " same_pool=" << same_pool);
+      TaskPool outer(threads);
+      TaskPool other(threads);
+      TaskPool& inner = same_pool ? outer : other;
+      std::vector<std::atomic<int>> outer_hits(kOuter);
+      std::vector<std::vector<std::size_t>> order(kOuter);
+      std::atomic<int> off_thread{0};
+      outer.parallel_for(kOuter, [&](std::size_t i) {
+        EXPECT_TRUE(TaskPool::in_worker());
+        outer_hits[i].fetch_add(1);
+        const std::thread::id caller = std::this_thread::get_id();
+        inner.parallel_for(kInner, [&](std::size_t j) {
+          if (std::this_thread::get_id() != caller) off_thread.fetch_add(1);
+          order[i].push_back(j);
+        });
+        EXPECT_TRUE(TaskPool::in_worker());
+      });
+      EXPECT_FALSE(TaskPool::in_worker());
+      EXPECT_EQ(off_thread.load(), 0);
+      std::vector<std::size_t> ascending(kInner);
+      std::iota(ascending.begin(), ascending.end(), 0u);
+      for (std::size_t i = 0; i < kOuter; ++i) {
+        EXPECT_EQ(outer_hits[i].load(), 1) << "outer index " << i;
+        EXPECT_EQ(order[i], ascending) << "outer index " << i;
+      }
     }
-  });
-  EXPECT_EQ(rejected.load(), 8);
-  EXPECT_FALSE(TaskPool::in_worker());
+  }
+
+  // An exception in a nested body comes out of the outer parallel_for.
+  for (unsigned threads : {1u, 4u}) {
+    TaskPool outer(threads);
+    TaskPool inner(threads);
+    std::vector<std::size_t> ran;
+    std::mutex ran_m;
+    EXPECT_THROW(outer.parallel_for(8,
+                                    [&](std::size_t i) {
+                                      if (i != 5) return;
+                                      inner.parallel_for(4, [&](std::size_t j) {
+                                        {
+                                          std::lock_guard<std::mutex> lk(ran_m);
+                                          ran.push_back(j);
+                                        }
+                                        if (j == 2) {
+                                          throw std::runtime_error("nested");
+                                        }
+                                      });
+                                    }),
+                 std::runtime_error)
+        << "threads=" << threads;
+    // The nested loop stopped at its first throw, like any serial batch.
+    EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2}));
+    EXPECT_FALSE(TaskPool::in_worker());
+    // Both pools survive and run their next batch normally.
+    std::atomic<int> after{0};
+    outer.parallel_for(8, [&](std::size_t) {
+      inner.parallel_for(2, [&](std::size_t) { after.fetch_add(1); });
+    });
+    EXPECT_EQ(after.load(), 16);
+  }
+}
+
+TEST(TaskPool, OneThreadPoolIsSharedByConcurrentCallers) {
+  // A pool without workers keeps no batch state: threads that share one
+  // each run their own batch inline, in order, untouched by the others.
+  TaskPool serial(1);
+  constexpr std::size_t kCallers = 3;
+  std::vector<std::vector<std::size_t>> order(kCallers);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < 50; ++round) {
+        order[c].clear();
+        serial.parallel_for(64, [&](std::size_t i) { order[c].push_back(i); });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  std::vector<std::size_t> ascending(64);
+  std::iota(ascending.begin(), ascending.end(), 0u);
+  for (const auto& o : order) EXPECT_EQ(o, ascending);
 }
 
 TEST(TaskPool, InWorkerFalseOutsideBatches) {

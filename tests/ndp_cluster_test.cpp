@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "cluster/cluster_sim.hpp"
 #include "cluster/replicates.hpp"
@@ -176,7 +177,9 @@ TEST(NdpClusterSim, NoFailuresIsPureComputePlusCommits) {
                            *cfg.local_commit_time);
   EXPECT_NEAR(r.progress_rate(), expected, 1e-9);
 
-  // Host mode's default commit charge is a tenth of a step.
+  // Host mode's default commit charge is a tenth of a step, and every
+  // io_every-th commit (default 5) adds its IO write time: at most twice
+  // the rank image through one node's share of the IO bandwidth.
   ClusterSimConfig host;
   host.node_count = 2;
   host.state_bytes_per_rank = 16 * 1024;
@@ -185,8 +188,42 @@ TEST(NdpClusterSim, NoFailuresIsPureComputePlusCommits) {
   host.total_steps = 200;
   const auto h = ClusterSim(host).run();
   EXPECT_EQ(h.failures, 0u);
-  EXPECT_NEAR(h.virtual_seconds,
-              400.0 + static_cast<double>(h.checkpoints) * 0.2, 1e-9);
+  const double flat = 400.0 + static_cast<double>(h.checkpoints) * 0.2;
+  const double io_commits = static_cast<double>(h.checkpoints / host.io_every);
+  const double io_share = host.aggregate_io_bw / host.node_count;
+  EXPECT_GT(io_commits, 0.0);
+  EXPECT_GT(h.virtual_seconds, flat);
+  EXPECT_LE(h.virtual_seconds,
+            flat + io_commits * 2.0 *
+                       static_cast<double>(host.state_bytes_per_rank) /
+                       io_share);
+  // With no IO commit inside the run, the flat charge is all there is.
+  host.io_every = 1000;
+  const auto no_io = ClusterSim(host).run();
+  EXPECT_NEAR(no_io.virtual_seconds,
+              400.0 + static_cast<double>(no_io.checkpoints) * 0.2, 1e-9);
+}
+
+// Host IO is timed like the agents' drains: the more often the host
+// commits to IO, the longer the run, at the same compute.
+TEST(NdpClusterSim, HostIoCommitsCostIoTime) {
+  ClusterSimConfig cfg;
+  cfg.node_count = 4;
+  cfg.state_bytes_per_rank = 64 * 1024;
+  cfg.node_mttf = 1e15;
+  cfg.total_steps = 400;
+  std::vector<ClusterSimResult> runs;
+  for (std::uint32_t io_every : {1u, 5u, 1000u}) {
+    cfg.io_every = io_every;
+    runs.push_back(ClusterSim(cfg).run());
+    EXPECT_EQ(runs.back().failures, 0u);
+    EXPECT_TRUE(runs.back().state_verified);
+    EXPECT_DOUBLE_EQ(runs.back().compute_seconds, 400.0);
+  }
+  EXPECT_GT(runs[0].virtual_seconds, runs[1].virtual_seconds);
+  EXPECT_GT(runs[1].virtual_seconds, runs[2].virtual_seconds);
+  EXPECT_NEAR(runs[2].virtual_seconds,
+              400.0 + static_cast<double>(runs[2].checkpoints) * 0.1, 1e-9);
 }
 
 TEST(NdpClusterSim, FasterIoRaisesIoCheckpointCadence) {

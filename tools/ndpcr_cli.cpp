@@ -80,6 +80,7 @@
 #include <string>
 
 #include "cluster/failure_analysis.hpp"
+#include "ckpt/nvm_store.hpp"
 #include "cluster/replicates.hpp"
 #include "common/breakdown_table.hpp"
 #include "common/rng.hpp"
@@ -325,16 +326,17 @@ int cmd_faults(const Options& opts) {
 
   const auto report = faults::run_chaos(cfg);
 
-  // NDP drain leg: the agent drains one compressible image through a
-  // fault-injecting IO store seeded from the same schedule, so the
-  // trace also covers the drain/compress/wire stages and the health
-  // table gets the drain-side row (docs/OBSERVABILITY.md). Entirely
-  // serial on the virtual clock, so thread-count invariance holds.
+  // NDP drain leg: the agent drains one compressible image from its
+  // node's NVM through a fault-injecting IO store seeded from the same
+  // schedule, so the trace also covers the drain/compress/wire stages
+  // and the health table gets the drain-side row
+  // (docs/OBSERVABILITY.md). Entirely serial on the virtual clock, so
+  // thread-count invariance holds.
   auto drain_plan = std::make_shared<faults::FaultPlan>(
       exec::sub_seed(cfg.seed, 0x6472u), cfg.rates);
   faults::FaultyKvStore drain_io(drain_plan, faults::io_target());
+  auto drain_nvm = std::make_shared<ckpt::NvmStore>(4ull << 20);
   ndp::AgentConfig ac;
-  ac.uncompressed_capacity = 4ull << 20;
   ac.compressed_capacity = 4ull << 20;
   ac.codec = compress::CodecId::kDeflateStyle;
   ac.codec_level = 1;
@@ -345,7 +347,7 @@ int cmd_faults(const Options& opts) {
     ac.trace_track = 40;
     tracer.set_track_name(43, "drain io");
   }
-  ndp::NdpAgent agent(ac, drain_io);
+  ndp::NdpAgent agent(ac, drain_io, drain_nvm);
   if (obs::TraceBuffer* rb = tracer.root()) drain_io.set_trace(rb, 43);
   Bytes drain_image(256ull << 10);
   {
@@ -354,7 +356,8 @@ int cmd_faults(const Options& opts) {
       b = static_cast<std::byte>(rng.next_below(5));
     }
   }
-  (void)agent.host_commit(1, std::move(drain_image));
+  (void)drain_nvm->put(1, std::move(drain_image));
+  agent.local_committed(1);
   const double drain_s = agent.pump(1e9);
 
   std::printf("chaos schedule seed %llu: %llu commits, %u nodes, "
